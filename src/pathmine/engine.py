@@ -6,6 +6,12 @@ leftmost embedding's tail. Extension candidates are exactly the items
 occurring after those tails, so the enumeration is complete, and the
 leftmost frontier makes per-node work linear in the projected suffixes.
 
+The chain of tails along the search path is itself the leftmost
+embedding (PrefixSpan's pseudo-projection), so each node carries it and
+witness mode reads every supporter's witness off the search path
+instead of searching for it again. The depth-first walk keeps an
+explicit stack, so no sequence is too long to mine.
+
 Constraints steer the search through their evaluation class:
 
 * prunable-bound violations (positive support below the threshold, a
@@ -24,25 +30,20 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .builder import CaseDatabase
 from .errors import MissingNegativeWindow
-from .model import (
-    Embedding,
-    EventSequence,
-    Item,
-    Pattern,
-    PatternTuple,
-    find_embeddings,
-    supports,
-)
+from .model import Embedding, Pattern, PatternTuple, iter_embeddings, supports
 from .query import MiningTask
 
 EMBEDDINGS_ALL = "all"
 EMBEDDINGS_WITNESS = "witness"
+
+#: Embeddings enumerated between deadline checks in all mode.
+_DEADLINE_STRIDE = 1024
 
 
 class Decision(Enum):
@@ -141,6 +142,18 @@ def count_switches(pattern: Pattern, attribute_index: int) -> int:
     )
 
 
+def _overshoots(switch_counts: Sequence[int], switches: Sequence) -> bool:
+    """True once a switch count is past an `==` or `<=` bound.
+
+    Counts never decrease under extension, so the overshoot is final and
+    the whole subtree can go.
+    """
+    for count, constraint in zip(switch_counts, switches):
+        if constraint.comparator in ("==", "<=") and count > constraint.value:
+            return True
+    return False
+
+
 def _decide(
     support_count: int,
     switch_counts: Sequence[int],
@@ -158,9 +171,8 @@ def _decide(
     if support_count < task.min_support:
         return Decision.PRUNE
     switches = task.switch_constraints()
-    for count, constraint in zip(switch_counts, switches):
-        if constraint.comparator in ("==", "<=") and count > constraint.value:
-            return Decision.PRUNE
+    if _overshoots(switch_counts, switches):
+        return Decision.PRUNE
     emittable = all(contains_flags)
     if emittable:
         for count, constraint in zip(switch_counts, switches):
@@ -217,6 +229,12 @@ class _Budget:
                 return False
             return True
 
+    def expired(self) -> bool:
+        """Check the deadline alone, for long work inside one node."""
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            self.exhausted = True
+        return self.exhausted
+
 
 class _Prepared:
     """Interned view of the database: items replaced by dense ids.
@@ -229,12 +247,11 @@ class _Prepared:
     __slots__ = (
         "task",
         "patients",
-        "pos_seqs",
         "pos_ids",
         "neg_ids",
         "items",
+        "switches",
         "switch_values",
-        "switch_bounded",
         "contains_ids",
         "max_len",
     )
@@ -242,7 +259,6 @@ class _Prepared:
     def __init__(self, task: MiningTask, database: CaseDatabase, options: MiningOptions) -> None:
         self.task = task
         self.patients = list(database.patients())
-        self.pos_seqs = [pair.positive for pair in database]
         universe = set()
         for pair in database:
             universe.update(pair.positive.items())
@@ -256,14 +272,9 @@ class _Prepared:
             self.neg_ids = [
                 [ids[item] for item in pair.negative.items()] for pair in database
             ]
+        self.switches = task.switch_constraints()
         self.switch_values = [
-            [item.values[c.attr_index] for item in self.items]
-            for c in task.switch_constraints()
-        ]
-        # Upper bounds that allow pruning: == and <= overshoot is final.
-        self.switch_bounded = [
-            c.value if c.comparator in ("==", "<=") else None
-            for c in task.switch_constraints()
+            [item.values[c.attr_index] for item in self.items] for c in self.switches
         ]
         self.contains_ids = [
             frozenset(i for i, item in enumerate(self.items) if item.values[c.attr_index] == c.value)
@@ -288,19 +299,69 @@ def _contains_ids(haystack: Sequence[int], needle: Sequence[int]) -> bool:
     return True
 
 
+class _Node:
+    """One pattern on the search path, with its supporters' leftmost embeddings.
+
+    Entry k of the lists describes the k-th supporting positive
+    sequence: its index in the database and its 1-based leftmost
+    embedding, whose last position is the frontier that extensions
+    search after. A child's embedding is its parent's plus one
+    position, so the witness costs one tuple per supporter and is never
+    searched for again.
+    """
+
+    __slots__ = ("prefix", "seqs", "witnesses", "switch_counts", "contains_flags")
+
+    def __init__(
+        self,
+        prefix: tuple[int, ...],
+        seqs: list[int],
+        witnesses: list[Embedding],
+        switch_counts: tuple[int, ...],
+        contains_flags: tuple[bool, ...],
+    ) -> None:
+        self.prefix = prefix
+        self.seqs = seqs
+        self.witnesses = witnesses
+        self.switch_counts = switch_counts
+        self.contains_flags = contains_flags
+
+    def child(
+        self,
+        iid: int,
+        occs: list[tuple[int, int]],
+        switch_counts: tuple[int, ...],
+        contains_flags: tuple[bool, ...],
+    ) -> "_Node":
+        """The node for prefix + iid; occs are (supporter index here, position)."""
+        seqs = self.seqs
+        witnesses = self.witnesses
+        return _Node(
+            self.prefix + (iid,),
+            [seqs[k] for k, _ in occs],
+            [witnesses[k] + (pos + 1,) for k, pos in occs],
+            switch_counts,
+            contains_flags,
+        )
+
+
 def _child_occurrences(
-    pos_ids: list[list[int]], occs: list[tuple[int, int]]
+    pos_ids: list[list[int]], seqs: Iterable[int], starts: Iterable[int]
 ) -> dict[int, list[tuple[int, int]]]:
-    """First occurrence of every item after each sequence's frontier."""
+    """First occurrence of every item at or after each supporter's start.
+
+    Maps each item id to (supporter index, 0-based position) pairs, in
+    supporter order.
+    """
     children: dict[int, list[tuple[int, int]]] = {}
-    for seq_idx, tail in occs:
+    for k, (seq_idx, start) in enumerate(zip(seqs, starts)):
         events = pos_ids[seq_idx]
         seen = set()
-        for pos in range(tail + 1, len(events)):
+        for pos in range(start, len(events)):
             iid = events[pos]
             if iid not in seen:
                 seen.add(iid)
-                children.setdefault(iid, []).append((seq_idx, pos))
+                children.setdefault(iid, []).append((k, pos))
     return children
 
 
@@ -309,98 +370,123 @@ class _Searcher:
         self.prep = prep
         self.options = options
         self.budget = budget
-        self.found: list[PatternTuple] = []
+        self.found: list[tuple[tuple[int, ...], PatternTuple]] = []
         self.nodes = 0
 
-    def run(self, roots: Iterable[tuple[int, list[tuple[int, int]]]]) -> list[PatternTuple]:
+    def run(
+        self, roots: Iterable[tuple[int, list[tuple[int, int]]]]
+    ) -> list[tuple[tuple[int, ...], PatternTuple]]:
+        """Search each root's subtree in turn; root occs index the database.
+
+        Returns (interned pattern, record) pairs in visit order.
+        """
+        prep = self.prep
+        count = len(prep.pos_ids)
+        origin = _Node((), list(range(count)), [()] * count, (), ())
+        no_switches = (0,) * len(prep.switches)
         for iid, occs in roots:
-            self._visit((iid,), occs, self._root_switches(), self._root_contains(iid), 1)
+            contains = tuple(iid in sat for sat in prep.contains_ids)
+            self._search(origin.child(iid, occs, no_switches, contains))
             if self.budget.exhausted:
                 break
         return self.found
 
-    def _root_switches(self) -> tuple[int, ...]:
-        return (0,) * len(self.prep.switch_values)
+    def _search(self, root: _Node) -> None:
+        """Depth-first, with an explicit stack of child iterators."""
+        stack: list[Iterator[_Node]] = [iter((root,))]
+        while stack:
+            node = next(stack[-1], None)
+            if node is None:
+                stack.pop()
+                continue
+            children = self._visit(node)
+            if self.budget.exhausted:
+                return
+            if children is not None:
+                stack.append(children)
 
-    def _root_contains(self, iid: int) -> tuple[bool, ...]:
-        return tuple(iid in sat for sat in self.prep.contains_ids)
-
-    def _visit(
-        self,
-        prefix: tuple[int, ...],
-        occs: list[tuple[int, int]],
-        switch_counts: tuple[int, ...],
-        contains_flags: tuple[bool, ...],
-        depth: int,
-    ) -> None:
+    def _visit(self, node: _Node) -> Iterator[_Node] | None:
+        """Spend, classify and emit one node; return its children to visit."""
         if not self.budget.spend():
-            return
+            return None
         self.nodes += 1
         prep = self.prep
-        task = prep.task
         discr_cache: list[frozenset | None] = [None]
 
         def discr_count() -> int:
             assert prep.neg_ids is not None
-            supporters = set()
-            for seq_idx, _ in occs:
-                if not _contains_ids(prep.neg_ids[seq_idx], prefix):
-                    supporters.add(prep.patients[seq_idx])
-            discr_cache[0] = frozenset(supporters)
+            supporters = frozenset(
+                prep.patients[seq_idx]
+                for seq_idx in node.seqs
+                if not _contains_ids(prep.neg_ids[seq_idx], node.prefix)
+            )
+            discr_cache[0] = supporters
             return len(supporters)
 
-        decision = _decide(len(occs), switch_counts, contains_flags, task, discr_count)
+        decision = _decide(
+            len(node.seqs), node.switch_counts, node.contains_flags, prep.task, discr_count
+        )
         if decision is Decision.PRUNE and self.options.prune:
-            return
+            return None
         if decision is Decision.EMIT:
-            self.found.append(self._emit(prefix, occs, discr_cache[0]))
-        if depth >= prep.max_len:
-            return
-        last = prefix[-1]
-        for iid, child_occs in sorted(_child_occurrences(prep.pos_ids, occs).items()):
-            if self.options.prune:
-                if len(child_occs) < task.min_support:
-                    continue
-                overshoots = False
-                for slot, bound in enumerate(prep.switch_bounded):
-                    if bound is None:
-                        continue
-                    values = prep.switch_values[slot]
-                    if switch_counts[slot] + (values[last] != values[iid]) > bound:
-                        overshoots = True
-                        break
-                if overshoots:
-                    continue
-            child_switches = tuple(
-                count + (prep.switch_values[slot][last] != prep.switch_values[slot][iid])
-                for slot, count in enumerate(switch_counts)
-            )
-            child_contains = tuple(
-                flag or iid in prep.contains_ids[slot]
-                for slot, flag in enumerate(contains_flags)
-            )
-            self._visit(prefix + (iid,), child_occs, child_switches, child_contains, depth + 1)
-            if self.budget.exhausted:
-                return
+            record = self._emit(node, discr_cache[0])
+            if record is None:
+                return None
+            self.found.append((node.prefix, record))
+        if len(node.prefix) >= prep.max_len:
+            return None
+        return self._children(node)
 
-    def _emit(
-        self,
-        prefix: tuple[int, ...],
-        occs: list[tuple[int, int]],
-        discr: frozenset | None,
-    ) -> PatternTuple:
+    def _children(self, node: _Node) -> Iterator[_Node]:
+        """Child nodes in ascending item order, minus those pruned up front."""
         prep = self.prep
-        pattern = Pattern(tuple(prep.items[iid] for iid in prefix))
-        limit = None if self.options.embeddings == EMBEDDINGS_ALL else 1
-        embeddings = {}
-        supported = set()
-        for seq_idx, _ in occs:
-            patient = prep.patients[seq_idx]
-            supported.add(patient)
-            embeddings[patient] = find_embeddings(pattern, prep.pos_seqs[seq_idx], limit=limit)
+        prune = self.options.prune
+        min_support = prep.task.min_support
+        last = node.prefix[-1]
+        # A 1-based frontier is the 0-based position right after it.
+        starts = [witness[-1] for witness in node.witnesses]
+        children = _child_occurrences(prep.pos_ids, node.seqs, starts)
+        if prune:
+            # Most candidates fall below the support bound: drop them before sorting.
+            children = {iid: occs for iid, occs in children.items() if len(occs) >= min_support}
+        for iid, occs in sorted(children.items()):
+            switch_counts = tuple(
+                count + (values[last] != values[iid])
+                for count, values in zip(node.switch_counts, prep.switch_values)
+            )
+            if prune and _overshoots(switch_counts, prep.switches):
+                continue
+            contains = tuple(
+                flag or iid in sat for flag, sat in zip(node.contains_flags, prep.contains_ids)
+            )
+            yield node.child(iid, occs, switch_counts, contains)
+
+    def _emit(self, node: _Node, discr: frozenset | None) -> PatternTuple | None:
+        """The node's result record, or None if the deadline passed meanwhile.
+
+        Witness mode reads each supporter's leftmost embedding off the
+        node. All mode enumerates the embeddings lazily and checks the
+        deadline as it goes, since their number grows combinatorially.
+        """
+        prep = self.prep
+        patients = [prep.patients[seq_idx] for seq_idx in node.seqs]
+        if self.options.embeddings == EMBEDDINGS_WITNESS:
+            embeddings = {
+                patient: (witness,) for patient, witness in zip(patients, node.witnesses)
+            }
+        else:
+            embeddings = {}
+            enumerated = 0
+            for patient, seq_idx in zip(patients, node.seqs):
+                found = embeddings[patient] = []
+                for embedding in iter_embeddings(node.prefix, prep.pos_ids[seq_idx]):
+                    found.append(embedding)
+                    enumerated += 1
+                    if not enumerated % _DEADLINE_STRIDE and self.budget.expired():
+                        return None
         return PatternTuple(
-            pattern=pattern,
-            supported=frozenset(supported),
+            pattern=Pattern(tuple(prep.items[iid] for iid in node.prefix)),
+            supported=frozenset(patients),
             embeddings=embeddings,
             discriminative=discr if prep.task.discriminative else None,
         )
@@ -423,9 +509,9 @@ def mine(
         )
     prep = _Prepared(task, database, options)
     budget = _Budget(options.max_nodes, options.max_seconds)
-    root_occs = _child_occurrences(prep.pos_ids, [(i, -1) for i in range(len(prep.pos_ids))])
-    roots = sorted(root_occs.items())
-    collected: list[PatternTuple] = []
+    count = len(prep.pos_ids)
+    roots = sorted(_child_occurrences(prep.pos_ids, range(count), [0] * count).items())
+    collected: list[tuple[tuple[int, ...], PatternTuple]] = []
     nodes = 0
     if prep.max_len >= 1 and roots:
         if options.threads == 1:
@@ -443,9 +529,10 @@ def mine(
                 for future in futures:
                     collected.extend(future.result())
             nodes = sum(searcher.nodes for searcher in searchers)
-    collected.sort(key=lambda pt: pt.pattern.sort_key())
+    # Interned ids follow canonical item order, so this is Pattern.sort_key order.
+    collected.sort(key=lambda found: (len(found[0]), found[0]))
     return MiningResult(
-        patterns=tuple(collected),
+        patterns=tuple(record for _, record in collected),
         complete=not budget.exhausted,
         nodes_expanded=nodes,
         elapsed_seconds=time.monotonic() - started,

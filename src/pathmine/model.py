@@ -13,7 +13,8 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Union
+from itertools import islice
+from typing import Iterator, Mapping, Sequence, Union
 
 AttributeValue = Union[str, int]
 
@@ -151,31 +152,43 @@ def find_embeddings(
     produced in leftmost-lexicographic order, so `limit=1` yields the
     leftmost one.
     """
-    wanted = pattern.items
-    if not wanted:
-        return frozenset({()})
     if limit is not None and limit < 1:
         raise ValueError("limit must be at least 1")
-    events = sequence.events
-    total = len(events)
-    depth_last = len(wanted) - 1
-    found: list[Embedding] = []
+    return frozenset(islice(iter_embeddings(pattern.items, sequence.items()), limit))
 
-    def walk(depth: int, start: int, prefix: Embedding) -> bool:
-        target = wanted[depth]
-        for pos in range(start, total):
-            if events[pos][1] == target:
-                witness = prefix + (pos + 1,)
-                if depth == depth_last:
-                    found.append(witness)
-                    if limit is not None and len(found) >= limit:
-                        return True
-                elif walk(depth + 1, pos + 1, witness):
-                    return True
-        return False
 
-    walk(0, 0, ())
-    return frozenset(found)
+def iter_embeddings(wanted: Sequence, haystack: Sequence) -> Iterator[Embedding]:
+    """Lazily yield the embeddings of `wanted` in `haystack`, leftmost first.
+
+    Works on any sequences whose elements compare with ==, such as items
+    or interned item ids. The depth-first walk keeps its choices on an
+    explicit stack, so pattern length is not bounded by recursion, and
+    it never tries a position that leaves too few events for the rest
+    of the pattern.
+    """
+    need = len(wanted)
+    total = len(haystack)
+    if not need:
+        yield ()
+        return
+    if need > total:
+        return
+    chosen: list[int] = []  # 1-based positions of the pattern prefix
+    start = 0  # 0-based position where the next item's search begins
+    while True:
+        depth = len(chosen)
+        try:
+            pos = haystack.index(wanted[depth], start, total - need + depth + 1)
+        except ValueError:
+            if not chosen:
+                return
+            start = chosen.pop()
+            continue
+        start = pos + 1
+        if depth + 1 == need:
+            yield tuple(chosen) + (start,)
+        else:
+            chosen.append(start)
 
 
 def supports(pattern: Pattern, sequence: EventSequence) -> bool:

@@ -117,6 +117,32 @@ def test_criterion_oracle_equivalence(mined_instances, verdict):
     )
 
 
+def test_criterion_witness_mode(mined_instances, verdict):
+    mismatches = []
+    for seed in SEEDS:
+        task, database, all_mode = mined_instances[seed]
+        witness_mode = mine(
+            task, database, MiningOptions(embeddings="witness", max_len=ORACLE_MAX_LEN)
+        ).patterns
+        expected = oracle_mine(task, database, max_len=ORACLE_MAX_LEN)
+        same_results = [
+            (pt.pattern, pt.supported, pt.discriminative) for pt in witness_mode
+        ] == [(pt.pattern, pt.supported, pt.discriminative) for pt in all_mode]
+        leftmost = len(witness_mode) == len(expected) and all(
+            got.embeddings[patient] == {min(embs)}
+            for got, want in zip(witness_mode, expected)
+            for patient, embs in want.embeddings.items()
+        )
+        if not (same_results and leftmost):
+            mismatches.append(seed)
+    verdict(
+        "witness mode",
+        not mismatches,
+        f"{len(SEEDS)} seeded instances against all mode and the oracle's leftmost "
+        f"embedding, mismatching seeds: {mismatches or 'none'}",
+    )
+
+
 def test_criterion_pruning_neutrality(mined_instances, verdict):
     mismatches = []
     for seed in SEEDS:

@@ -1,7 +1,12 @@
 """Mining engine: search, supports, switch counts, decisions, budgets."""
 
+import time
+
 import pytest
 from hypothesis import given, strategies as st
+
+import pathmine.engine
+import pathmine.model
 
 from pathmine.builder import CaseDatabase, CasePair
 from pathmine.engine import (
@@ -173,6 +178,16 @@ class TestCheckConstraints:
         node = self.node([GEN, BRA, GEN], ["p1"], switch_counts=(2,))
         assert check_constraints(node, task) is Decision.PRUNE
 
+    def test_switch_upper_bound_overshoot_prunes(self):
+        task = make_task(switch=[("generic", "<=", 1)])
+        node = self.node([GEN, BRA, GEN], ["p1"], switch_counts=(2,))
+        assert check_constraints(node, task) is Decision.PRUNE
+
+    def test_switch_lower_bound_never_prunes(self):
+        task = make_task(switch=[("generic", ">=", 1)])
+        node = self.node([GEN, BRA, GEN], ["p1"], switch_counts=(2,))
+        assert check_constraints(node, task) is Decision.EMIT
+
     def test_switch_undershoot_extends(self):
         task = make_task(switch=[("generic", "==", 1)])
         node = self.node([GEN, GEN], ["p1"], switch_counts=(0,))
@@ -206,6 +221,18 @@ class TestCheckConstraints:
     def test_support_must_match_frontiers(self):
         with pytest.raises(ValueError):
             SearchNode(Pattern((GEN,)), {"p1": 0}, frozenset({"p1", "p2"}))
+
+
+class TestSwitchPruning:
+    def test_overshooting_children_are_never_visited(self):
+        db = CaseDatabase((CasePair("p", make_seq("p", POSITIVE, [GEN, BRA, GEN, BRA])),))
+        task = make_task(switch=[("generic", "<=", 0)])
+        pruned = mine(task, db, MiningOptions(prune=True))
+        unpruned = mine(task, db, MiningOptions(prune=False))
+        assert pruned.patterns == unpruned.patterns
+        assert {pt.pattern.items for pt in pruned.patterns} == {(GEN,), (BRA,), (GEN, GEN), (BRA, BRA)}
+        # Only the two roots and the two switch-free pairs are expanded.
+        assert pruned.nodes_expanded == 4 < unpruned.nodes_expanded
 
 
 class TestBudgets:
@@ -249,3 +276,51 @@ class TestDeterminism:
         first = mine(task, db)
         second = mine(task, db)
         assert first.patterns == second.patterns
+
+
+class TestLongSequences:
+    def one_patient(self, length):
+        return CaseDatabase((CasePair("p", make_seq("p", POSITIVE, [A] * length)),))
+
+    def test_witness_mode_on_long_sequence(self):
+        # One pattern per length, far deeper than the recursion limit.
+        result = mine(make_task(), self.one_patient(2000), MiningOptions(embeddings="witness"))
+        assert result.complete
+        assert len(result.patterns) == 2000
+        longest = result.patterns[-1]
+        assert longest.embeddings["p"] == {tuple(range(1, 2001))}
+
+    def test_all_mode_stops_at_the_deadline(self):
+        # A^30 alone has C(60, 30) ~ 1.2e17 embeddings.
+        started = time.monotonic()
+        result = mine(
+            make_task(), self.one_patient(60), MiningOptions(embeddings="all", max_seconds=0.5)
+        )
+        assert not result.complete
+        assert time.monotonic() - started < 5.0
+
+    def test_witness_mode_does_not_search_embeddings(self, monkeypatch):
+        calls = []
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for module, name in (
+            (pathmine.model, "find_embeddings"),
+            (pathmine.model, "iter_embeddings"),
+            (pathmine.engine, "iter_embeddings"),
+        ):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        db = CaseDatabase(
+            (
+                CasePair("p1", make_seq("p1", POSITIVE, [A, B, A, B])),
+                CasePair("p2", make_seq("p2", POSITIVE, [B, A, A])),
+            )
+        )
+        result = mine(make_task(), db, MiningOptions(embeddings="witness"))
+        assert len(result.patterns) > 5
+        assert calls == []

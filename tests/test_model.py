@@ -127,6 +127,15 @@ class TestFindEmbeddings:
         seq = EventSequence(("p", POSITIVE), ((7, A), (7, B)))
         assert find_embeddings(Pattern((A, B)), seq) == {(1, 2)}
 
+    def test_long_pattern_needs_no_recursion(self):
+        # Deeper than the interpreter's recursion limit; distinct items
+        # leave exactly one embedding: every position, in order.
+        items = [Item(("X", str(i), i % 2)) for i in range(5000)]
+        seq = make_seq("p", POSITIVE, items)
+        only = {tuple(range(1, 5001))}
+        assert find_embeddings(Pattern(tuple(items)), seq, limit=1) == only
+        assert find_embeddings(Pattern(tuple(items)), seq, limit=None) == only
+
 
 items_st = st.sampled_from([A, B, C])
 sequences_st = st.lists(items_st, max_size=8)
@@ -155,3 +164,11 @@ def test_embeddings_strictly_increasing_and_in_range(seq_items, pattern_items):
 @given(sequences_st)
 def test_every_sequence_supports_the_empty_pattern(seq_items):
     assert supports(Pattern(), make_seq("p", POSITIVE, seq_items))
+
+
+@given(sequences_st, patterns_st, st.integers(min_value=1, max_value=4))
+def test_limit_keeps_the_leftmost_embeddings(seq_items, pattern_items, limit):
+    seq = make_seq("p", POSITIVE, seq_items)
+    pattern = Pattern(tuple(pattern_items))
+    every = sorted(find_embeddings(pattern, seq))
+    assert find_embeddings(pattern, seq, limit=limit) == frozenset(every[:limit])
