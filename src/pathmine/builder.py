@@ -6,11 +6,20 @@ the earlier control window (negative). The patient serves as their own
 control. Window bounds are strict on both ends, so with the usual
 offsets a delivery exactly 90 days before the index date lands in
 neither sequence.
+
+Reification goes through one event mapping per task
+(`make_event_mapping`), which is the task's code table: it looks each
+distinct delivery code up in the knowledge base once and hands out one
+shared `Item` per distinct attribute tuple. A cohort's items are
+therefore as many as its distinct codes, not its deliveries, and
+sorting and interning them downstream costs no per-event key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from .errors import UnknownCode
@@ -47,8 +56,16 @@ class WindowSpec:
                 f"got ({self.lower_offset}, {self.upper_offset})"
             )
 
+    def days(self, index_day: int) -> range:
+        """The days inside the window for this index date, ends excluded.
+
+        Days are integers, so membership in the range is the strict
+        comparison on both ends.
+        """
+        return range(index_day + self.lower_offset + 1, index_day + self.upper_offset)
+
     def contains(self, day: int, index_day: int) -> bool:
-        return index_day + self.lower_offset < day < index_day + self.upper_offset
+        return day in self.days(index_day)
 
 
 @dataclass(frozen=True)
@@ -140,20 +157,21 @@ def build_case_pair(
     construction, so no delivery can land in both sequences.
     """
     positive_window, negative_window = windows
+    pos_days = positive_window.days(index_day)
+    neg_days = range(0) if negative_window is None else negative_window.days(index_day)
     pos_events: list[tuple[int, Item]] = []
     neg_events: list[tuple[int, Item]] = []
     for fact in deliveries:
-        in_pos = positive_window.contains(fact.day, index_day)
-        in_neg = negative_window is not None and negative_window.contains(fact.day, index_day)
-        if not (in_pos or in_neg):
+        day = fact.day
+        if day in pos_days:
+            events = pos_events
+        elif day in neg_days:
+            events = neg_events
+        else:
             continue
         item = event_mapping(fact.cip)
-        if item is None:
-            continue
-        if in_pos:
-            pos_events.append((fact.day, item))
-        else:
-            neg_events.append((fact.day, item))
+        if item is not None:
+            events.append((day, item))
     positive = EventSequence((patient, POSITIVE), tuple(pos_events))
     negative = None
     if negative_window is not None:
@@ -167,20 +185,38 @@ def make_event_mapping(
     schema: tuple[str, ...],
     unknown_code: str = "abort",
 ) -> EventMapping:
-    """Compose classification, projection, and the unknown-code policy."""
+    """Compose classification, projection, and the unknown-code policy.
+
+    The mapping returns None for a code whose class is outside
+    `class_filter` (None accepts every class) and for an unknown code
+    under `skip`; an unknown code under `abort` raises UnknownCode.
+
+    Each call builds the task's code table: a code is looked up in the
+    knowledge base the first time it is seen and its result, item or
+    None, is remembered. Codes projecting to the same attribute tuple
+    share one Item. An unknown code under `abort` is never remembered,
+    so it raises every time it is seen.
+    """
     if unknown_code not in ("abort", "skip"):
         raise ValueError(f"unknown_code must be abort or skip, got {unknown_code!r}")
+    by_code: dict[str, Item | None] = {}
+    by_values: dict[tuple, Item] = {}
 
     def mapping(cip: str) -> Item | None:
+        if cip in by_code:
+            return by_code[cip]
+        item = None
         try:
             attrs = kb.attributes.attributes(cip)
         except UnknownCode:
-            if unknown_code == "skip":
-                return None
-            raise
-        if class_filter is not None and attrs.atc not in class_filter:
-            return None
-        return Item(tuple(getattr(attrs, name) for name in schema))
+            if unknown_code == "abort":
+                raise
+        else:
+            if class_filter is None or attrs.atc in class_filter:
+                values = tuple(getattr(attrs, name) for name in schema)
+                item = by_values.setdefault(values, Item(values))
+        by_code[cip] = item
+        return item
 
     return mapping
 
@@ -200,9 +236,11 @@ def build_database(
     diseases_by_patient: dict[str, list[DiseaseFact]] = {}
     for fact in raw.diseases:
         diseases_by_patient.setdefault(fact.patient, []).append(fact)
-    deliveries_by_patient: dict[str, list[DeliveryFact]] = {}
-    for fact in raw.deliveries:
-        deliveries_by_patient.setdefault(fact.patient, []).append(fact)
+    # RawDatabase keeps deliveries sorted by patient, so each patient's
+    # facts are one run.
+    deliveries_by_patient = {
+        patient: tuple(facts) for patient, facts in groupby(raw.deliveries, itemgetter(0))
+    }
 
     mapping = make_event_mapping(kb, task.class_filter, task.schema, unknown_code)
     windows = (task.positive_window, task.negative_window)

@@ -32,17 +32,18 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .builder import CaseDatabase
 from .errors import MissingNegativeWindow
-from .model import Embedding, Pattern, PatternTuple, iter_embeddings, supports
+from .model import Embedding, Item, Pattern, PatternTuple, iter_embeddings, supports
 from .query import MiningTask
 
 EMBEDDINGS_ALL = "all"
 EMBEDDINGS_WITNESS = "witness"
 
-#: Embeddings enumerated between deadline checks in all mode.
+#: Embeddings enumerated in all mode per unit of the node budget.
 _DEADLINE_STRIDE = 1024
 
 
@@ -205,7 +206,11 @@ def check_constraints(
 
 
 class _Budget:
-    """Shared node/time budget; spend() is False once anything ran out."""
+    """Shared node/time budget; spend() is False once anything ran out.
+
+    Each search node costs one unit, and so does each `_DEADLINE_STRIDE`
+    embeddings enumerated in all mode, so both budgets bound emission too.
+    """
 
     __slots__ = ("max_nodes", "deadline", "nodes", "exhausted", "_lock")
 
@@ -229,19 +234,15 @@ class _Budget:
                 return False
             return True
 
-    def expired(self) -> bool:
-        """Check the deadline alone, for long work inside one node."""
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            self.exhausted = True
-        return self.exhausted
-
 
 class _Prepared:
     """Interned view of the database: items replaced by dense ids.
 
     Ids are assigned in canonical item order, so ascending id order is
     ascending output order and no per-candidate key computation happens
-    in the search loop.
+    in the search loop. The builder shares one item object per distinct
+    value, so each event's dictionary lookup matches by identity and no
+    item equality test runs.
     """
 
     __slots__ = (
@@ -259,19 +260,15 @@ class _Prepared:
     def __init__(self, task: MiningTask, database: CaseDatabase, options: MiningOptions) -> None:
         self.task = task
         self.patients = list(database.patients())
-        universe = set()
-        for pair in database:
-            universe.update(pair.positive.items())
-            if pair.negative is not None:
-                universe.update(pair.negative.items())
-        self.items = sorted(universe, key=lambda it: it.sort_key())
+        positives = [pair.positive.items() for pair in database]
+        negatives = [pair.negative.items() for pair in database] if database.has_negatives else []
+        universe = set(chain.from_iterable(positives + negatives))
+        self.items = sorted(universe, key=Item.sort_key)
         ids = {item: i for i, item in enumerate(self.items)}
-        self.pos_ids = [[ids[item] for item in pair.positive.items()] for pair in database]
+        self.pos_ids = [list(map(ids.__getitem__, seq)) for seq in positives]
         self.neg_ids = None
         if database.has_negatives:
-            self.neg_ids = [
-                [ids[item] for item in pair.negative.items()] for pair in database
-            ]
+            self.neg_ids = [list(map(ids.__getitem__, seq)) for seq in negatives]
         self.switches = task.switch_constraints()
         self.switch_values = [
             [item.values[c.attr_index] for item in self.items] for c in self.switches
@@ -462,11 +459,12 @@ class _Searcher:
             yield node.child(iid, occs, switch_counts, contains)
 
     def _emit(self, node: _Node, discr: frozenset | None) -> PatternTuple | None:
-        """The node's result record, or None if the deadline passed meanwhile.
+        """The node's result record, or None if the budget ran out meanwhile.
 
         Witness mode reads each supporter's leftmost embedding off the
-        node. All mode enumerates the embeddings lazily and checks the
-        deadline as it goes, since their number grows combinatorially.
+        node. All mode enumerates the embeddings lazily and charges them
+        to the budget as it goes, since their number grows
+        combinatorially.
         """
         prep = self.prep
         patients = [prep.patients[seq_idx] for seq_idx in node.seqs]
@@ -482,7 +480,7 @@ class _Searcher:
                 for embedding in iter_embeddings(node.prefix, prep.pos_ids[seq_idx]):
                     found.append(embedding)
                     enumerated += 1
-                    if not enumerated % _DEADLINE_STRIDE and self.budget.expired():
+                    if not enumerated % _DEADLINE_STRIDE and not self.budget.spend():
                         return None
         return PatternTuple(
             pattern=Pattern(tuple(prep.items[iid] for iid in node.prefix)),

@@ -15,10 +15,9 @@ way in.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import CycleError, DuplicateCode, UnknownCode
-from .model import Item
 
 
 class DeliveryAttributes(NamedTuple):
@@ -71,20 +70,6 @@ class CodeAttributes:
             return self._table[_norm(cip)]
         except KeyError:
             raise UnknownCode(f"unknown delivery code {_norm(cip)}") from None
-
-    def classify_delivery(
-        self, cip: str, class_filter: AbstractSet[str] | None = None
-    ) -> Item | None:
-        """Reify a delivery code as an (atc, group, generic) item.
-
-        Returns None when the code's therapeutic class is outside
-        `class_filter` (None means accept every class). Unknown codes
-        raise; the caller decides skip versus abort.
-        """
-        attrs = self.attributes(cip)
-        if class_filter is not None and attrs.atc not in class_filter:
-            return None
-        return Item((attrs.atc, attrs.group, attrs.generic))
 
     def extras(self, cip: str) -> Mapping[str, str]:
         code = _norm(cip)

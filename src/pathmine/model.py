@@ -42,6 +42,10 @@ class Item:
     Every item inside one mining task shares the same attribute schema
     (names and order); the schema itself lives on the task. Equality is
     exact tuple equality over all attribute values.
+
+    The sort key is computed once, on construction: the builder shares
+    one item per distinct attribute tuple across all events, so sorting
+    events costs no per-event key.
     """
 
     values: tuple[AttributeValue, ...]
@@ -53,9 +57,10 @@ class Item:
         for value in self.values:
             if not isinstance(value, (str, int)):
                 raise ValueError(f"attribute values must be str or int, got {value!r}")
+        object.__setattr__(self, "_key", tuple(_value_key(v) for v in self.values))
 
     def sort_key(self) -> tuple:
-        return tuple(_value_key(v) for v in self.values)
+        return self._key
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         inner = ",".join(str(v) for v in self.values)
@@ -75,10 +80,10 @@ class EventSequence:
     events: tuple[tuple[int, Item], ...] = ()
 
     def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.events, key=lambda ev: (ev[0], ev[1].sort_key())))
-        for day, _ in ordered:
-            if day < 0:
-                raise ValueError(f"negative day {day} in sequence {self.sequence_id}")
+        ordered = tuple(sorted(self.events, key=lambda ev: (ev[0], ev[1]._key)))
+        # Sorted by day first, so the first event has the smallest day.
+        if ordered and ordered[0][0] < 0:
+            raise ValueError(f"negative day {ordered[0][0]} in sequence {self.sequence_id}")
         object.__setattr__(self, "events", ordered)
 
     def items(self) -> tuple[Item, ...]:

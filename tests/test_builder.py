@@ -17,7 +17,7 @@ from pathmine.ingest import DeliveryFact, DiseaseFact, RawDatabase
 from pathmine.knowledge import CodeAttributes, KnowledgeBase, Taxonomy
 from pathmine.model import NEGATIVE, POSITIVE, EventSequence, Item
 
-from conftest import make_task
+from conftest import SCHEMA, make_task
 
 RULE = IndexEventRule(frozenset({"G40", "G41"}))
 TAX = Taxonomy.from_edges([("G403", "G40"), ("G410", "G41")])
@@ -149,6 +149,20 @@ class TestUnknownCodePolicy:
         mapping = make_event_mapping(KB, None, ("generic", "atc"))
         assert mapping("GEN") == Item((1, "N03AG01"))
 
+    def test_abort_only_for_codes_inside_a_window(self):
+        task = make_task(discriminative=True, class_filter=None)
+        # Day 10 is before the control window (20, 110) of index day 200.
+        raw = RawDatabase(
+            deliveries=(DeliveryFact("p1", 10, "NOPE", 1), DeliveryFact("p1", 150, "GEN", 1)),
+            diseases=(DiseaseFact("p1", 200, "G403"),),
+        )
+        assert len(build_database(raw, task, KB).pairs[0].positive) == 1
+        mapping = make_event_mapping(KB, None, SCHEMA, unknown_code="abort")
+        facts = [DeliveryFact("p1", 150, "NOPE", 1)]
+        for _ in range(2):
+            with pytest.raises(UnknownCode):
+                build_case_pair("p1", facts, 200, mapping, WINDOWS)
+
 
 class TestBuildDatabase:
     def raw(self):
@@ -214,3 +228,51 @@ class TestBuildDatabase:
         seq = EventSequence(("p1", POSITIVE))
         with pytest.raises(ValueError):
             CaseDatabase((CasePair("p1", seq), CasePair("p1", seq)))
+
+
+class TestSharedItems:
+    KB = KnowledgeBase(
+        CodeAttributes.from_rows(
+            [
+                ("GEN", "N03AG01", "438", 1, {}),
+                # Another product code reified as the same item as GEN.
+                ("GE2", "N03AG01", "438", 1, {}),
+                ("BRA", "N03AX14", "1023", 0, {}),
+            ]
+        ),
+        TAX,
+    )
+    RAW = RawDatabase(
+        deliveries=(
+            DeliveryFact("p1", 150, "GEN", 1),
+            DeliveryFact("p1", 199, "GEN", 1),
+            DeliveryFact("p1", 60, "BRA", 1),
+            DeliveryFact("p2", 180, "GE2", 1),
+            DeliveryFact("p2", 190, "BRA", 1),
+            DeliveryFact("p2", 70, "GEN", 1),
+            DeliveryFact("p2", 5, "BRA", 1),
+        ),
+        diseases=(DiseaseFact("p1", 200, "G403"), DiseaseFact("p2", 200, "G410")),
+    )
+    TASK = make_task(discriminative=True, class_filter=None)
+
+    def test_one_item_object_per_distinct_item(self):
+        db = build_database(self.RAW, self.TASK, self.KB)
+        items = [
+            item for pair in db for seq in (pair.positive, pair.negative) for item in seq.items()
+        ]
+        assert len(items) == 6
+        assert len(set(items)) == 2
+        assert len({id(item) for item in items}) == 2
+
+    def test_code_table_consulted_once_per_distinct_code(self, monkeypatch):
+        looked_up = []
+        real = CodeAttributes.attributes
+
+        def counting(self, cip):
+            looked_up.append(cip)
+            return real(self, cip)
+
+        monkeypatch.setattr(CodeAttributes, "attributes", counting)
+        build_database(self.RAW, self.TASK, self.KB)
+        assert sorted(looked_up) == ["BRA", "GE2", "GEN"]

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output shape, determinism."""
 
+import gc
 import json
 
 import pytest
@@ -152,6 +153,60 @@ class TestMineCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["complete"] is False
         assert out.exists()
+
+    def test_report_phases_add_up_to_wall_time(self, cohort_dir, query_file, tmp_path, capsys):
+        assert main(mine_args(cohort_dir, query_file, tmp_path / "p.jsonl")) == 0
+        report = json.loads(capsys.readouterr().out)
+        phases = report["phases"]
+        assert set(phases) == {"load", "build", "mine", "write"}
+        assert all(seconds >= 0 for seconds in phases.values())
+        assert sum(phases.values()) == pytest.approx(report["wall_seconds"], rel=0.05)
+
+
+class TestGarbageCollectorPolicy:
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("outcome,code", [("complete", 0), ("data_error", 2), ("budget", 3)])
+    def test_collector_state_restored(
+        self, cohort_dir, query_file, tmp_path, capsys, enabled, outcome, code
+    ):
+        extra = ["--max-nodes", "3"] if outcome == "budget" else []
+        args = mine_args(cohort_dir, query_file, tmp_path / "p.jsonl", extra)
+        if outcome == "data_error":
+            args[args.index("--deliveries") + 1] = str(tmp_path / "absent.csv")
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(args) == code
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        capsys.readouterr()
+
+    def test_garbage_left_does_not_grow_with_the_cohort(
+        self, cohort_dir, query_file, tmp_path, capsys
+    ):
+        large = tmp_path / "large"
+        synth = ["synth", "--patients", "600", "--plant", PLANT, "--seed", "11"]
+        assert main(synth + ["--out-dir", str(large)]) == 0
+
+        def unreachable_after_mine(data_dir):
+            # The collector stays off from the baseline to the count, so
+            # only what the mine run left behind is counted.
+            was_enabled = gc.isenabled()
+            gc.disable()
+            try:
+                gc.collect()
+                assert main(mine_args(data_dir, query_file, tmp_path / "p.jsonl")) == 0
+                return gc.collect()
+            finally:
+                if was_enabled:
+                    gc.enable()
+
+        unreachable_after_mine(cohort_dir)  # warm-up: first-call garbage
+        small_count = unreachable_after_mine(cohort_dir)
+        large_count = unreachable_after_mine(large)
+        capsys.readouterr()
+        assert large_count == small_count
 
 
 class TestSynthCommand:

@@ -299,6 +299,19 @@ class TestLongSequences:
         assert not result.complete
         assert time.monotonic() - started < 5.0
 
+    def test_all_mode_stops_at_the_node_budget(self):
+        # Every 1,024 embeddings spend one node. A^1 to A^3 cost 3 nodes plus
+        # 34 for their 36,050 embeddings; A^4 alone has C(60, 4) = 487,635.
+        started = time.monotonic()
+        result = mine(
+            make_task(), self.one_patient(60), MiningOptions(embeddings="all", max_nodes=50)
+        )
+        assert not result.complete
+        assert time.monotonic() - started < 5.0
+        # The pattern being emitted when the budget ran out is dropped.
+        assert [len(pt.pattern) for pt in result.patterns] == [1, 2, 3]
+        assert result.nodes_expanded == 4
+
     def test_witness_mode_does_not_search_embeddings(self, monkeypatch):
         calls = []
 

@@ -2,8 +2,9 @@
 
 import pytest
 
+from pathmine.builder import make_event_mapping
 from pathmine.errors import CycleError, DuplicateCode, UnknownCode
-from pathmine.knowledge import CodeAttributes, DeliveryAttributes, Taxonomy
+from pathmine.knowledge import CodeAttributes, DeliveryAttributes, KnowledgeBase, Taxonomy
 from pathmine.model import Item
 
 ROWS = [
@@ -50,23 +51,31 @@ class TestCodeAttributes:
 
 
 class TestClassifyDelivery:
+    """Reifying one delivery code through the builder's event mapping."""
+
+    @staticmethod
+    def classify(cip, class_filter=None):
+        kb = KnowledgeBase(table())
+        mapping = make_event_mapping(kb, class_filter, ("atc", "group", "generic"))
+        return mapping(cip)
+
     def test_reifies_full_triple(self):
-        item = table().classify_delivery("C1", {"N03AG01"})
+        item = self.classify("C1", frozenset({"N03AG01"}))
         assert item == Item(("N03AG01", "438", 1))
 
     def test_brand_name_flag(self):
-        item = table().classify_delivery("C2", {"N03AX14"})
+        item = self.classify("C2", frozenset({"N03AX14"}))
         assert item == Item(("N03AX14", "1023", 0))
 
     def test_filtered_class_returns_none(self):
-        assert table().classify_delivery("C3", {"N03AG01", "N03AX14"}) is None
+        assert self.classify("C3", frozenset({"N03AG01", "N03AX14"})) is None
 
     def test_no_filter_accepts_everything(self):
-        assert table().classify_delivery("C3") == Item(("N02BE01", "900", 0))
+        assert self.classify("C3") == Item(("N02BE01", "900", 0))
 
     def test_unknown_code_raises_even_with_filter(self):
         with pytest.raises(UnknownCode):
-            table().classify_delivery("C9", {"N03AG01"})
+            self.classify("C9", frozenset({"N03AG01"}))
 
 
 class TestTaxonomy:
