@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass
 
 from .builder import build_database
 from .engine import MiningOptions, MiningResult, mine
-from .errors import InvalidPlantSpec, ParseError, PathmineError, QueryError
+from .errors import InvalidPlantSpec, PathmineError, QueryError
 from .ingest import load_deliveries, load_diseases, load_kb, RawDatabase
 from .model import PatternTuple
 from .query import compile_query, parse_query
@@ -61,6 +61,8 @@ class RunReport:
     wall_seconds: float
     #: Wall seconds of load, build, mine and write; they add up to wall_seconds.
     phases: dict
+    #: The search's counters: support_pruned, switch_pruned, negative_checks.
+    counters: dict
     config: dict
 
 
@@ -111,7 +113,10 @@ def build_parser() -> _Parser:
         help="store every embedding or one leftmost witness per patient",
     )
     mine_cmd.add_argument("--max-len", type=int, default=None, help="pattern length cap")
-    mine_cmd.add_argument("--threads", type=int, default=1, help="search worker threads")
+    mine_cmd.add_argument(
+        "--threads", type=int, default=1,
+        help="search worker threads, capped at the number of root items",
+    )
     mine_cmd.add_argument(
         "--unknown-code", choices=("skip", "abort"), default="abort",
         help="what to do with delivery codes missing from the KB",
@@ -213,6 +218,7 @@ def _mine(args: argparse.Namespace) -> int:
         nodes_expanded=result.nodes_expanded,
         wall_seconds=wall_seconds,
         phases=phases,
+        counters=result.counters,
         config={
             "query": args.query,
             "deliveries": args.deliveries,
@@ -275,19 +281,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "mine":
             return run_mine(args)
         return run_synth(args)
-    except (QueryError, InvalidPlantSpec) as exc:
+    except (QueryError, InvalidPlantSpec, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_EXIT
-    except PathmineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_EXIT
-    except OSError as exc:
+    except (PathmineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_EXIT
 

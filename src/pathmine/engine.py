@@ -3,8 +3,16 @@
 The search grows patterns one item at a time, PrefixSpan style: each
 node keeps, per supporting positive sequence, the position of the
 leftmost embedding's tail. Extension candidates are exactly the items
-occurring after those tails, so the enumeration is complete, and the
-leftmost frontier makes per-node work linear in the projected suffixes.
+occurring after those tails, so the enumeration is complete.
+
+Candidates are generated in two phases. Each positive sequence is
+indexed once by the last occurrence of each distinct item, so a
+supporter's candidates are the tail of that order whose last position
+is at or after its frontier: one bisection finds it, and one C-level
+count over all tails gives every candidate's support. Only the items
+that clear the support bound and the switch pre-check are then
+located, each at its first position after the frontier, so the cost of
+the many infrequent candidates stops at the count.
 
 The chain of tails along the search path is itself the leftmost
 embedding (PrefixSpan's pseudo-projection), so each node carries it and
@@ -29,6 +37,8 @@ from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_left
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -45,6 +55,9 @@ EMBEDDINGS_WITNESS = "witness"
 
 #: Embeddings enumerated in all mode per unit of the node budget.
 _DEADLINE_STRIDE = 1024
+
+#: The search's counters, as MiningResult.counters names them.
+_COUNTERS = ("support_pruned", "switch_pruned", "negative_checks")
 
 
 class Decision(Enum):
@@ -100,12 +113,19 @@ class MiningResult:
 
     `complete` is False when a node or time budget ran out; the patterns
     found so far are still returned, never silently truncated.
+
+    `counters` holds plain ints on why the search did what it did:
+    `support_pruned` candidates dropped by the support bound,
+    `switch_pruned` candidates dropped by an overshot switch bound, and
+    `negative_checks` negative sequences scanned by the discriminative
+    filter.
     """
 
     patterns: tuple[PatternTuple, ...]
     complete: bool
     nodes_expanded: int
     elapsed_seconds: float
+    counters: dict[str, int]
 
 
 def positive_support(pattern: Pattern, database: CaseDatabase) -> frozenset:
@@ -236,19 +256,29 @@ class _Budget:
 
 
 class _Prepared:
-    """Interned view of the database: items replaced by dense ids.
+    """Interned view of the database, with a last-occurrence index.
 
     Ids are assigned in canonical item order, so ascending id order is
     ascending output order and no per-candidate key computation happens
     in the search loop. The builder shares one item object per distinct
-    value, so each event's dictionary lookup matches by identity and no
-    item equality test runs.
+    value, so events are mapped to ids by object identity and only the
+    distinct objects are hashed; equal items built apart still share
+    one id.
+
+    For each positive sequence, `order` lists its distinct item ids by
+    ascending last occurrence and `lasts` the matching last positions.
+    The items occurring at or after a start are exactly the tail of
+    `order` from `bisect_left(lasts, start)`: `count` counts them for a
+    set of supporters at once, and `locate` finds the first position of
+    only the items still wanted.
     """
 
     __slots__ = (
         "task",
         "patients",
         "pos_ids",
+        "order",
+        "lasts",
         "neg_ids",
         "items",
         "switches",
@@ -262,13 +292,23 @@ class _Prepared:
         self.patients = list(database.patients())
         positives = [pair.positive.items() for pair in database]
         negatives = [pair.negative.items() for pair in database] if database.has_negatives else []
-        universe = set(chain.from_iterable(positives + negatives))
-        self.items = sorted(universe, key=Item.sort_key)
+        objects: dict[int, Item] = {}
+        for seq in positives + negatives:
+            objects.update(zip(map(id, seq), seq))
+        self.items = sorted(set(objects.values()), key=Item.sort_key)
         ids = {item: i for i, item in enumerate(self.items)}
-        self.pos_ids = [list(map(ids.__getitem__, seq)) for seq in positives]
+        id_of = {address: ids[item] for address, item in objects.items()}.__getitem__
+        self.pos_ids = [tuple(map(id_of, map(id, seq))) for seq in positives]
+        self.order = []
+        self.lasts = []
+        for seq in self.pos_ids:
+            last = dict(zip(seq, range(len(seq))))
+            order = tuple(sorted(last, key=last.__getitem__))
+            self.order.append(order)
+            self.lasts.append(tuple(map(last.__getitem__, order)))
         self.neg_ids = None
         if database.has_negatives:
-            self.neg_ids = [list(map(ids.__getitem__, seq)) for seq in negatives]
+            self.neg_ids = [tuple(map(id_of, map(id, seq))) for seq in negatives]
         self.switches = task.switch_constraints()
         self.switch_values = [
             [item.values[c.attr_index] for item in self.items] for c in self.switches
@@ -282,17 +322,47 @@ class _Prepared:
         else:
             self.max_len = max((len(seq) for seq in self.pos_ids), default=0)
 
+    def count(
+        self, seqs: Sequence[int], starts: Sequence[int]
+    ) -> tuple[Counter, list[tuple[int, ...]]]:
+        """Each item's number of supporters holding it at or after their start.
 
-def _contains_ids(haystack: Sequence[int], needle: Sequence[int]) -> bool:
-    # Greedy two-pointer subsequence test over interned ids.
+        Also returns each supporter's tail: its items occurring there.
+        """
+        order = self.order
+        lasts = self.lasts
+        tails = [order[s][bisect_left(lasts[s], start) :] for s, start in zip(seqs, starts)]
+        return Counter(chain.from_iterable(tails)), tails
+
+    def locate(
+        self,
+        seqs: Sequence[int],
+        starts: Sequence[int],
+        tails: Sequence[tuple[int, ...]],
+        wanted: dict[int, list[tuple[int, int]]],
+    ) -> None:
+        """Find where each supporter first holds each wanted item in its tail.
+
+        Appends (supporter index, first position at or after the
+        supporter's start) to wanted[iid], walking the supporters in
+        order, so each list is in supporter order.
+        """
+        pos_ids = self.pos_ids
+        for k, (seq_idx, start, tail) in enumerate(zip(seqs, starts, tails)):
+            events = pos_ids[seq_idx]
+            # The tail holds every item present from start on, so index never raises.
+            for iid in wanted.keys() & tail:
+                wanted[iid].append((k, events.index(iid, start)))
+
+
+def _contains_ids(haystack: tuple[int, ...], needle: Sequence[int]) -> bool:
+    # Greedy subsequence test over interned ids, hopping to each next match.
     at = 0
-    end = len(haystack)
-    for wanted in needle:
-        while at < end and haystack[at] != wanted:
-            at += 1
-        if at == end:
-            return False
-        at += 1
+    try:
+        for wanted in needle:
+            at = haystack.index(wanted, at) + 1
+    except ValueError:
+        return False
     return True
 
 
@@ -342,24 +412,9 @@ class _Node:
         )
 
 
-def _child_occurrences(
-    pos_ids: list[list[int]], seqs: Iterable[int], starts: Iterable[int]
-) -> dict[int, list[tuple[int, int]]]:
-    """First occurrence of every item at or after each supporter's start.
-
-    Maps each item id to (supporter index, 0-based position) pairs, in
-    supporter order.
-    """
-    children: dict[int, list[tuple[int, int]]] = {}
-    for k, (seq_idx, start) in enumerate(zip(seqs, starts)):
-        events = pos_ids[seq_idx]
-        seen = set()
-        for pos in range(start, len(events)):
-            iid = events[pos]
-            if iid not in seen:
-                seen.add(iid)
-                children.setdefault(iid, []).append((k, pos))
-    return children
+#: One extension of a node: item id, (supporter index, position) pairs,
+#: and the child's switch counts and contains flags.
+_Extension = tuple[int, list[tuple[int, int]], tuple[int, ...], tuple[bool, ...]]
 
 
 class _Searcher:
@@ -369,21 +424,17 @@ class _Searcher:
         self.budget = budget
         self.found: list[tuple[tuple[int, ...], PatternTuple]] = []
         self.nodes = 0
+        self.counters = dict.fromkeys(_COUNTERS, 0)
 
     def run(
-        self, roots: Iterable[tuple[int, list[tuple[int, int]]]]
+        self, origin: _Node, roots: Iterable[_Extension]
     ) -> list[tuple[tuple[int, ...], PatternTuple]]:
-        """Search each root's subtree in turn; root occs index the database.
+        """Search each root's subtree in turn; roots are the origin's extensions.
 
         Returns (interned pattern, record) pairs in visit order.
         """
-        prep = self.prep
-        count = len(prep.pos_ids)
-        origin = _Node((), list(range(count)), [()] * count, (), ())
-        no_switches = (0,) * len(prep.switches)
-        for iid, occs in roots:
-            contains = tuple(iid in sat for sat in prep.contains_ids)
-            self._search(origin.child(iid, occs, no_switches, contains))
+        for root in roots:
+            self._search(origin.child(*root))
             if self.budget.exhausted:
                 break
         return self.found
@@ -412,6 +463,7 @@ class _Searcher:
 
         def discr_count() -> int:
             assert prep.neg_ids is not None
+            self.counters["negative_checks"] += len(node.seqs)
             supporters = frozenset(
                 prep.patients[seq_idx]
                 for seq_idx in node.seqs
@@ -424,6 +476,11 @@ class _Searcher:
             len(node.seqs), node.switch_counts, node.contains_flags, prep.task, discr_count
         )
         if decision is Decision.PRUNE and self.options.prune:
+            # Children were checked before they were made, so only a root gets here.
+            if len(node.seqs) < prep.task.min_support:
+                self.counters["support_pruned"] += 1
+            else:
+                self.counters["switch_pruned"] += 1
             return None
         if decision is Decision.EMIT:
             record = self._emit(node, discr_cache[0])
@@ -432,31 +489,58 @@ class _Searcher:
             self.found.append((node.prefix, record))
         if len(node.prefix) >= prep.max_len:
             return None
-        return self._children(node)
+        return (node.child(*extension) for extension in self.extensions(node))
 
-    def _children(self, node: _Node) -> Iterator[_Node]:
-        """Child nodes in ascending item order, minus those pruned up front."""
+    def extensions(self, node: _Node) -> list[_Extension]:
+        """The node's extensions in ascending item order, minus those pruned up front.
+
+        Every candidate is counted; only those that clear the support
+        bound and the switch pre-check are located. The origin's
+        extensions, the roots, are all located, so that each root is
+        visited and classified like any other node.
+        """
         prep = self.prep
-        prune = self.options.prune
-        min_support = prep.task.min_support
-        last = node.prefix[-1]
-        # A 1-based frontier is the 0-based position right after it.
-        starts = [witness[-1] for witness in node.witnesses]
-        children = _child_occurrences(prep.pos_ids, node.seqs, starts)
-        if prune:
-            # Most candidates fall below the support bound: drop them before sorting.
-            children = {iid: occs for iid, occs in children.items() if len(occs) >= min_support}
-        for iid, occs in sorted(children.items()):
+        seqs = node.seqs
+        if node.prefix:
+            # A 1-based frontier is the 0-based position right after it.
+            starts = [witness[-1] for witness in node.witnesses]
+            last = node.prefix[-1]
+        else:
+            starts = [0] * len(seqs)
+            last = None
+        counts, tails = prep.count(seqs, starts)
+        bounded = self.options.prune and last is not None
+        if bounded:
+            min_support = prep.task.min_support
+            candidates = [iid for iid, supporters in counts.items() if supporters >= min_support]
+            self.counters["support_pruned"] += len(counts) - len(candidates)
+        else:
+            candidates = list(counts)
+        switched: dict[int, tuple[int, ...]] = {}
+        for iid in candidates:
             switch_counts = tuple(
-                count + (values[last] != values[iid])
+                count + (last is not None and values[last] != values[iid])
                 for count, values in zip(node.switch_counts, prep.switch_values)
             )
-            if prune and _overshoots(switch_counts, prep.switches):
+            if bounded and _overshoots(switch_counts, prep.switches):
+                self.counters["switch_pruned"] += 1
                 continue
-            contains = tuple(
-                flag or iid in sat for flag, sat in zip(node.contains_flags, prep.contains_ids)
+            switched[iid] = switch_counts
+        wanted: dict[int, list[tuple[int, int]]] = {iid: [] for iid in switched}
+        if wanted:
+            prep.locate(seqs, starts, tails, wanted)
+        return [
+            (
+                iid,
+                wanted[iid],
+                switched[iid],
+                tuple(
+                    flag or iid in sat
+                    for flag, sat in zip(node.contains_flags, prep.contains_ids)
+                ),
             )
-            yield node.child(iid, occs, switch_counts, contains)
+            for iid in sorted(wanted)
+        ]
 
     def _emit(self, node: _Node, discr: frozenset | None) -> PatternTuple | None:
         """The node's result record, or None if the budget ran out meanwhile.
@@ -508,30 +592,39 @@ def mine(
     prep = _Prepared(task, database, options)
     budget = _Budget(options.max_nodes, options.max_seconds)
     count = len(prep.pos_ids)
-    roots = sorted(_child_occurrences(prep.pos_ids, range(count), [0] * count).items())
+    origin = _Node(
+        (),
+        list(range(count)),
+        [()] * count,
+        (0,) * len(prep.switches),
+        (False,) * len(prep.contains_ids),
+    )
+    searchers = [_Searcher(prep, options, budget)]
+    roots = searchers[0].extensions(origin)
     collected: list[tuple[tuple[int, ...], PatternTuple]] = []
-    nodes = 0
     if prep.max_len >= 1 and roots:
-        if options.threads == 1:
-            searcher = _Searcher(prep, options, budget)
-            collected = searcher.run(roots)
-            nodes = searcher.nodes
+        # More workers than roots would have nothing to search.
+        workers = min(options.threads, len(roots))
+        if workers == 1:
+            collected = searchers[0].run(origin, roots)
         else:
-            searchers = [_Searcher(prep, options, budget) for _ in range(options.threads)]
-            slices = [roots[w :: options.threads] for w in range(options.threads)]
-            with ThreadPoolExecutor(max_workers=options.threads) as pool:
+            searchers += [_Searcher(prep, options, budget) for _ in range(workers - 1)]
+            slices = [roots[w::workers] for w in range(workers)]
+            with ThreadPoolExecutor(max_workers=workers) as pool:
                 futures = [
-                    pool.submit(searcher.run, chunk)
+                    pool.submit(searcher.run, origin, chunk)
                     for searcher, chunk in zip(searchers, slices)
                 ]
                 for future in futures:
                     collected.extend(future.result())
-            nodes = sum(searcher.nodes for searcher in searchers)
     # Interned ids follow canonical item order, so this is Pattern.sort_key order.
     collected.sort(key=lambda found: (len(found[0]), found[0]))
     return MiningResult(
         patterns=tuple(record for _, record in collected),
         complete=not budget.exhausted,
-        nodes_expanded=nodes,
+        nodes_expanded=sum(searcher.nodes for searcher in searchers),
         elapsed_seconds=time.monotonic() - started,
+        counters={
+            name: sum(searcher.counters[name] for searcher in searchers) for name in _COUNTERS
+        },
     )

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import itemgetter
 from typing import Iterator, Mapping, Sequence, Union
 
 AttributeValue = Union[str, int]
@@ -87,7 +88,7 @@ class EventSequence:
         object.__setattr__(self, "events", ordered)
 
     def items(self) -> tuple[Item, ...]:
-        return tuple(item for _, item in self.events)
+        return tuple(map(itemgetter(1), self.events))
 
     def __len__(self) -> int:
         return len(self.events)

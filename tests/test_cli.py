@@ -162,6 +162,14 @@ class TestMineCommand:
         assert all(seconds >= 0 for seconds in phases.values())
         assert sum(phases.values()) == pytest.approx(report["wall_seconds"], rel=0.05)
 
+    def test_report_counters(self, cohort_dir, query_file, tmp_path, capsys):
+        assert main(mine_args(cohort_dir, query_file, tmp_path / "p.jsonl")) == 0
+        counters = json.loads(capsys.readouterr().out)["counters"]
+        assert set(counters) == {"support_pruned", "switch_pruned", "negative_checks"}
+        assert all(type(value) is int and value >= 0 for value in counters.values())
+        # The study query is discriminative and emits patterns, so negatives were checked.
+        assert counters["negative_checks"] > 0
+
 
 class TestGarbageCollectorPolicy:
     @pytest.mark.parametrize("enabled", [True, False])

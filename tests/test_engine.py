@@ -1,9 +1,11 @@
 """Mining engine: search, supports, switch counts, decisions, budgets."""
 
+import random
 import time
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import pathmine.engine
 import pathmine.model
@@ -13,6 +15,7 @@ from pathmine.engine import (
     Decision,
     MiningOptions,
     SearchNode,
+    _Prepared,
     check_constraints,
     count_switches,
     discriminative_support,
@@ -21,6 +24,7 @@ from pathmine.engine import (
 )
 from pathmine.errors import MissingNegativeWindow
 from pathmine.model import NEGATIVE, POSITIVE, Item, Pattern
+from pathmine.oracle import oracle_mine
 
 from conftest import ALPHABET, make_seq, make_task, random_instance
 
@@ -337,3 +341,174 @@ class TestLongSequences:
         result = mine(make_task(), db, MiningOptions(embeddings="witness"))
         assert len(result.patterns) > 5
         assert calls == []
+
+
+class TestWorkerCap:
+    def test_workers_capped_at_root_count(self, monkeypatch):
+        # An inline stand-in for the pool: it records the worker count and
+        # starts no thread, whatever count the engine asks for.
+        requested = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, *args):
+                result = fn(*args)
+                return SimpleNamespace(result=lambda: result)
+
+        monkeypatch.setattr(pathmine.engine, "ThreadPoolExecutor", InlinePool)
+        db = CaseDatabase((CasePair("p", make_seq("p", POSITIVE, [A, B, A])),))
+        capped = mine(make_task(), db, MiningOptions(threads=5000))
+        assert requested == [2]
+        assert capped.patterns == mine(make_task(), db).patterns
+
+
+class TestLastOccurrenceIndex:
+    """The index against a brute-force first position at or after a start."""
+
+    @staticmethod
+    def first_positions(events, start):
+        first = {}
+        for pos in range(start, len(events)):
+            first.setdefault(events[pos], pos)
+        return first
+
+    @staticmethod
+    def prepared(sequences):
+        db = CaseDatabase(
+            tuple(
+                CasePair(f"p{i}", make_seq(f"p{i}", POSITIVE, [ALPHABET[k] for k in seq]))
+                for i, seq in enumerate(sequences)
+            )
+        )
+        return _Prepared(make_task(), db, MiningOptions())
+
+    def check(self, prep, seqs, starts, wanted_ids=None):
+        counts, tails = prep.count(seqs, starts)
+        firsts = [self.first_positions(prep.pos_ids[s], start) for s, start in zip(seqs, starts)]
+        expected_counts = {}
+        for first in firsts:
+            for iid in first:
+                expected_counts[iid] = expected_counts.get(iid, 0) + 1
+        assert dict(counts) == expected_counts
+        wanted = {iid: [] for iid in (counts if wanted_ids is None else wanted_ids)}
+        prep.locate(seqs, starts, tails, wanted)
+        assert wanted == {
+            iid: [(k, first[iid]) for k, first in enumerate(firsts) if iid in first]
+            for iid in wanted
+        }
+
+    def test_every_start_of_random_sequences(self):
+        rng = random.Random(20170)
+        sequences = [[rng.randrange(4) for _ in range(rng.randint(0, 15))] for _ in range(40)]
+        prep = self.prepared(sequences)
+        for s, seq in enumerate(sequences):
+            for start in range(len(seq) + 1):
+                self.check(prep, [s], [start])
+
+    def test_many_supporters_and_a_wanted_subset(self):
+        rng = random.Random(4)
+        sequences = [[rng.randrange(4) for _ in range(rng.randint(0, 15))] for _ in range(40)]
+        prep = self.prepared(sequences)
+        for _ in range(50):
+            seqs = sorted(rng.sample(range(len(sequences)), rng.randint(1, 12)))
+            starts = [rng.randint(0, len(sequences[s])) for s in seqs]
+            self.check(prep, seqs, starts)
+            self.check(prep, seqs, starts, wanted_ids=rng.sample(range(4), rng.randint(0, 4)))
+
+    def test_identical_events_and_the_edges(self):
+        prep = self.prepared([[2] * 9, [], [0, 1, 2, 3]])
+        for start in (0, 1, 8, 9):
+            self.check(prep, [0], [start])
+        self.check(prep, [1], [0])
+        # start == len(seq) leaves nothing; start == 0 leaves everything.
+        assert not prep.count([2], [4])[0]
+        assert sorted(prep.count([2], [0])[0]) == [0, 1, 2, 3]
+        self.check(prep, [0, 1, 2], [0, 0, 0])
+        self.check(prep, [0, 1, 2], [9, 0, 4])
+
+
+class TestCounters:
+    def test_hand_checked_instance(self):
+        # Roots GEN and BRA. GEN's child BRA overshoots `switch <= 0`; BRA's
+        # child GEN and <GEN, GEN>'s child BRA have one supporter each.
+        # GEN, <GEN, GEN> and BRA each check both negative sequences.
+        db = paired_db([("p1", [GEN, BRA, GEN], [GEN]), ("p2", [GEN, GEN, BRA], [])])
+        task = make_task(f_min=2, discriminative=True, switch=[("generic", "<=", 0)])
+        result = mine(task, db)
+        assert {pt.pattern.items for pt in result.patterns} == {(GEN, GEN), (BRA,)}
+        assert result.nodes_expanded == 3
+        assert result.counters == {"support_pruned": 2, "switch_pruned": 1, "negative_checks": 6}
+
+    def test_seeded_instance_at_one_and_two_threads(self):
+        task, db = random_instance(109)
+        single = mine(task, db, MiningOptions(threads=1))
+        double = mine(task, db, MiningOptions(threads=2))
+        assert single.complete and double.complete
+        assert single.counters == {"support_pruned": 10, "switch_pruned": 7, "negative_checks": 31}
+        assert double.counters == single.counters
+        assert all(type(value) is int for value in single.counters.values())
+
+
+@st.composite
+def oracle_edge_instances(draw):
+    """Up to 5 patients with up to 12 events over at most 3 items.
+
+    Sequences this long over so few items repeat items after every
+    frontier, which is where candidate location can go wrong.
+    """
+    alphabet = ALPHABET[: draw(st.integers(1, 3))]
+    events = st.lists(st.sampled_from(alphabet), max_size=12)
+    discriminative = draw(st.booleans())
+    rows = [
+        (f"p{i}", draw(events), draw(events) if discriminative else None)
+        for i in range(draw(st.integers(1, 5)))
+    ]
+    contains = draw(st.lists(st.tuples(st.just("generic"), st.sampled_from([0, 1])), max_size=1))
+    switch = draw(
+        st.lists(
+            st.tuples(st.just("generic"), st.sampled_from(["==", "<=", ">="]), st.integers(0, 2)),
+            max_size=1,
+        )
+    )
+    task = make_task(
+        f_min=draw(st.integers(1, 3)),
+        discriminative=discriminative,
+        contains=contains,
+        switch=switch,
+    )
+    db = CaseDatabase(
+        tuple(
+            CasePair(
+                p,
+                make_seq(p, POSITIVE, pos),
+                None if neg is None else make_seq(p, NEGATIVE, neg),
+            )
+            for p, pos, neg in rows
+        )
+    )
+    return task, db
+
+
+class TestOracleEdge:
+    @settings(derandomize=True, deadline=None)
+    @given(oracle_edge_instances())
+    def test_engine_equals_oracle(self, instance):
+        task, db = instance
+        expected = oracle_mine(task, db, max_len=5)
+        for prune in (True, False):
+            everything = mine(task, db, MiningOptions(embeddings="all", max_len=5, prune=prune))
+            assert everything.patterns == expected
+            witness = mine(task, db, MiningOptions(embeddings="witness", max_len=5, prune=prune))
+            assert [(pt.pattern, pt.supported, pt.discriminative) for pt in witness.patterns] == [
+                (pt.pattern, pt.supported, pt.discriminative) for pt in expected
+            ]
+            for got, want in zip(witness.patterns, expected):
+                assert got.embeddings == {p: {min(embs)} for p, embs in want.embeddings.items()}
