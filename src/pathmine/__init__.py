@@ -19,11 +19,8 @@ from .builder import (
     make_event_mapping,
 )
 from .engine import (
-    Decision,
     MiningOptions,
     MiningResult,
-    SearchNode,
-    check_constraints,
     count_switches,
     discriminative_support,
     mine,
@@ -92,7 +89,6 @@ __all__ = [
     "CohortConfig",
     "CompiledConstraint",
     "CycleError",
-    "Decision",
     "DeliveryAttributes",
     "DeliveryFact",
     "DiseaseFact",
@@ -123,7 +119,6 @@ __all__ = [
     "QueryError",
     "QuerySyntaxError",
     "RawDatabase",
-    "SearchNode",
     "Taxonomy",
     "TooLarge",
     "UnknownAttribute",
@@ -131,7 +126,6 @@ __all__ = [
     "WindowSpec",
     "build_case_pair",
     "build_database",
-    "check_constraints",
     "compile_query",
     "count_switches",
     "discriminative_support",

@@ -114,10 +114,6 @@ def build_parser() -> _Parser:
     )
     mine_cmd.add_argument("--max-len", type=int, default=None, help="pattern length cap")
     mine_cmd.add_argument(
-        "--threads", type=int, default=1,
-        help="search worker threads, capped at the number of root items",
-    )
-    mine_cmd.add_argument(
         "--unknown-code", choices=("skip", "abort"), default="abort",
         help="what to do with delivery codes missing from the KB",
     )
@@ -197,7 +193,6 @@ def _mine(args: argparse.Namespace) -> int:
     options = MiningOptions(
         embeddings=args.embeddings,
         max_len=args.max_len,
-        threads=args.threads,
         max_nodes=args.max_nodes,
         max_seconds=args.max_seconds,
     )
@@ -228,7 +223,6 @@ def _mine(args: argparse.Namespace) -> int:
             "out": args.out,
             "embeddings": args.embeddings,
             "max_len": args.max_len,
-            "threads": args.threads,
             "unknown_code": args.unknown_code,
             "max_nodes": args.max_nodes,
             "max_seconds": args.max_seconds,

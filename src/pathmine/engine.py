@@ -29,21 +29,22 @@ Constraints steer the search through their evaluation class:
   sequence lacks the pattern) is checked last and lazily, since
   negative matching is the expensive part and prunes nothing.
 
-Results are canonically sorted by (length, item order), so repeated and
-multi-threaded runs serialize identically.
+One searcher walks the roots in canonical item order under one
+node/time budget, and results are canonically sorted by (length, item
+order), so repeated runs serialize identically. A budget cuts the walk
+short, so a budgeted run returns the patterns of a depth-first prefix of
+the full search; under a node budget that prefix is the same every run.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from bisect import bisect_left
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .builder import CaseDatabase
 from .errors import MissingNegativeWindow
@@ -67,34 +68,10 @@ class Decision(Enum):
 
 
 @dataclass(frozen=True)
-class SearchNode:
-    """Externally visible search state for one candidate pattern.
-
-    `frontiers` maps each supporting patient to the 0-based position of
-    the leftmost embedding's last matched event in their positive
-    sequence. `switch_counts` and `contains_satisfied` are aligned with
-    the task's switch_constraints() and contains_constraints() orders.
-    """
-
-    pattern: Pattern
-    frontiers: Mapping[str, int]
-    support: frozenset
-    switch_counts: tuple[int, ...] = ()
-    contains_satisfied: tuple[bool, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "frontiers", dict(self.frontiers))
-        object.__setattr__(self, "support", frozenset(self.support))
-        if self.support != frozenset(self.frontiers):
-            raise ValueError("support set must equal the patients holding a frontier")
-
-
-@dataclass(frozen=True)
 class MiningOptions:
     embeddings: str = EMBEDDINGS_ALL
     max_len: int | None = None
     prune: bool = True
-    threads: int = 1
     max_nodes: int | None = None
     max_seconds: float | None = None
 
@@ -103,8 +80,6 @@ class MiningOptions:
             raise ValueError(f"embeddings mode must be all or witness, got {self.embeddings!r}")
         if self.max_len is not None and self.max_len < 1:
             raise ValueError("max_len must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -182,7 +157,7 @@ def _decide(
     task: MiningTask,
     discr_count: Callable[[], int],
 ) -> Decision:
-    """Single source of constraint semantics for engine and adapter.
+    """Single source of constraint semantics.
 
     Prune when no extension can recover (support bound, overshot switch
     bound); emit when every monotone constraint and output filter holds;
@@ -206,53 +181,6 @@ def _decide(
     if emittable and task.discriminative and discr_count() < task.min_support:
         emittable = False
     return Decision.EMIT if emittable else Decision.EXTEND_ONLY
-
-
-def check_constraints(
-    node: SearchNode, task: MiningTask, database: CaseDatabase | None = None
-) -> Decision:
-    """Classify one search node: emit, extend_only, or prune.
-
-    The discriminative filter needs the database to match negative
-    sequences; passing database=None is fine for tasks without it.
-    """
-
-    def discr() -> int:
-        if database is None:
-            raise ValueError("the discriminative filter needs the database")
-        return len(discriminative_support(node.pattern, database))
-
-    return _decide(len(node.support), node.switch_counts, node.contains_satisfied, task, discr)
-
-
-class _Budget:
-    """Shared node/time budget; spend() is False once anything ran out.
-
-    Each search node costs one unit, and so does each `_DEADLINE_STRIDE`
-    embeddings enumerated in all mode, so both budgets bound emission too.
-    """
-
-    __slots__ = ("max_nodes", "deadline", "nodes", "exhausted", "_lock")
-
-    def __init__(self, max_nodes: int | None, max_seconds: float | None) -> None:
-        self.max_nodes = max_nodes
-        self.deadline = None if max_seconds is None else time.monotonic() + max_seconds
-        self.nodes = 0
-        self.exhausted = False
-        self._lock = threading.Lock()
-
-    def spend(self) -> bool:
-        with self._lock:
-            if self.exhausted:
-                return False
-            self.nodes += 1
-            if self.max_nodes is not None and self.nodes > self.max_nodes:
-                self.exhausted = True
-                return False
-            if self.deadline is not None and time.monotonic() > self.deadline:
-                self.exhausted = True
-                return False
-            return True
 
 
 class _Prepared:
@@ -418,44 +346,60 @@ _Extension = tuple[int, list[tuple[int, int]], tuple[int, ...], tuple[bool, ...]
 
 
 class _Searcher:
-    def __init__(self, prep: _Prepared, options: MiningOptions, budget: _Budget) -> None:
+    """The depth-first search, under one node/time budget.
+
+    Each search node costs one unit of the budget, and so does each
+    `_DEADLINE_STRIDE` embeddings enumerated in all mode, so both budgets
+    bound emission too. Once anything ran out, spend() stays False and
+    the walk stops where it is.
+    """
+
+    def __init__(self, prep: _Prepared, options: MiningOptions) -> None:
         self.prep = prep
         self.options = options
-        self.budget = budget
+        self.max_nodes = options.max_nodes
+        self.deadline = (
+            None if options.max_seconds is None else time.monotonic() + options.max_seconds
+        )
+        self.spent = 0
+        self.exhausted = False
         self.found: list[tuple[tuple[int, ...], PatternTuple]] = []
         self.nodes = 0
         self.counters = dict.fromkeys(_COUNTERS, 0)
 
-    def run(
-        self, origin: _Node, roots: Iterable[_Extension]
-    ) -> list[tuple[tuple[int, ...], PatternTuple]]:
+    def spend(self) -> bool:
+        """Charge one unit; False once the node or time budget ran out."""
+        if self.exhausted:
+            return False
+        self.spent += 1
+        if self.max_nodes is not None and self.spent > self.max_nodes:
+            self.exhausted = True
+        elif self.deadline is not None and time.monotonic() > self.deadline:
+            self.exhausted = True
+        return not self.exhausted
+
+    def run(self, origin: _Node) -> None:
         """Search each root's subtree in turn; roots are the origin's extensions.
 
-        Returns (interned pattern, record) pairs in visit order.
+        Depth-first, with an explicit stack of child iterators. Appends
+        (interned pattern, record) pairs to `found` in visit order.
         """
-        for root in roots:
-            self._search(origin.child(*root))
-            if self.budget.exhausted:
-                break
-        return self.found
-
-    def _search(self, root: _Node) -> None:
-        """Depth-first, with an explicit stack of child iterators."""
-        stack: list[Iterator[_Node]] = [iter((root,))]
+        roots = (origin.child(*root) for root in self.extensions(origin))
+        stack: list[Iterator[_Node]] = [roots]
         while stack:
             node = next(stack[-1], None)
             if node is None:
                 stack.pop()
                 continue
             children = self._visit(node)
-            if self.budget.exhausted:
+            if self.exhausted:
                 return
             if children is not None:
                 stack.append(children)
 
     def _visit(self, node: _Node) -> Iterator[_Node] | None:
         """Spend, classify and emit one node; return its children to visit."""
-        if not self.budget.spend():
+        if not self.spend():
             return None
         self.nodes += 1
         prep = self.prep
@@ -564,7 +508,7 @@ class _Searcher:
                 for embedding in iter_embeddings(node.prefix, prep.pos_ids[seq_idx]):
                     found.append(embedding)
                     enumerated += 1
-                    if not enumerated % _DEADLINE_STRIDE and not self.budget.spend():
+                    if not enumerated % _DEADLINE_STRIDE and not self.spend():
                         return None
         return PatternTuple(
             pattern=Pattern(tuple(prep.items[iid] for iid in node.prefix)),
@@ -579,9 +523,10 @@ def mine(
 ) -> MiningResult:
     """Enumerate every pattern satisfying the task; sound and complete.
 
-    The emitted set never depends on `prune` or `threads`; those only
-    trade work for time. Budgets may cut the search short, in which case
-    the result is flagged incomplete.
+    The emitted set never depends on `prune`, which only trades work for
+    time. Budgets may cut the search short, in which case the result is
+    flagged incomplete and holds the patterns of a depth-first prefix of
+    the full search.
     """
     options = options or MiningOptions()
     started = time.monotonic()
@@ -590,41 +535,24 @@ def mine(
             "the task is discriminative but the database has no negative sequences"
         )
     prep = _Prepared(task, database, options)
-    budget = _Budget(options.max_nodes, options.max_seconds)
+    searcher = _Searcher(prep, options)
     count = len(prep.pos_ids)
-    origin = _Node(
-        (),
-        list(range(count)),
-        [()] * count,
-        (0,) * len(prep.switches),
-        (False,) * len(prep.contains_ids),
+    searcher.run(
+        _Node(
+            (),
+            list(range(count)),
+            [()] * count,
+            (0,) * len(prep.switches),
+            (False,) * len(prep.contains_ids),
+        )
     )
-    searchers = [_Searcher(prep, options, budget)]
-    roots = searchers[0].extensions(origin)
-    collected: list[tuple[tuple[int, ...], PatternTuple]] = []
-    if prep.max_len >= 1 and roots:
-        # More workers than roots would have nothing to search.
-        workers = min(options.threads, len(roots))
-        if workers == 1:
-            collected = searchers[0].run(origin, roots)
-        else:
-            searchers += [_Searcher(prep, options, budget) for _ in range(workers - 1)]
-            slices = [roots[w::workers] for w in range(workers)]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(searcher.run, origin, chunk)
-                    for searcher, chunk in zip(searchers, slices)
-                ]
-                for future in futures:
-                    collected.extend(future.result())
+    found = searcher.found
     # Interned ids follow canonical item order, so this is Pattern.sort_key order.
-    collected.sort(key=lambda found: (len(found[0]), found[0]))
+    found.sort(key=lambda pair: (len(pair[0]), pair[0]))
     return MiningResult(
-        patterns=tuple(record for _, record in collected),
-        complete=not budget.exhausted,
-        nodes_expanded=sum(searcher.nodes for searcher in searchers),
+        patterns=tuple(record for _, record in found),
+        complete=not searcher.exhausted,
+        nodes_expanded=searcher.nodes,
         elapsed_seconds=time.monotonic() - started,
-        counters={
-            name: sum(searcher.counters[name] for searcher in searchers) for name in _COUNTERS
-        },
+        counters=searcher.counters,
     )

@@ -38,7 +38,11 @@ class DiseaseFact(NamedTuple):
 
 @dataclass(frozen=True)
 class RawDatabase:
-    """Immutable fact lists, sorted by (patient, day), duplicates kept."""
+    """Immutable fact lists, sorted by (patient, day), duplicates kept.
+
+    The loaders keep file order; the facts are sorted here, once. The
+    sort is stable, so facts of one patient on one day keep their order.
+    """
 
     deliveries: tuple[DeliveryFact, ...] = ()
     diseases: tuple[DiseaseFact, ...] = ()
@@ -114,7 +118,7 @@ def _require(text: str, what: str, path: str, line: int) -> str:
 
 
 def load_deliveries(path: str) -> tuple[DeliveryFact, ...]:
-    """Parse deliveries.csv; one fact per data row, sorted by (patient, day)."""
+    """Parse deliveries.csv; one fact per data row, in file order."""
     facts = []
     for line, (patient, day, cip, qty) in _rows(path, ("patient", "day", "cip", "qty"), True):
         quantity = _parse_int(qty, "qty", path, line)
@@ -128,12 +132,11 @@ def load_deliveries(path: str) -> tuple[DeliveryFact, ...]:
                 quantity,
             )
         )
-    facts.sort(key=lambda f: (f.patient, f.day))
     return tuple(facts)
 
 
 def load_diseases(path: str) -> tuple[DiseaseFact, ...]:
-    """Parse diseases.csv; duplicates kept as distinct facts."""
+    """Parse diseases.csv; one fact per data row, in file order."""
     facts = []
     for line, (patient, day, icd) in _rows(path, ("patient", "day", "icd"), True):
         facts.append(
@@ -143,7 +146,6 @@ def load_diseases(path: str) -> tuple[DiseaseFact, ...]:
                 _require(icd, "icd", path, line).upper(),
             )
         )
-    facts.sort(key=lambda f: (f.patient, f.day))
     return tuple(facts)
 
 

@@ -151,9 +151,6 @@ class Taxonomy:
                     frontier.append(parent)
         return frozenset(seen)
 
-    def is_descendant(self, code: str, of: str) -> bool:
-        return _norm(of) in self.ancestors(code)
-
     def __len__(self) -> int:
         return len(self._parents)
 

@@ -6,8 +6,7 @@ items equal the pattern items position by position. Matching is over list
 positions, not timestamps, so two events sharing a day can both be
 consumed by consecutive pattern positions.
 
-All types here are immutable after construction and safe to share across
-threads.
+All types here are immutable after construction.
 """
 
 from __future__ import annotations

@@ -83,13 +83,22 @@ class TestMineCommand:
         capsys.readouterr()
         assert first.read_bytes() == second.read_bytes()
 
-    def test_threads_flag_does_not_change_output(self, cohort_dir, query_file, tmp_path, capsys):
-        single = tmp_path / "single.jsonl"
-        multi = tmp_path / "multi.jsonl"
-        assert main(mine_args(cohort_dir, query_file, single)) == 0
-        assert main(mine_args(cohort_dir, query_file, multi, ["--threads", "4"])) == 0
+    def test_budgeted_runs_write_identical_bytes(self, cohort_dir, query_file, tmp_path, capsys):
+        first = tmp_path / "one.jsonl"
+        second = tmp_path / "two.jsonl"
+        # The full run visits 24 nodes.
+        budget = ["--max-nodes", "8"]
+        assert main(mine_args(cohort_dir, query_file, first, budget)) == 3
+        assert main(mine_args(cohort_dir, query_file, second, budget)) == 3
         capsys.readouterr()
-        assert single.read_bytes() == multi.read_bytes()
+        assert first.read_bytes() == second.read_bytes()
+        assert first.read_bytes()
+
+    def test_threads_flag_is_gone(self, cohort_dir, query_file, tmp_path, capsys):
+        out = tmp_path / "p.jsonl"
+        assert main(mine_args(cohort_dir, query_file, out, ["--threads", "4"])) == 1
+        assert "usage" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_required_flag_exits_one(self, capsys):
         assert main(["mine", "--query", "q.pmq"]) == 1

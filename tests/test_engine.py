@@ -2,7 +2,6 @@
 
 import random
 import time
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,9 +13,8 @@ from pathmine.builder import CaseDatabase, CasePair
 from pathmine.engine import (
     Decision,
     MiningOptions,
-    SearchNode,
     _Prepared,
-    check_constraints,
+    _decide,
     count_switches,
     discriminative_support,
     mine,
@@ -162,69 +160,62 @@ class TestCountSwitches:
 
 
 class TestCheckConstraints:
-    def node(self, pattern_items, supporters, switch_counts=(), contains=()):
-        frontiers = {p: 0 for p in supporters}
-        return SearchNode(
-            pattern=Pattern(tuple(pattern_items)),
-            frontiers=frontiers,
-            support=frozenset(supporters),
-            switch_counts=switch_counts,
-            contains_satisfied=contains,
-        )
+    """The engine's one constraint definition, `_decide`, on hand-made node states."""
+
+    @staticmethod
+    def decide(task, support, switch_counts=(), contains=(), discr_count=None):
+        def unexpected():
+            raise AssertionError("the discriminative count was not needed")
+
+        return _decide(support, switch_counts, contains, task, discr_count or unexpected)
 
     def test_support_below_threshold_prunes(self):
         task = make_task(f_min=20)
-        node = self.node([GEN], [f"p{i}" for i in range(19)])
-        assert check_constraints(node, task) is Decision.PRUNE
+        assert self.decide(task, 19) is Decision.PRUNE
 
     def test_switch_overshoot_prunes(self):
+        # The pattern <GEN, BRA, GEN> switches twice.
         task = make_task(switch=[("generic", "==", 1)])
-        node = self.node([GEN, BRA, GEN], ["p1"], switch_counts=(2,))
-        assert check_constraints(node, task) is Decision.PRUNE
+        assert self.decide(task, 1, switch_counts=(2,)) is Decision.PRUNE
 
     def test_switch_upper_bound_overshoot_prunes(self):
         task = make_task(switch=[("generic", "<=", 1)])
-        node = self.node([GEN, BRA, GEN], ["p1"], switch_counts=(2,))
-        assert check_constraints(node, task) is Decision.PRUNE
+        assert self.decide(task, 1, switch_counts=(2,)) is Decision.PRUNE
 
     def test_switch_lower_bound_never_prunes(self):
         task = make_task(switch=[("generic", ">=", 1)])
-        node = self.node([GEN, BRA, GEN], ["p1"], switch_counts=(2,))
-        assert check_constraints(node, task) is Decision.EMIT
+        assert self.decide(task, 1, switch_counts=(2,)) is Decision.EMIT
 
     def test_switch_undershoot_extends(self):
         task = make_task(switch=[("generic", "==", 1)])
-        node = self.node([GEN, GEN], ["p1"], switch_counts=(0,))
-        assert check_constraints(node, task) is Decision.EXTEND_ONLY
+        assert self.decide(task, 1, switch_counts=(0,)) is Decision.EXTEND_ONLY
 
     def test_satisfied_node_emits(self):
         task = make_task(switch=[("generic", "==", 1)], contains=[("generic", 1)])
-        node = self.node([GEN, BRA], ["p1"], switch_counts=(1,), contains=(True,))
-        assert check_constraints(node, task) is Decision.EMIT
+        assert self.decide(task, 1, switch_counts=(1,), contains=(True,)) is Decision.EMIT
 
     def test_unsatisfied_monotone_extends(self):
         task = make_task(contains=[("generic", 0)])
-        node = self.node([GEN], ["p1"], contains=(False,))
-        assert check_constraints(node, task) is Decision.EXTEND_ONLY
-
-    def test_discriminative_filter_needs_database(self):
-        task = make_task(discriminative=True)
-        node = self.node([GEN], ["p1"])
-        with pytest.raises(ValueError):
-            check_constraints(node, task)
+        assert self.decide(task, 1, contains=(False,)) is Decision.EXTEND_ONLY
 
     def test_discriminative_filter_with_database(self):
         task = make_task(discriminative=True)
         db = paired_db([("p1", [GEN], []), ("p2", [GEN], [GEN])])
-        passing = self.node([GEN], ["p1", "p2"])
-        # Only p1 is discriminative; threshold 1 is still met.
-        assert check_constraints(passing, task, db) is Decision.EMIT
-        strict = make_task(discriminative=True, f_min=2)
-        assert check_constraints(passing, strict, db) is Decision.EXTEND_ONLY
 
-    def test_support_must_match_frontiers(self):
-        with pytest.raises(ValueError):
-            SearchNode(Pattern((GEN,)), {"p1": 0}, frozenset({"p1", "p2"}))
+        def discr_count():
+            return len(discriminative_support(Pattern((GEN,)), db))
+
+        # Only p1 is discriminative; threshold 1 is still met.
+        assert self.decide(task, 2, discr_count=discr_count) is Decision.EMIT
+        strict = make_task(discriminative=True, f_min=2)
+        assert self.decide(strict, 2, discr_count=discr_count) is Decision.EXTEND_ONLY
+
+    def test_discriminative_count_requested_last(self):
+        # Pruned or not yet emittable nodes never ask for the negative matching.
+        task = make_task(f_min=2, discriminative=True, contains=[("generic", 0)])
+        assert self.decide(task, 1, contains=(True,)) is Decision.PRUNE
+        assert self.decide(task, 2, contains=(False,)) is Decision.EXTEND_ONLY
+        assert self.decide(task, 2, contains=(True,), discr_count=lambda: 2) is Decision.EMIT
 
 
 class TestSwitchPruning:
@@ -269,11 +260,30 @@ class TestBudgets:
 
 
 class TestDeterminism:
-    def test_threads_do_not_change_output(self):
-        task, db = random_instance(12345 % 97)
-        single = mine(task, db, MiningOptions(embeddings="all"))
-        multi = mine(task, db, MiningOptions(embeddings="all", threads=4))
-        assert single.patterns == multi.patterns
+    def test_budgeted_runs_identical(self):
+        # A node budget cuts the one depth-first walk at the same node every run.
+        task, db = random_instance(135)
+        full = mine(task, db, MiningOptions(embeddings="all"))
+        budget = MiningOptions(embeddings="all", max_nodes=full.nodes_expanded // 3)
+        first = mine(task, db, budget)
+        second = mine(task, db, budget)
+        assert not first.complete and not second.complete
+        assert first.patterns == second.patterns
+        assert 0 < len(first.patterns) < len(full.patterns)
+        assert all(pt in full.patterns for pt in first.patterns)
+
+    def test_larger_budget_extends_the_prefix(self):
+        # One more node never loses a pattern: a budget's walk is a prefix
+        # of every larger budget's walk.
+        task, db = random_instance(135)
+        full = mine(task, db)
+        before = ()
+        for max_nodes in range(full.nodes_expanded + 1):
+            result = mine(task, db, MiningOptions(max_nodes=max_nodes))
+            assert all(pt in result.patterns for pt in before)
+            assert result.complete is (max_nodes == full.nodes_expanded)
+            before = result.patterns
+        assert before == full.patterns
 
     def test_repeated_runs_identical(self):
         task, db = random_instance(7)
@@ -341,33 +351,6 @@ class TestLongSequences:
         result = mine(make_task(), db, MiningOptions(embeddings="witness"))
         assert len(result.patterns) > 5
         assert calls == []
-
-
-class TestWorkerCap:
-    def test_workers_capped_at_root_count(self, monkeypatch):
-        # An inline stand-in for the pool: it records the worker count and
-        # starts no thread, whatever count the engine asks for.
-        requested = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def submit(self, fn, *args):
-                result = fn(*args)
-                return SimpleNamespace(result=lambda: result)
-
-        monkeypatch.setattr(pathmine.engine, "ThreadPoolExecutor", InlinePool)
-        db = CaseDatabase((CasePair("p", make_seq("p", POSITIVE, [A, B, A])),))
-        capped = mine(make_task(), db, MiningOptions(threads=5000))
-        assert requested == [2]
-        assert capped.patterns == mine(make_task(), db).patterns
 
 
 class TestLastOccurrenceIndex:
@@ -447,14 +430,12 @@ class TestCounters:
         assert result.nodes_expanded == 3
         assert result.counters == {"support_pruned": 2, "switch_pruned": 1, "negative_checks": 6}
 
-    def test_seeded_instance_at_one_and_two_threads(self):
+    def test_seeded_instance(self):
         task, db = random_instance(109)
-        single = mine(task, db, MiningOptions(threads=1))
-        double = mine(task, db, MiningOptions(threads=2))
-        assert single.complete and double.complete
-        assert single.counters == {"support_pruned": 10, "switch_pruned": 7, "negative_checks": 31}
-        assert double.counters == single.counters
-        assert all(type(value) is int for value in single.counters.values())
+        result = mine(task, db)
+        assert result.complete
+        assert result.counters == {"support_pruned": 10, "switch_pruned": 7, "negative_checks": 31}
+        assert all(type(value) is int for value in result.counters.values())
 
 
 @st.composite

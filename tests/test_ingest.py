@@ -61,12 +61,17 @@ class TestLoadDeliveries:
             load_deliveries(path)
 
     def test_sorted_by_patient_then_day(self, tmp_path):
+        # The loader keeps file order; RawDatabase sorts, stably.
         path = write(
             tmp_path / "d.csv",
-            "patient,day,cip,qty\np2,5,X,1\np1,9,X,1\np1,2,X,1\n",
+            "patient,day,cip,qty\np2,5,X,1\np1,9,X,1\np1,2,Y,1\np1,2,X,1\n",
         )
         facts = load_deliveries(path)
-        assert [(f.patient, f.day) for f in facts] == [("p1", 2), ("p1", 9), ("p2", 5)]
+        assert [(f.patient, f.day) for f in facts] == [("p2", 5), ("p1", 9), ("p1", 2), ("p1", 2)]
+        raw = RawDatabase(facts, ())
+        assert [(f.patient, f.day, f.cip) for f in raw.deliveries] == [
+            ("p1", 2, "Y"), ("p1", 2, "X"), ("p1", 9, "X"), ("p2", 5, "X")
+        ]
 
     def test_duplicate_rows_kept(self, tmp_path):
         path = write(tmp_path / "d.csv", "patient,day,cip,qty\np1,1,X,1\np1,1,X,1\n")
@@ -74,6 +79,14 @@ class TestLoadDeliveries:
 
 
 class TestLoadDiseases:
+    def test_sorted_by_patient_then_day(self, tmp_path):
+        # The loader keeps file order; RawDatabase sorts, stably.
+        path = write(tmp_path / "i.csv", "patient,day,icd\np2,5,G40\np1,9,G40\np1,2,G41\np1,2,G40\n")
+        raw = RawDatabase((), load_diseases(path))
+        assert [(f.patient, f.day, f.icd) for f in raw.diseases] == [
+            ("p1", 2, "G41"), ("p1", 2, "G40"), ("p1", 9, "G40"), ("p2", 5, "G40")
+        ]
+
     def test_row_maps_to_fact(self, tmp_path):
         path = write(tmp_path / "i.csv", "patient,day,icd\np1,120,G403\n")
         assert load_diseases(path) == (DiseaseFact("p1", 120, "G403"),)

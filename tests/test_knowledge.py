@@ -112,9 +112,3 @@ class TestTaxonomy:
     def test_diamond_is_not_a_cycle(self):
         tax = Taxonomy.from_edges([("d", "l"), ("d", "r"), ("l", "t"), ("r", "t")])
         assert tax.ancestors("d") == {"D", "L", "R", "T"}
-
-    def test_is_descendant(self):
-        tax = Taxonomy.from_edges([("G403", "G40")])
-        assert tax.is_descendant("G403", "G40")
-        assert tax.is_descendant("g403", "g40")
-        assert not tax.is_descendant("G40", "G403")
