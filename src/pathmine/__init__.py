@@ -5,27 +5,15 @@ The pipeline: load raw delivery/diagnosis facts and a knowledge base
 index event (`builder`), compile a declarative query into an executable
 task (`query`), and enumerate every pattern satisfying its constraints
 (`engine`). `synth` generates cohorts with planted ground truth and
-`oracle` is the brute-force reference used by the test suite.
+`oracle` holds the reference definitions of the query's semantics and
+the brute-force miner the test suite holds the engine to.
+
+The package exports the library surface the README documents; anything
+else is imported from its module.
 """
 
-from .builder import (
-    CaseDatabase,
-    CasePair,
-    IndexEventRule,
-    WindowSpec,
-    build_case_pair,
-    build_database,
-    find_index_event,
-    make_event_mapping,
-)
-from .engine import (
-    MiningOptions,
-    MiningResult,
-    count_switches,
-    discriminative_support,
-    mine,
-    positive_support,
-)
+from .builder import build_database
+from .engine import MiningOptions, MiningResult, mine
 from .errors import (
     CycleError,
     DuplicateClause,
@@ -44,105 +32,40 @@ from .errors import (
     UnknownAttribute,
     UnknownCode,
 )
-from .ingest import (
-    DeliveryFact,
-    DiseaseFact,
-    RawDatabase,
-    load_deliveries,
-    load_diseases,
-    load_kb,
-)
-from .knowledge import (
-    CodeAttributes,
-    DeliveryAttributes,
-    KnowledgeBase,
-    Taxonomy,
-)
-from .model import (
-    NEGATIVE,
-    POSITIVE,
-    Embedding,
-    EventSequence,
-    Item,
-    Pattern,
-    PatternTuple,
-    find_embeddings,
-    supports,
-)
+from .ingest import RawDatabase, load_deliveries, load_diseases, load_kb
+from .model import PatternTuple
 from .oracle import oracle_mine
-from .query import (
-    CompiledConstraint,
-    MiningTask,
-    QueryAst,
-    compile_query,
-    parse_query,
-    print_query,
-)
-from .synth import CohortConfig, PlantSpec, generate_cohort, knowledge_base, raw_database, write_cohort
+from .query import compile_query, parse_query
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CaseDatabase",
-    "CasePair",
-    "CodeAttributes",
-    "CohortConfig",
-    "CompiledConstraint",
     "CycleError",
-    "DeliveryAttributes",
-    "DeliveryFact",
-    "DiseaseFact",
     "DuplicateClause",
     "DuplicateCode",
-    "Embedding",
     "EmptyClassFilter",
-    "EventSequence",
-    "IndexEventRule",
     "InvalidPlantSpec",
     "InvalidQuery",
-    "Item",
-    "KnowledgeBase",
     "MiningOptions",
     "MiningResult",
-    "MiningTask",
     "MissingClause",
     "MissingNegativeWindow",
-    "NEGATIVE",
     "NegativeDay",
-    "POSITIVE",
     "ParseError",
     "PathmineError",
-    "Pattern",
     "PatternTuple",
-    "PlantSpec",
-    "QueryAst",
     "QueryError",
     "QuerySyntaxError",
     "RawDatabase",
-    "Taxonomy",
     "TooLarge",
     "UnknownAttribute",
     "UnknownCode",
-    "WindowSpec",
-    "build_case_pair",
     "build_database",
     "compile_query",
-    "count_switches",
-    "discriminative_support",
-    "find_embeddings",
-    "find_index_event",
-    "generate_cohort",
-    "knowledge_base",
     "load_deliveries",
     "load_diseases",
     "load_kb",
-    "make_event_mapping",
     "mine",
     "oracle_mine",
     "parse_query",
-    "positive_support",
-    "print_query",
-    "raw_database",
-    "supports",
-    "write_cohort",
 ]

@@ -64,9 +64,6 @@ class WindowSpec:
         """
         return range(index_day + self.lower_offset + 1, index_day + self.upper_offset)
 
-    def contains(self, day: int, index_day: int) -> bool:
-        return day in self.days(index_day)
-
 
 @dataclass(frozen=True)
 class IndexEventRule:

@@ -174,6 +174,13 @@ def run_mine(args: argparse.Namespace) -> int:
 def _mine(args: argparse.Namespace) -> int:
     started = time.monotonic()
     ends: dict[str, float] = {}
+    # Option errors surface before any input file is read.
+    options = MiningOptions(
+        embeddings=args.embeddings,
+        max_len=args.max_len,
+        max_nodes=args.max_nodes,
+        max_seconds=args.max_seconds,
+    )
     try:
         with open(args.query, encoding="utf-8") as handle:
             query_text = handle.read()
@@ -189,13 +196,6 @@ def _mine(args: argparse.Namespace) -> int:
     ends["load"] = time.monotonic()
     database = build_database(raw, task, kb, unknown_code=args.unknown_code)
     ends["build"] = time.monotonic()
-
-    options = MiningOptions(
-        embeddings=args.embeddings,
-        max_len=args.max_len,
-        max_nodes=args.max_nodes,
-        max_seconds=args.max_seconds,
-    )
     result = mine(task, database, options)
     ends["mine"] = time.monotonic()
     with open(args.out, "w", encoding="utf-8") as handle:

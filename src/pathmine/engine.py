@@ -20,7 +20,7 @@ witness mode reads every supporter's witness off the search path
 instead of searching for it again. The depth-first walk keeps an
 explicit stack, so no sequence is too long to mine.
 
-Constraints steer the search through their evaluation class:
+Each kind of constraint steers the search its own way:
 
 * prunable-bound violations (positive support below the threshold, a
   switch count already past an upper bound) kill the whole subtree;
@@ -28,6 +28,10 @@ Constraints steer the search through their evaluation class:
 * the discriminative filter (enough supporters whose own negative
   sequence lacks the pattern) is checked last and lazily, since
   negative matching is the expensive part and prunes nothing.
+
+`_decide` and `_overshoots` are the engine's one statement of these
+rules; the reference definitions they are tested against live in
+`pathmine.oracle`.
 
 One searcher walks the roots in canonical item order under one
 node/time budget, and results are canonically sorted by (length, item
@@ -38,6 +42,7 @@ the full search; under a node budget that prefix is the same every run.
 
 from __future__ import annotations
 
+import math
 import time
 from bisect import bisect_left
 from collections import Counter
@@ -48,7 +53,7 @@ from typing import Callable, Iterator, Sequence
 
 from .builder import CaseDatabase
 from .errors import MissingNegativeWindow
-from .model import Embedding, Item, Pattern, PatternTuple, iter_embeddings, supports
+from .model import Embedding, Item, Pattern, PatternTuple, iter_embeddings
 from .query import MiningTask
 
 EMBEDDINGS_ALL = "all"
@@ -80,6 +85,13 @@ class MiningOptions:
             raise ValueError(f"embeddings mode must be all or witness, got {self.embeddings!r}")
         if self.max_len is not None and self.max_len < 1:
             raise ValueError("max_len must be >= 1")
+        if self.max_nodes is not None and self.max_nodes < 0:
+            raise ValueError(f"max_nodes must be >= 0, got {self.max_nodes}")
+        # A nan deadline would compare False forever; no limit is None, not inf.
+        if self.max_seconds is not None and not (
+            math.isfinite(self.max_seconds) and self.max_seconds >= 0
+        ):
+            raise ValueError(f"max_seconds must be finite and >= 0, got {self.max_seconds}")
 
 
 @dataclass(frozen=True)
@@ -103,41 +115,6 @@ class MiningResult:
     counters: dict[str, int]
 
 
-def positive_support(pattern: Pattern, database: CaseDatabase) -> frozenset:
-    """Patients whose positive sequence contains the pattern."""
-    return frozenset(
-        pair.patient for pair in database if supports(pattern, pair.positive)
-    )
-
-
-def discriminative_support(pattern: Pattern, database: CaseDatabase) -> frozenset:
-    """Patients supporting the pattern positively but not negatively.
-
-    A patient with an empty negative sequence counts as soon as their
-    positive sequence matches: nothing can match inside an empty
-    sequence.
-    """
-    result = set()
-    for pair in database:
-        if pair.negative is None:
-            raise MissingNegativeWindow(
-                f"patient {pair.patient} has no negative window"
-            )
-        if supports(pattern, pair.positive) and not supports(pattern, pair.negative):
-            result.add(pair.patient)
-    return frozenset(result)
-
-
-def count_switches(pattern: Pattern, attribute_index: int) -> int:
-    """Adjacent position pairs whose attribute values differ."""
-    items = pattern.items
-    return sum(
-        1
-        for left, right in zip(items, items[1:])
-        if left.values[attribute_index] != right.values[attribute_index]
-    )
-
-
 def _overshoots(switch_counts: Sequence[int], switches: Sequence) -> bool:
     """True once a switch count is past an `==` or `<=` bound.
 
@@ -157,7 +134,7 @@ def _decide(
     task: MiningTask,
     discr_count: Callable[[], int],
 ) -> Decision:
-    """Single source of constraint semantics.
+    """The engine's one definition of constraint semantics.
 
     Prune when no extension can recover (support bound, overshot switch
     bound); emit when every monotone constraint and output filter holds;

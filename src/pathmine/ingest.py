@@ -4,8 +4,8 @@ All four inputs are UTF-8 CSV with a header row:
 
 * deliveries.csv: ``patient,day,cip,qty``
 * diseases.csv:   ``patient,day,icd``
-* kb_attributes.csv: ``cip,atc,group,generic`` (extra columns are kept
-  as opaque strings)
+* kb_attributes.csv: ``cip,atc,group,generic`` (extra columns are
+  accepted and ignored)
 * taxonomy.csv:   ``child,parent``
 
 Days are integer day numbers counted from the first event date, so no
@@ -152,24 +152,17 @@ def load_diseases(path: str) -> tuple[DiseaseFact, ...]:
 def load_kb(attributes_path: str, taxonomy_path: str) -> KnowledgeBase:
     """Parse both KB files; validates code uniqueness and taxonomy acyclicity."""
     attr_rows = []
-    extra_names: list[str] = []
-    with open(attributes_path, newline="", encoding="utf-8") as handle:
-        header = [cell.strip() for cell in next(csv.reader(handle), [])]
-    if header[:4] == ["cip", "atc", "group", "generic"]:
-        extra_names = header[4:]
     for line, cells in _rows(attributes_path, ("cip", "atc", "group", "generic"), False):
         cip, atc, group, generic = cells[:4]
         flag = _parse_int(generic, "generic", attributes_path, line)
         if flag not in (0, 1):
             raise ParseError(f"generic must be 0 or 1, got {flag}", path=attributes_path, line=line)
-        extras = dict(zip(extra_names, cells[4:]))
         attr_rows.append(
             (
                 _require(cip, "cip", attributes_path, line),
                 _require(atc, "atc", attributes_path, line),
                 _require(group, "group", attributes_path, line),
                 flag,
-                extras,
             )
         )
     edges = []

@@ -4,7 +4,7 @@ Two read-only structures feed mining:
 
 * a delivery code table mapping each product code to the attribute
   triple it is reified as (therapeutic class, speciality group, generic
-  flag), plus any extra columns carried through untouched;
+  flag);
 * a taxonomy over class codes, a child-to-parent DAG used to expand a
   class filter or an index-event rule to all descendant codes.
 
@@ -34,36 +34,28 @@ def _norm(code: str) -> str:
 
 @dataclass(frozen=True)
 class CodeAttributes:
-    """Product code table: code -> (atc, group, generic) plus opaque extras.
+    """Product code table: code -> (atc, group, generic).
 
     The same code may appear on several input rows only if every row
-    agrees on all columns; a conflicting re-definition raises
-    DuplicateCode.
+    agrees on the triple; a conflicting re-definition raises
+    DuplicateCode. Extra columns of the attributes file are accepted and
+    ignored, so rows that differ only there define one code.
     """
 
     _table: Mapping[str, DeliveryAttributes] = field(default_factory=dict)
-    _extras: Mapping[str, Mapping[str, str]] = field(default_factory=dict)
 
     @classmethod
-    def from_rows(
-        cls, rows: Iterable[tuple[str, str, str, int, Mapping[str, str]]]
-    ) -> "CodeAttributes":
-        """Build from (cip, atc, group, generic, extras) rows."""
+    def from_rows(cls, rows: Iterable[tuple[str, str, str, int]]) -> "CodeAttributes":
+        """Build from (cip, atc, group, generic) rows."""
         table: dict[str, DeliveryAttributes] = {}
-        extras: dict[str, Mapping[str, str]] = {}
-        for cip, atc, group, generic, extra in rows:
+        for cip, atc, group, generic in rows:
             code = _norm(cip)
             if generic not in (0, 1):
                 raise ValueError(f"generic flag must be 0 or 1, got {generic!r}")
             attrs = DeliveryAttributes(_norm(atc), group.strip(), int(generic))
-            row_extras = dict(extra)
-            if code in table:
-                if table[code] != attrs or extras[code] != row_extras:
-                    raise DuplicateCode(f"conflicting rows for delivery code {code}")
-                continue
-            table[code] = attrs
-            extras[code] = row_extras
-        return cls(table, extras)
+            if table.setdefault(code, attrs) != attrs:
+                raise DuplicateCode(f"conflicting rows for delivery code {code}")
+        return cls(table)
 
     def attributes(self, cip: str) -> DeliveryAttributes:
         try:
@@ -71,20 +63,8 @@ class CodeAttributes:
         except KeyError:
             raise UnknownCode(f"unknown delivery code {_norm(cip)}") from None
 
-    def extras(self, cip: str) -> Mapping[str, str]:
-        code = _norm(cip)
-        if code not in self._table:
-            raise UnknownCode(f"unknown delivery code {code}")
-        return dict(self._extras.get(code, {}))
-
-    def knows(self, cip: str) -> bool:
-        return _norm(cip) in self._table
-
     def therapeutic_classes(self) -> frozenset[str]:
         return frozenset(attrs.atc for attrs in self._table.values())
-
-    def codes(self) -> frozenset[str]:
-        return frozenset(self._table)
 
     def __len__(self) -> int:
         return len(self._table)

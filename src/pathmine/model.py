@@ -105,9 +105,6 @@ class Pattern:
     def __post_init__(self) -> None:
         object.__setattr__(self, "items", tuple(self.items))
 
-    def extended(self, item: Item) -> "Pattern":
-        return Pattern(self.items + (item,))
-
     def sort_key(self) -> tuple:
         """Canonical output order: by length, then lexicographic item order."""
         return (len(self.items), tuple(it.sort_key() for it in self.items))
@@ -194,20 +191,3 @@ def iter_embeddings(wanted: Sequence, haystack: Sequence) -> Iterator[Embedding]
             yield tuple(chosen) + (start,)
         else:
             chosen.append(start)
-
-
-def supports(pattern: Pattern, sequence: EventSequence) -> bool:
-    """True iff `sequence` contains at least one embedding of `pattern`.
-
-    Greedy leftmost scan; never materializes the embedding set.
-    """
-    events = sequence.events
-    total = len(events)
-    pos = 0
-    for target in pattern.items:
-        while pos < total and events[pos][1] != target:
-            pos += 1
-        if pos == total:
-            return False
-        pos += 1
-    return True

@@ -1,10 +1,12 @@
-"""Brute-force reference miner, for tests only.
+"""Reference definitions of the query's semantics, and a brute-force miner.
 
-Enumerates every candidate pattern up to a length bound as a plain
-cartesian product over the positive-sequence alphabet and evaluates
-each constraint directly from its definition. No projection, no
-pruning, no shared state with the engine's search: agreement between
-the two is evidence, not tautology.
+`supports`, `positive_support`, `discriminative_support` and
+`count_switches` state what each constraint means, directly from its
+definition. `oracle_mine` enumerates every candidate pattern up to a
+length bound as a plain cartesian product over the positive-sequence
+alphabet and keeps the candidates these definitions accept. No
+projection, no pruning, no shared state with the engine's search:
+agreement between the two is evidence, not tautology.
 
 Items seen only in negative sequences are not enumerated; their
 patterns have zero positive support and can never reach a threshold
@@ -17,11 +19,63 @@ import itertools
 
 from .builder import CaseDatabase
 from .errors import MissingNegativeWindow, TooLarge
-from .model import Pattern, PatternTuple, find_embeddings
+from .model import EventSequence, Pattern, PatternTuple, find_embeddings
 from .query import MiningTask
 
 #: Refuse instances whose candidate count exceeds this.
 CANDIDATE_LIMIT = 1_000_000
+
+
+def supports(pattern: Pattern, sequence: EventSequence) -> bool:
+    """True iff `sequence` contains at least one embedding of `pattern`.
+
+    Greedy leftmost scan; never materializes the embedding set.
+    """
+    events = sequence.events
+    total = len(events)
+    pos = 0
+    for target in pattern.items:
+        while pos < total and events[pos][1] != target:
+            pos += 1
+        if pos == total:
+            return False
+        pos += 1
+    return True
+
+
+def positive_support(pattern: Pattern, database: CaseDatabase) -> frozenset:
+    """Patients whose positive sequence contains the pattern."""
+    return frozenset(
+        pair.patient for pair in database if supports(pattern, pair.positive)
+    )
+
+
+def discriminative_support(pattern: Pattern, database: CaseDatabase) -> frozenset:
+    """Patients supporting the pattern positively but not negatively.
+
+    A patient with an empty negative sequence counts as soon as their
+    positive sequence matches: nothing can match inside an empty
+    sequence.
+    """
+    result = set()
+    for pair in database:
+        if pair.negative is None:
+            raise MissingNegativeWindow(
+                f"patient {pair.patient} has no negative window"
+            )
+        if supports(pattern, pair.positive) and not supports(pattern, pair.negative):
+            result.add(pair.patient)
+    return frozenset(result)
+
+
+def count_switches(pattern: Pattern, attribute_index: int) -> int:
+    """Adjacent position pairs whose attribute values differ."""
+    items = pattern.items
+    return sum(
+        1
+        for left, right in zip(items, items[1:])
+        if left.values[attribute_index] != right.values[attribute_index]
+    )
 
 
 def _candidate_count(alphabet_size: int, max_len: int) -> int:
@@ -60,12 +114,7 @@ def oracle_mine(
                 continue
             discr = None
             if task.discriminative:
-                discr = frozenset(
-                    pair.patient
-                    for pair in database
-                    if pair.patient in supported
-                    and not find_embeddings(pattern, pair.negative, limit=1)
-                )
+                discr = discriminative_support(pattern, database)
                 if len(discr) < task.min_support:
                     continue
             found.append(
@@ -88,8 +137,7 @@ def _satisfies(task: MiningTask, pattern: Pattern, supported: frozenset) -> bool
         if not any(item.values[constraint.attr_index] == constraint.value for item in pattern.items):
             return False
     for constraint in task.switch_constraints():
-        values = [item.values[constraint.attr_index] for item in pattern.items]
-        switches = sum(1 for a, b in zip(values, values[1:]) if a != b)
+        switches = count_switches(pattern, constraint.attr_index)
         if constraint.comparator == "==" and switches != constraint.value:
             return False
         if constraint.comparator == "<=" and switches > constraint.value:

@@ -17,14 +17,8 @@ comment) declaring what to mine:
 `parse_query` builds the AST, `print_query` renders it back (parse of
 the printed form is identical to the original parse), and
 `compile_query` resolves it against a knowledge base into an executable
-MiningTask whose constraints each carry exactly one evaluation class:
-
-* prunable-bound: violating it dooms every extension (min_support,
-  switch_count <=);
-* monotone: once satisfied, stays satisfied (contains_value,
-  switch_count >=);
-* output-filter: decides emission only, never search (discriminative,
-  switch_count ==, the latter pruning once the count overshoots).
+MiningTask. What each constraint means is defined in `oracle`; how the
+search uses it is described in `engine`.
 """
 
 from __future__ import annotations
@@ -49,10 +43,6 @@ QUERY_FILE_SUFFIX = ".pmq"
 
 #: Reifiable delivery attributes, in canonical order.
 ITEM_ATTRIBUTES = ("atc", "group", "generic")
-
-PRUNABLE_BOUND = "prunable-bound"
-MONOTONE = "monotone"
-OUTPUT_FILTER = "output-filter"
 
 
 # ---------------------------------------------------------------- AST
@@ -395,23 +385,18 @@ def print_query(ast: QueryAst) -> str:
 
 @dataclass(frozen=True)
 class CompiledConstraint:
-    """One constraint with its single evaluation class.
+    """One declared constraint.
 
     `attr_index` is the attribute's position in the task schema, filled
     for the attribute-driven kinds; thresholds and comparison values sit
-    in `value`.
+    in `value`. The support threshold is `MiningTask.min_support`.
     """
 
-    kind: str  # "min_support" | "discriminative" | "contains_value" | "switch_count"
-    evaluation: str
+    kind: str  # "discriminative" | "contains_value" | "switch_count"
     attribute: str | None = None
     attr_index: int | None = None
     comparator: str | None = None
     value: AttributeValue | None = None
-
-    def __post_init__(self) -> None:
-        if self.evaluation not in (PRUNABLE_BOUND, MONOTONE, OUTPUT_FILTER):
-            raise ValueError(f"unknown evaluation class {self.evaluation!r}")
 
 
 @dataclass(frozen=True)
@@ -472,7 +457,7 @@ def expand_class_filter(
 
 
 def compile_query(ast: QueryAst, kb: KnowledgeBase, exact_class_match: bool = False) -> MiningTask:
-    """Resolve an AST against the KB into a MiningTask with classified constraints."""
+    """Resolve an AST against the KB into a MiningTask."""
     schema = ast.event.projection
     for name in schema:
         if name not in ITEM_ATTRIBUTES:
@@ -485,36 +470,23 @@ def compile_query(ast: QueryAst, kb: KnowledgeBase, exact_class_match: bool = Fa
             raise UnknownAttribute(f"attribute {name!r} is not in the item schema")
         return schema.index(name)
 
-    compiled = [
-        CompiledConstraint(kind="min_support", evaluation=PRUNABLE_BOUND, value=ast.min_support)
-    ]
+    compiled = []
     for clause in ast.constraints:
         if isinstance(clause, Discriminative):
-            compiled.append(
-                CompiledConstraint(
-                    kind="discriminative", evaluation=OUTPUT_FILTER, value=ast.min_support
-                )
-            )
+            compiled.append(CompiledConstraint(kind="discriminative", value=ast.min_support))
         elif isinstance(clause, ContainsValue):
             compiled.append(
                 CompiledConstraint(
                     kind="contains_value",
-                    evaluation=MONOTONE,
                     attribute=clause.attribute,
                     attr_index=attr_index(clause.attribute),
                     value=_coerce_value(clause.attribute, clause.value),
                 )
             )
         else:
-            evaluation = {
-                "==": OUTPUT_FILTER,
-                "<=": PRUNABLE_BOUND,
-                ">=": MONOTONE,
-            }[clause.comparator]
             compiled.append(
                 CompiledConstraint(
                     kind="switch_count",
-                    evaluation=evaluation,
                     attribute=clause.attribute,
                     attr_index=attr_index(clause.attribute),
                     comparator=clause.comparator,

@@ -231,7 +231,7 @@ def raw_database(cohort: Cohort) -> RawDatabase:
 
 def knowledge_base(cohort: Cohort) -> KnowledgeBase:
     return KnowledgeBase(
-        CodeAttributes.from_rows(cohort.attribute_rows),
+        CodeAttributes.from_rows(row[:4] for row in cohort.attribute_rows),
         Taxonomy.from_edges(cohort.taxonomy_edges),
     )
 

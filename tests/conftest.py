@@ -6,13 +6,7 @@ import random
 
 from pathmine.builder import CaseDatabase, CasePair, IndexEventRule, WindowSpec
 from pathmine.model import NEGATIVE, POSITIVE, EventSequence, Item
-from pathmine.query import (
-    MONOTONE,
-    OUTPUT_FILTER,
-    PRUNABLE_BOUND,
-    CompiledConstraint,
-    MiningTask,
-)
+from pathmine.query import CompiledConstraint, MiningTask
 
 #: The study query exercised throughout the suite.
 STUDY_QUERY = """\
@@ -59,29 +53,22 @@ def make_task(
     contains: iterable of (attribute, value); switch: iterable of
     (attribute, comparator, value).
     """
-    constraints = [
-        CompiledConstraint(kind="min_support", evaluation=PRUNABLE_BOUND, value=f_min)
-    ]
+    constraints = []
     if discriminative:
-        constraints.append(
-            CompiledConstraint(kind="discriminative", evaluation=OUTPUT_FILTER, value=f_min)
-        )
+        constraints.append(CompiledConstraint(kind="discriminative", value=f_min))
     for attribute, value in contains:
         constraints.append(
             CompiledConstraint(
                 kind="contains_value",
-                evaluation=MONOTONE,
                 attribute=attribute,
                 attr_index=schema.index(attribute),
                 value=value,
             )
         )
     for attribute, comparator, value in switch:
-        evaluation = {"==": OUTPUT_FILTER, "<=": PRUNABLE_BOUND, ">=": MONOTONE}[comparator]
         constraints.append(
             CompiledConstraint(
                 kind="switch_count",
-                evaluation=evaluation,
                 attribute=attribute,
                 attr_index=schema.index(attribute),
                 comparator=comparator,

@@ -12,16 +12,10 @@ import pytest
 
 from pathmine.builder import CaseDatabase, CasePair, WindowSpec, build_case_pair, build_database
 from pathmine.cli import main
-from pathmine.engine import (
-    MiningOptions,
-    count_switches,
-    discriminative_support,
-    mine,
-    positive_support,
-)
+from pathmine.engine import MiningOptions, mine
 from pathmine.ingest import DeliveryFact
 from pathmine.model import NEGATIVE, POSITIVE, Item, Pattern
-from pathmine.oracle import oracle_mine
+from pathmine.oracle import count_switches, discriminative_support, oracle_mine, positive_support
 from pathmine.query import compile_query, parse_query
 from pathmine.synth import CohortConfig, PlantSpec, generate_cohort, knowledge_base, raw_database
 

@@ -25,9 +25,9 @@ TAX = Taxonomy.from_edges([("G403", "G40"), ("G410", "G41")])
 KB = KnowledgeBase(
     CodeAttributes.from_rows(
         [
-            ("GEN", "N03AG01", "438", 1, {}),
-            ("BRA", "N03AX14", "1023", 0, {}),
-            ("OTC", "N02BE01", "900", 0, {}),
+            ("GEN", "N03AG01", "438", 1),
+            ("BRA", "N03AX14", "1023", 0),
+            ("OTC", "N02BE01", "900", 0),
         ]
     ),
     TAX,
@@ -41,13 +41,13 @@ class TestWindowSpec:
     def test_bounds_strict_on_both_ends(self):
         positive, negative = WINDOWS
         index = 200
-        assert positive.contains(199, index) and positive.contains(111, index)
-        assert not positive.contains(200, index)
+        assert 199 in positive.days(index) and 111 in positive.days(index)
+        assert 200 not in positive.days(index)
         # Day index-90 falls in neither window.
-        assert not positive.contains(110, index)
-        assert not negative.contains(110, index)
-        assert negative.contains(109, index) and negative.contains(21, index)
-        assert not negative.contains(20, index)
+        assert 110 not in positive.days(index)
+        assert 110 not in negative.days(index)
+        assert 109 in negative.days(index) and 21 in negative.days(index)
+        assert 20 not in negative.days(index)
 
     def test_offsets_validated(self):
         with pytest.raises(ValueError):
@@ -234,10 +234,10 @@ class TestSharedItems:
     KB = KnowledgeBase(
         CodeAttributes.from_rows(
             [
-                ("GEN", "N03AG01", "438", 1, {}),
+                ("GEN", "N03AG01", "438", 1),
                 # Another product code reified as the same item as GEN.
-                ("GE2", "N03AG01", "438", 1, {}),
-                ("BRA", "N03AX14", "1023", 0, {}),
+                ("GE2", "N03AG01", "438", 1),
+                ("BRA", "N03AX14", "1023", 0),
             ]
         ),
         TAX,

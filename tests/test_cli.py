@@ -100,6 +100,27 @@ class TestMineCommand:
         assert "usage" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--max-nodes", "-5"),
+            ("--max-seconds", "-1"),
+            ("--max-seconds", "nan"),
+            ("--max-seconds", "inf"),
+            ("--max-len", "0"),
+        ],
+    )
+    def test_bad_option_value_exits_one_before_reading_data(
+        self, query_file, tmp_path, capsys, flag, value
+    ):
+        # The data files are missing, so reading any of them would exit 2.
+        out = tmp_path / "p.jsonl"
+        assert main(mine_args(tmp_path / "absent", query_file, out, [flag, value])) == 1
+        captured = capsys.readouterr()
+        assert flag[2:].replace("-", "_") in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_missing_required_flag_exits_one(self, capsys):
         assert main(["mine", "--query", "q.pmq"]) == 1
         assert "usage" in capsys.readouterr().err

@@ -10,19 +10,10 @@ import pathmine.engine
 import pathmine.model
 
 from pathmine.builder import CaseDatabase, CasePair
-from pathmine.engine import (
-    Decision,
-    MiningOptions,
-    _Prepared,
-    _decide,
-    count_switches,
-    discriminative_support,
-    mine,
-    positive_support,
-)
+from pathmine.engine import Decision, MiningOptions, _Prepared, _decide, mine
 from pathmine.errors import MissingNegativeWindow
 from pathmine.model import NEGATIVE, POSITIVE, Item, Pattern
-from pathmine.oracle import oracle_mine
+from pathmine.oracle import count_switches, discriminative_support, oracle_mine, positive_support
 
 from conftest import ALPHABET, make_seq, make_task, random_instance
 
@@ -154,7 +145,7 @@ class TestCountSwitches:
            st.sampled_from([GEN, BRA]))
     def test_non_decreasing_under_extension(self, items, extra):
         before = count_switches(Pattern(tuple(items)), 2)
-        after = count_switches(Pattern(tuple(items)).extended(extra), 2)
+        after = count_switches(Pattern(tuple(items) + (extra,)), 2)
         assert after >= before
         assert after <= before + 1
 
@@ -257,6 +248,20 @@ class TestBudgets:
     def test_no_budget_is_complete(self):
         result = mine(make_task(), self.big_db(), MiningOptions(max_len=3))
         assert result.complete
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_nodes", -1),
+            ("max_seconds", -0.001),
+            ("max_seconds", float("nan")),
+            ("max_seconds", float("inf")),
+            ("max_seconds", float("-inf")),
+        ],
+    )
+    def test_nonsense_budget_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MiningOptions(**{field: value})
 
 
 class TestDeterminism:

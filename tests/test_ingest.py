@@ -122,12 +122,22 @@ class TestLoadKb:
         kb = load_kb(self.kb_file(tmp_path, "C1,A,1,0\n"), self.tax_file(tmp_path))
         assert kb.taxonomy.ancestors("G403") == {"G403", "G40"}
 
-    def test_extra_columns_preserved_opaque(self, tmp_path):
+    def test_extra_columns_accepted_and_ignored(self, tmp_path):
         kb = load_kb(
             self.kb_file(tmp_path, "C1,A,1,0,50mg,box\n", extra_header=",strength,form"),
             self.tax_file(tmp_path),
         )
-        assert kb.attributes.extras("C1") == {"strength": "50mg", "form": "box"}
+        assert kb.attributes.attributes("C1") == ("A", "1", 0)
+
+    def test_rows_differing_only_in_extra_columns_are_one_code(self, tmp_path):
+        kb = load_kb(
+            self.kb_file(
+                tmp_path, "C1,A,1,0,50mg\nC1,A,1,0,100mg\n", extra_header=",strength"
+            ),
+            self.tax_file(tmp_path),
+        )
+        assert len(kb.attributes) == 1
+        assert kb.attributes.attributes("C1") == ("A", "1", 0)
 
     def test_conflicting_codes_raise(self, tmp_path):
         with pytest.raises(DuplicateCode):

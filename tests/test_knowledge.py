@@ -8,9 +8,9 @@ from pathmine.knowledge import CodeAttributes, DeliveryAttributes, KnowledgeBase
 from pathmine.model import Item
 
 ROWS = [
-    ("C1", "N03AG01", "438", 1, {}),
-    ("C2", "N03AX14", "1023", 0, {"strength": "50mg"}),
-    ("C3", "N02BE01", "900", 0, {}),
+    ("C1", "N03AG01", "438", 1),
+    ("C2", "N03AX14", "1023", 0),
+    ("C3", "N02BE01", "900", 0),
 ]
 
 
@@ -27,7 +27,7 @@ class TestCodeAttributes:
             table().attributes("C9")
 
     def test_case_insensitive_codes(self):
-        kb = CodeAttributes.from_rows([("c1", "n03ax09", "77", 1, {})])
+        kb = CodeAttributes.from_rows([("c1", "n03ax09", "77", 1)])
         assert kb.attributes("C1").atc == "N03AX09"
 
     def test_identical_duplicate_rows_tolerated(self):
@@ -36,15 +36,11 @@ class TestCodeAttributes:
 
     def test_conflicting_duplicate_raises(self):
         with pytest.raises(DuplicateCode):
-            CodeAttributes.from_rows(ROWS + [("C1", "N03AG01", "439", 1, {})])
+            CodeAttributes.from_rows(ROWS + [("C1", "N03AG01", "439", 1)])
 
     def test_bad_generic_flag_rejected(self):
         with pytest.raises(ValueError):
-            CodeAttributes.from_rows([("C1", "A", "1", 2, {})])
-
-    def test_extras_are_opaque_strings(self):
-        assert table().extras("C2") == {"strength": "50mg"}
-        assert table().extras("C1") == {}
+            CodeAttributes.from_rows([("C1", "A", "1", 2)])
 
     def test_therapeutic_classes(self):
         assert table().therapeutic_classes() == {"N03AG01", "N03AX14", "N02BE01"}

@@ -11,8 +11,8 @@ from pathmine.model import (
     Pattern,
     PatternTuple,
     find_embeddings,
-    supports,
 )
+from pathmine.oracle import supports
 
 from conftest import make_seq
 
@@ -63,9 +63,6 @@ class TestEventSequence:
 
 
 class TestPattern:
-    def test_extended_appends(self):
-        assert Pattern((A,)).extended(B) == Pattern((A, B))
-
     def test_sort_key_orders_by_length_first(self):
         assert Pattern((B,)).sort_key() < Pattern((A, A)).sort_key()
 

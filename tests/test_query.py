@@ -1,4 +1,4 @@
-"""Query language: grammar, round trip, compilation, classification."""
+"""Query language: grammar, round trip, compilation."""
 
 import pytest
 
@@ -12,9 +12,6 @@ from pathmine.errors import (
 )
 from pathmine.knowledge import CodeAttributes, KnowledgeBase, Taxonomy
 from pathmine.query import (
-    MONOTONE,
-    OUTPUT_FILTER,
-    PRUNABLE_BOUND,
     ContainsValue,
     Discriminative,
     SwitchCount,
@@ -28,12 +25,12 @@ from conftest import STUDY_QUERY
 KB = KnowledgeBase(
     CodeAttributes.from_rows(
         [
-            ("C1", "N03AG01", "438", 1, {}),
-            ("C2", "N03AX14", "1023", 0, {}),
-            ("C3", "N03AX09", "500", 1, {}),
-            ("C4", "N03AX11", "501", 0, {}),
-            ("C5", "N03AF01", "502", 1, {}),
-            ("C6", "N02BE01", "900", 0, {}),
+            ("C1", "N03AG01", "438", 1),
+            ("C2", "N03AX14", "1023", 0),
+            ("C3", "N03AX09", "500", 1),
+            ("C4", "N03AX11", "501", 0),
+            ("C5", "N03AF01", "502", 1),
+            ("C6", "N02BE01", "900", 0),
         ]
     ),
     Taxonomy.from_edges(
@@ -169,26 +166,19 @@ class TestCompile:
 
     def test_constraint_classification(self):
         task = compile_query(parse_query(STUDY_QUERY), KB)
-        by_kind = {c.kind: c.evaluation for c in task.constraints}
-        assert by_kind == {
-            "min_support": PRUNABLE_BOUND,
-            "discriminative": OUTPUT_FILTER,
-            "contains_value": MONOTONE,
-            "switch_count": OUTPUT_FILTER,
-        }
-        # Exactly one evaluation class per constraint, by construction.
-        assert len(task.constraints) == 5  # min_support + 4 declared
+        # One compiled constraint per declared one; the threshold is min_support.
+        assert [c.kind for c in task.constraints] == [
+            "discriminative",
+            "contains_value",
+            "contains_value",
+            "switch_count",
+        ]
 
     def test_switch_comparator_classes(self):
-        for comparator, evaluation in (
-            ("==", OUTPUT_FILTER),
-            ("<=", PRUNABLE_BOUND),
-            (">=", MONOTONE),
-        ):
+        for comparator in ("==", "<=", ">="):
             text = MINIMAL + f"constraint switch_count(generic) {comparator} 1;\n"
             task = compile_query(parse_query(text), KB)
             (switch,) = task.switch_constraints()
-            assert switch.evaluation == evaluation
             assert switch.comparator == comparator
 
     def test_taxonomy_descent_expands_filter(self):

@@ -3,10 +3,11 @@
 import pytest
 
 from pathmine.builder import build_database
-from pathmine.engine import mine, positive_support, discriminative_support
+from pathmine.engine import mine
 from pathmine.errors import InvalidPlantSpec
 from pathmine.knowledge import DeliveryAttributes
 from pathmine.model import Item, Pattern
+from pathmine.oracle import discriminative_support, positive_support
 from pathmine.query import compile_query, parse_query
 from pathmine.synth import (
     CohortConfig,
