@@ -17,13 +17,14 @@ sorting and interning them downstream costs no per-event key.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
+from itertools import compress, repeat
+from operator import is_not
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from .errors import UnknownCode
-from .ingest import DeliveryFact, DiseaseFact, RawDatabase
+from .ingest import DeliveryColumns, DiseaseFact, RawDatabase
 from .knowledge import KnowledgeBase, Taxonomy
 from .model import NEGATIVE, POSITIVE, EventSequence, Item
 
@@ -131,44 +132,63 @@ def find_index_event(
 
     Order-insensitive: only the minimum day matters, ties collapse.
     """
+    return _index_day(((fact.day, fact.icd) for fact in diseases), rule, taxonomy)
+
+
+def _index_day(
+    diagnoses: Iterable[tuple[int, str]], rule: IndexEventRule, taxonomy: Taxonomy
+) -> int | None:
+    """`find_index_event` over (day, code) pairs."""
     best: int | None = None
-    for fact in diseases:
-        if best is not None and fact.day >= best:
+    for day, icd in diagnoses:
+        if best is not None and day >= best:
             continue
-        if taxonomy.ancestors(fact.icd) & rule.diagnosis_ancestors:
-            best = fact.day
+        if taxonomy.ancestors(icd) & rule.diagnosis_ancestors:
+            best = day
     return best
+
+
+_NO_DELIVERIES = DeliveryColumns((), (), ())
 
 
 def build_case_pair(
     patient: str,
-    deliveries: Iterable[DeliveryFact],
+    deliveries: DeliveryColumns,
     index_day: int,
     event_mapping: EventMapping,
     windows: tuple[WindowSpec, WindowSpec | None],
 ) -> CasePair:
     """Reify one patient's in-window deliveries into their case pair.
 
-    The event mapping encapsulates the class filter, attribute
-    projection, and the unknown-code policy. Windows are disjoint by
-    construction, so no delivery can land in both sequences.
+    `deliveries` holds the patient's delivery columns sorted by day, as
+    `RawDatabase.delivery_groups` does. The event mapping encapsulates
+    the class filter, attribute projection, and the unknown-code policy.
+
+    Each window's deliveries are one slice of the columns, found by
+    bisection on the days. A day inside both windows counts as positive,
+    so no delivery lands in both sequences. The slices are mapped in day
+    order, so under the abort policy the unknown code raised is the
+    earliest one inside a window.
     """
     positive_window, negative_window = windows
     pos_days = positive_window.days(index_day)
-    neg_days = range(0) if negative_window is None else negative_window.days(index_day)
     pos_events: list[tuple[int, Item]] = []
     neg_events: list[tuple[int, Item]] = []
-    for fact in deliveries:
-        day = fact.day
-        if day in pos_days:
-            events = pos_events
-        elif day in neg_days:
-            events = neg_events
-        else:
-            continue
-        item = event_mapping(fact.cip)
-        if item is not None:
-            events.append((day, item))
+    spans = [(pos_days, pos_events)]
+    if negative_window is not None:
+        neg_days = negative_window.days(index_day)
+        # The control window minus the positive one: the days before it
+        # and the days after it, either possibly empty.
+        spans.append((range(neg_days.start, min(neg_days.stop, pos_days.start)), neg_events))
+        spans.append((range(max(neg_days.start, pos_days.stop), neg_days.stop), neg_events))
+        spans.sort(key=lambda span: span[0].start)
+    days, codes = deliveries.days, deliveries.codes
+    for span, events in spans:
+        lo = bisect_left(days, span.start)
+        hi = bisect_left(days, span.stop, lo)
+        if lo < hi:
+            items = list(map(event_mapping, codes[lo:hi]))
+            events += compress(zip(days[lo:hi], items), map(is_not, items, repeat(None)))
     positive = EventSequence((patient, POSITIVE), tuple(pos_events))
     negative = None
     if negative_window is not None:
@@ -196,26 +216,38 @@ def make_event_mapping(
     """
     if unknown_code not in ("abort", "skip"):
         raise ValueError(f"unknown_code must be abort or skip, got {unknown_code!r}")
-    by_code: dict[str, Item | None] = {}
     by_values: dict[tuple, Item] = {}
 
-    def mapping(cip: str) -> Item | None:
-        if cip in by_code:
-            return by_code[cip]
-        item = None
+    def lookup(cip: str) -> Item | None:
         try:
             attrs = kb.attributes.attributes(cip)
         except UnknownCode:
             if unknown_code == "abort":
                 raise
-        else:
-            if class_filter is None or attrs.atc in class_filter:
-                values = tuple(getattr(attrs, name) for name in schema)
-                item = by_values.setdefault(values, Item(values))
-        by_code[cip] = item
-        return item
+            return None
+        if class_filter is not None and attrs.atc not in class_filter:
+            return None
+        values = tuple(getattr(attrs, name) for name in schema)
+        return by_values.setdefault(values, Item(values))
 
-    return mapping
+    return _CodeTable(lookup).__getitem__
+
+
+class _CodeTable(dict):
+    """Delivery code to item or None, each code looked up on first use.
+
+    A lookup that raises stores nothing. Its `__getitem__` is the event
+    mapping, so a code seen before costs one dict lookup and no Python
+    call.
+    """
+
+    def __init__(self, lookup: EventMapping) -> None:
+        super().__init__()
+        self._lookup = lookup
+
+    def __missing__(self, cip: str) -> Item | None:
+        item = self[cip] = self._lookup(cip)
+        return item
 
 
 def build_database(
@@ -230,25 +262,19 @@ def build_database(
     whose windows contain no matching deliveries keep their (empty)
     pair.
     """
-    diseases_by_patient: dict[str, list[DiseaseFact]] = {}
-    for fact in raw.diseases:
-        diseases_by_patient.setdefault(fact.patient, []).append(fact)
-    # RawDatabase keeps deliveries sorted by patient, so each patient's
-    # facts are one run.
-    deliveries_by_patient = {
-        patient: tuple(facts) for patient, facts in groupby(raw.deliveries, itemgetter(0))
-    }
-
     mapping = make_event_mapping(kb, task.class_filter, task.schema, unknown_code)
     windows = (task.positive_window, task.negative_window)
+    deliveries = raw.delivery_groups
     pairs = []
-    for patient in sorted(diseases_by_patient):
-        index_day = find_index_event(diseases_by_patient[patient], task.index_rule, kb.taxonomy)
+    for patient, diagnoses in raw.disease_groups.items():
+        index_day = _index_day(
+            zip(diagnoses.days, diagnoses.codes), task.index_rule, kb.taxonomy
+        )
         if index_day is None:
             continue
         pairs.append(
             build_case_pair(
-                patient, deliveries_by_patient.get(patient, ()), index_day, mapping, windows
+                patient, deliveries.get(patient, _NO_DELIVERIES), index_day, mapping, windows
             )
         )
     return CaseDatabase(tuple(pairs))

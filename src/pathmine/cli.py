@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass
 from .builder import build_database
 from .engine import MiningOptions, MiningResult, mine
 from .errors import InvalidPlantSpec, PathmineError, QueryError
-from .ingest import load_deliveries, load_diseases, load_kb, RawDatabase
+from .ingest import load_kb, load_raw
 from .model import PatternTuple
 from .query import compile_query, parse_query
 from .synth import CohortConfig, PlantSpec, generate_cohort, write_cohort
@@ -191,7 +191,7 @@ def _mine(args: argparse.Namespace) -> int:
 
     kb = load_kb(args.kb, args.taxonomy)
     task = compile_query(ast, kb, exact_class_match=args.class_filter_exact)
-    raw = RawDatabase(load_deliveries(args.deliveries), load_diseases(args.diseases))
+    raw = load_raw(args.deliveries, args.diseases)
     patients_total = len(raw.patients())
     ends["load"] = time.monotonic()
     database = build_database(raw, task, kb, unknown_code=args.unknown_code)
@@ -206,8 +206,8 @@ def _mine(args: argparse.Namespace) -> int:
     report = RunReport(
         patients_total=patients_total,
         patients_with_index=len(database),
-        deliveries_loaded=len(raw.deliveries),
-        diseases_loaded=len(raw.diseases),
+        deliveries_loaded=raw.delivery_count,
+        diseases_loaded=raw.disease_count,
         pattern_count=len(result.patterns),
         complete=result.complete,
         nodes_expanded=result.nodes_expanded,

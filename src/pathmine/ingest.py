@@ -10,17 +10,37 @@ All four inputs are UTF-8 CSV with a header row:
 
 Days are integer day numbers counted from the first event date, so no
 calendar handling happens here. Duplicate identical event rows are kept
-as distinct facts; loaders never deduplicate.
+as distinct facts; loaders never deduplicate. Fact rows may come in any
+order: `RawDatabase` sorts them once.
+
+The two fact files are read in bulk: chunks of rows are transposed into
+columns and checked with whole-column calls (`map(int, ...)`, `min`,
+`all`). The row validators (`_checked_deliveries`, `_checked_diseases`)
+stay the one definition of a valid row: when any bulk check fails, the
+file is read again by the row validator, which raises the error of the
+first bad row with its line. Undecodable bytes and malformed CSV (such
+as an oversize field) are a `ParseError` for the file on either path.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from contextlib import contextmanager
+from itertools import chain, groupby, islice, repeat, starmap
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import NegativeDay, ParseError
 from .knowledge import CodeAttributes, KnowledgeBase, Taxonomy
+
+#: Data rows per bulk chunk; bounds the transient row and cell lists.
+_CHUNK_ROWS = 1 << 14
+
+_DELIVERY_HEADER = ("patient", "day", "cip", "qty")
+_DISEASE_HEADER = ("patient", "day", "icd")
+
+#: The bulk reader's integer columns and the least value each admits.
+_INT_FLOORS = {"day": 0, "qty": 1}
 
 
 class DeliveryFact(NamedTuple):
@@ -36,65 +56,209 @@ class DiseaseFact(NamedTuple):
     icd: str
 
 
-@dataclass(frozen=True)
-class RawDatabase:
-    """Immutable fact lists, sorted by (patient, day), duplicates kept.
+class DeliveryColumns(NamedTuple):
+    """One patient's deliveries as columns, sorted by day."""
 
-    The loaders keep file order; the facts are sorted here, once. The
-    sort is stable, so facts of one patient on one day keep their order.
+    days: tuple[int, ...]
+    codes: tuple[str, ...]
+    qtys: tuple[int, ...]
+
+
+class DiseaseColumns(NamedTuple):
+    """One patient's diagnoses as columns, sorted by day."""
+
+    days: tuple[int, ...]
+    codes: tuple[str, ...]
+
+
+def _grouped(rows: list[tuple], columns: type) -> dict[str, tuple]:
+    """Rows sorted by patient, as one `columns` tuple per patient."""
+    return {
+        patient: columns._make(islice(zip(*run), 1, None))
+        for patient, run in groupby(rows, itemgetter(0))
+    }
+
+
+def _flattened(groups: dict[str, tuple], fact: type) -> tuple:
+    """Per-patient columns back into one `fact` per row, in group order."""
+    return tuple(
+        chain.from_iterable(
+            map(fact, repeat(patient), *columns) for patient, columns in groups.items()
+        )
+    )
+
+
+class RawDatabase:
+    """Fact rows grouped by patient, each patient's sorted by day.
+
+    `deliveries` takes (patient, day, cip, qty) rows and `diseases`
+    (patient, day, icd) rows, such as `DeliveryFact`s and `DiseaseFact`s,
+    in any order. They are sorted once, stably, by (patient, day), so
+    rows of one patient on one day keep their input order; duplicates
+    are kept.
+
+    `delivery_groups` and `disease_groups` map each patient, in
+    ascending id order, to its day-sorted columns; treat them as
+    read-only. The `deliveries` and `diseases` properties give the same
+    facts as flat (patient, day)-sorted tuples, built on first access.
     """
 
-    deliveries: tuple[DeliveryFact, ...] = ()
-    diseases: tuple[DiseaseFact, ...] = ()
+    __slots__ = (
+        "delivery_groups",
+        "disease_groups",
+        "delivery_count",
+        "disease_count",
+        "_deliveries",
+        "_diseases",
+    )
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "deliveries", tuple(sorted(self.deliveries, key=lambda f: (f.patient, f.day)))
+    def __init__(
+        self, deliveries: Iterable[tuple] = (), diseases: Iterable[tuple] = ()
+    ) -> None:
+        by_patient_day = itemgetter(0, 1)
+        delivery_rows = sorted(deliveries, key=by_patient_day)
+        disease_rows = sorted(diseases, key=by_patient_day)
+        self.delivery_count = len(delivery_rows)
+        self.disease_count = len(disease_rows)
+        self.delivery_groups: dict[str, DeliveryColumns] = _grouped(
+            delivery_rows, DeliveryColumns
         )
-        object.__setattr__(
-            self, "diseases", tuple(sorted(self.diseases, key=lambda f: (f.patient, f.day)))
-        )
-        for fact in self.deliveries:
-            if fact.day < 0:
-                raise NegativeDay(f"delivery on negative day {fact.day}")
-            if fact.qty < 1:
-                raise ValueError(f"delivery quantity must be >= 1, got {fact.qty}")
-        for fact in self.diseases:
-            if fact.day < 0:
-                raise NegativeDay(f"diagnosis on negative day {fact.day}")
+        self.disease_groups: dict[str, DiseaseColumns] = _grouped(disease_rows, DiseaseColumns)
+        _check_groups(self.delivery_groups, self.disease_groups)
+        self._deliveries: tuple[DeliveryFact, ...] | None = None
+        self._diseases: tuple[DiseaseFact, ...] | None = None
+
+    @property
+    def deliveries(self) -> tuple[DeliveryFact, ...]:
+        if self._deliveries is None:
+            self._deliveries = _flattened(self.delivery_groups, DeliveryFact)
+        return self._deliveries
+
+    @property
+    def diseases(self) -> tuple[DiseaseFact, ...]:
+        if self._diseases is None:
+            self._diseases = _flattened(self.disease_groups, DiseaseFact)
+        return self._diseases
 
     def patients(self) -> frozenset[str]:
-        return frozenset(f.patient for f in self.deliveries) | frozenset(
-            f.patient for f in self.diseases
-        )
+        return frozenset(self.delivery_groups).union(self.disease_groups)
+
+
+def _check_groups(
+    deliveries: dict[str, DeliveryColumns], diseases: dict[str, DiseaseColumns]
+) -> None:
+    """Reject negative days and quantities below 1, first sorted fact first.
+
+    Each group's days are sorted, so its first day is its least.
+    """
+    if deliveries and (
+        min(group.days[0] for group in deliveries.values()) < 0
+        or min(min(group.qtys) for group in deliveries.values()) < 1
+    ):
+        for group in deliveries.values():
+            for day, qty in zip(group.days, group.qtys):
+                if day < 0:
+                    raise NegativeDay(f"delivery on negative day {day}")
+                if qty < 1:
+                    raise ValueError(f"delivery quantity must be >= 1, got {qty}")
+    for group in diseases.values():
+        if group.days[0] < 0:
+            raise NegativeDay(f"diagnosis on negative day {group.days[0]}")
+
+
+def _undecodable(path: str) -> ParseError:
+    """The error for the first line of `path` that is not UTF-8."""
+    with open(path, "rb") as handle:
+        # No UTF-8 sequence contains a newline byte, so lines decode alone.
+        for line, data in enumerate(handle, 1):
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return ParseError(
+                    f"not UTF-8: byte 0x{data[exc.start]:02x} at column {exc.start + 1} "
+                    f"({exc.reason})",
+                    path=path,
+                    line=line,
+                )
+    return ParseError("not UTF-8", path=path)
+
+
+@contextmanager
+def _csv_reader(path: str, expected: Sequence[str], exact: bool):
+    """A csv reader past the validated header row, and the header's width.
+
+    With exact=False the header may carry extra columns beyond
+    `expected`. Undecodable bytes and csv errors, raised here or in the
+    `with` body, become a ParseError for `path`.
+    """
+    reader = None
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ParseError("missing header row", path=path, line=1) from None
+            names = [cell.strip() for cell in header]
+            want = list(expected)
+            head = names if exact else names[: len(want)]
+            if head != want:
+                raise ParseError(
+                    f"expected header {','.join(want)}, got {','.join(names)}", path=path, line=1
+                )
+            yield reader, len(names)
+    except UnicodeDecodeError:
+        raise _undecodable(path) from None
+    except csv.Error as exc:
+        line = reader.line_num if reader is not None else None
+        raise ParseError(f"malformed CSV: {exc}", path=path, line=line) from None
 
 
 def _rows(path: str, expected: Sequence[str], exact: bool) -> Iterator[tuple[int, list[str]]]:
     """Yield (line, cells) per data row after validating the header.
 
-    With exact=False the header may carry extra columns beyond
-    `expected`; each row is still checked against the header width.
+    Each row is checked against the header width.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("missing header row", path=path, line=1) from None
-        names = [cell.strip() for cell in header]
-        want = list(expected)
-        head = names if exact else names[: len(want)]
-        if head != want:
-            raise ParseError(
-                f"expected header {','.join(want)}, got {','.join(names)}", path=path, line=1
-            )
-        width = len(names)
+    with _csv_reader(path, expected, exact) as (reader, width):
         for cells in reader:
             if len(cells) != width:
                 raise ParseError(
                     f"expected {width} columns, got {len(cells)}", path=path, line=reader.line_num
                 )
             yield reader.line_num, [cell.strip() for cell in cells]
+
+
+def _bulk_columns(path: str, header: tuple[str, ...]) -> list[list] | None:
+    """A fact file's columns in file order, or None if a row needs the row validator.
+
+    Integer columns (`_INT_FLOORS`) must parse and reach their floor.
+    Every other column is stripped and must not be empty; columns after
+    the patient's are codes and upper-cased. Text values are interned,
+    so each distinct patient id or code is one string object.
+    """
+    columns: list[list] = [[] for _ in header]
+    pool: dict[str, str] = {}
+    with _csv_reader(path, header, True) as (reader, width):
+        while chunk := list(islice(reader, _CHUNK_ROWS)):
+            if not all(map(width.__eq__, map(len, chunk))):
+                return None
+            for name, column, cells in zip(header, columns, zip(*chunk)):
+                if name in _INT_FLOORS:
+                    try:
+                        values = list(map(int, cells))
+                    except ValueError:
+                        return None
+                    if min(values) < _INT_FLOORS[name]:
+                        return None
+                    column += values
+                else:
+                    values = list(map(str.strip, cells))
+                    if name != "patient":
+                        values = list(map(str.upper, values))
+                    if not all(values):
+                        return None
+                    column += map(pool.setdefault, values, values)
+    return columns
 
 
 def _parse_int(text: str, what: str, path: str, line: int) -> int:
@@ -117,10 +281,10 @@ def _require(text: str, what: str, path: str, line: int) -> str:
     return text
 
 
-def load_deliveries(path: str) -> tuple[DeliveryFact, ...]:
-    """Parse deliveries.csv; one fact per data row, in file order."""
+def _checked_deliveries(path: str) -> list[DeliveryFact]:
+    """The row validator for deliveries.csv: one fact per data row, in file order."""
     facts = []
-    for line, (patient, day, cip, qty) in _rows(path, ("patient", "day", "cip", "qty"), True):
+    for line, (patient, day, cip, qty) in _rows(path, _DELIVERY_HEADER, True):
         quantity = _parse_int(qty, "qty", path, line)
         if quantity < 1:
             raise ParseError(f"qty must be >= 1, got {quantity}", path=path, line=line)
@@ -132,13 +296,13 @@ def load_deliveries(path: str) -> tuple[DeliveryFact, ...]:
                 quantity,
             )
         )
-    return tuple(facts)
+    return facts
 
 
-def load_diseases(path: str) -> tuple[DiseaseFact, ...]:
-    """Parse diseases.csv; one fact per data row, in file order."""
+def _checked_diseases(path: str) -> list[DiseaseFact]:
+    """The row validator for diseases.csv: one fact per data row, in file order."""
     facts = []
-    for line, (patient, day, icd) in _rows(path, ("patient", "day", "icd"), True):
+    for line, (patient, day, icd) in _rows(path, _DISEASE_HEADER, True):
         facts.append(
             DiseaseFact(
                 _require(patient, "patient", path, line),
@@ -146,7 +310,34 @@ def load_diseases(path: str) -> tuple[DiseaseFact, ...]:
                 _require(icd, "icd", path, line).upper(),
             )
         )
-    return tuple(facts)
+    return facts
+
+
+def _delivery_rows(path: str) -> Iterable[tuple]:
+    """(patient, day, cip, qty) per data row of deliveries.csv, in file order."""
+    columns = _bulk_columns(path, _DELIVERY_HEADER)
+    return _checked_deliveries(path) if columns is None else zip(*columns)
+
+
+def _disease_rows(path: str) -> Iterable[tuple]:
+    """(patient, day, icd) per data row of diseases.csv, in file order."""
+    columns = _bulk_columns(path, _DISEASE_HEADER)
+    return _checked_diseases(path) if columns is None else zip(*columns)
+
+
+def load_deliveries(path: str) -> tuple[DeliveryFact, ...]:
+    """Parse deliveries.csv; one fact per data row, in file order."""
+    return tuple(starmap(DeliveryFact, _delivery_rows(path)))
+
+
+def load_diseases(path: str) -> tuple[DiseaseFact, ...]:
+    """Parse diseases.csv; one fact per data row, in file order."""
+    return tuple(starmap(DiseaseFact, _disease_rows(path)))
+
+
+def load_raw(deliveries_path: str, diseases_path: str) -> RawDatabase:
+    """Both fact files, grouped by patient; builds no per-row fact object."""
+    return RawDatabase(_delivery_rows(deliveries_path), _disease_rows(diseases_path))
 
 
 def load_kb(attributes_path: str, taxonomy_path: str) -> KnowledgeBase:

@@ -388,8 +388,9 @@ class CompiledConstraint:
     """One declared constraint.
 
     `attr_index` is the attribute's position in the task schema, filled
-    for the attribute-driven kinds; thresholds and comparison values sit
-    in `value`. The support threshold is `MiningTask.min_support`.
+    for the attribute-driven kinds; their comparison values sit in
+    `value`. The discriminative constraint carries no value: its
+    threshold, like the support threshold, is `MiningTask.min_support`.
     """
 
     kind: str  # "discriminative" | "contains_value" | "switch_count"
@@ -473,7 +474,7 @@ def compile_query(ast: QueryAst, kb: KnowledgeBase, exact_class_match: bool = Fa
     compiled = []
     for clause in ast.constraints:
         if isinstance(clause, Discriminative):
-            compiled.append(CompiledConstraint(kind="discriminative", value=ast.min_support))
+            compiled.append(CompiledConstraint(kind="discriminative"))
         elif isinstance(clause, ContainsValue):
             compiled.append(
                 CompiledConstraint(

@@ -55,7 +55,7 @@ def make_task(
     """
     constraints = []
     if discriminative:
-        constraints.append(CompiledConstraint(kind="discriminative", value=f_min))
+        constraints.append(CompiledConstraint(kind="discriminative"))
     for attribute, value in contains:
         constraints.append(
             CompiledConstraint(

@@ -13,7 +13,7 @@ import pytest
 from pathmine.builder import CaseDatabase, CasePair, WindowSpec, build_case_pair, build_database
 from pathmine.cli import main
 from pathmine.engine import MiningOptions, mine
-from pathmine.ingest import DeliveryFact
+from pathmine.ingest import DeliveryFact, RawDatabase
 from pathmine.model import NEGATIVE, POSITIVE, Item, Pattern
 from pathmine.oracle import count_switches, discriminative_support, oracle_mine, positive_support
 from pathmine.query import compile_query, parse_query
@@ -204,7 +204,8 @@ def test_criterion_semantics_spot_checks(verdict):
 
     windows = (WindowSpec(POSITIVE, -90, 0), WindowSpec(NEGATIVE, -180, -90))
     deliveries = [DeliveryFact("p1", day, "C", 1) for day in (20, 109, 110, 111, 200)]
-    pair = build_case_pair("p1", deliveries, 200, lambda cip: a, windows)
+    grouped = RawDatabase(deliveries).delivery_groups["p1"]
+    pair = build_case_pair("p1", grouped, 200, lambda cip: a, windows)
     boundary_ok = (
         tuple(day for day, _ in pair.positive) == (111,)
         and tuple(day for day, _ in pair.negative) == (109,)

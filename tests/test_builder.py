@@ -33,6 +33,12 @@ KB = KnowledgeBase(
     TAX,
 )
 
+
+def grouped(*facts):
+    """One patient's delivery facts as the day-sorted columns build_case_pair takes."""
+    return RawDatabase(facts).delivery_groups[facts[0].patient]
+
+
 MAPPING = make_event_mapping(KB, frozenset({"N03AG01", "N03AX14"}), ("atc", "group", "generic"))
 WINDOWS = (WindowSpec(POSITIVE, -90, 0), WindowSpec(NEGATIVE, -180, -90))
 
@@ -91,28 +97,28 @@ class TestBuildCasePair:
     def test_boundary_day_in_neither_window(self):
         index = 200
         pair = build_case_pair(
-            "p", [DeliveryFact("p", 110, "GEN", 1)], index, MAPPING, WINDOWS
+            "p", grouped(DeliveryFact("p", 110, "GEN", 1)), index, MAPPING, WINDOWS
         )
         assert len(pair.positive) == 0
         assert len(pair.negative) == 0
 
     def test_generic_delivery_lands_positive(self):
         pair = build_case_pair(
-            "p", [DeliveryFact("p", 199, "GEN", 1)], 200, MAPPING, WINDOWS
+            "p", grouped(DeliveryFact("p", 199, "GEN", 1)), 200, MAPPING, WINDOWS
         )
         assert pair.positive.items() == (Item(("N03AG01", "438", 1)),)
         assert len(pair.negative) == 0
 
     def test_control_window_delivery_lands_negative(self):
         pair = build_case_pair(
-            "p", [DeliveryFact("p", 60, "BRA", 1)], 200, MAPPING, WINDOWS
+            "p", grouped(DeliveryFact("p", 60, "BRA", 1)), 200, MAPPING, WINDOWS
         )
         assert pair.negative.items() == (Item(("N03AX14", "1023", 0)),)
 
     def test_unfiltered_class_absent_from_both(self):
         pair = build_case_pair(
             "p",
-            [DeliveryFact("p", 190, "OTC", 1), DeliveryFact("p", 60, "OTC", 1)],
+            grouped(DeliveryFact("p", 190, "OTC", 1), DeliveryFact("p", 60, "OTC", 1)),
             200,
             MAPPING,
             WINDOWS,
@@ -121,18 +127,35 @@ class TestBuildCasePair:
 
     def test_no_negative_window_gives_none(self):
         pair = build_case_pair(
-            "p", [DeliveryFact("p", 199, "GEN", 1)], 200, MAPPING, (WINDOWS[0], None)
+            "p", grouped(DeliveryFact("p", 199, "GEN", 1)), 200, MAPPING, (WINDOWS[0], None)
         )
         assert pair.negative is None
 
     def test_windows_partition_deliveries(self):
         facts = [DeliveryFact("p", day, "GEN", 1) for day in range(10, 200, 7)]
-        pair = build_case_pair("p", facts, 200, MAPPING, WINDOWS)
+        pair = build_case_pair("p", grouped(*facts), 200, MAPPING, WINDOWS)
         pos_days = {day for day, _ in pair.positive}
         neg_days = {day for day, _ in pair.negative}
         assert not pos_days & neg_days
         assert all(110 < day < 200 for day in pos_days)
         assert all(20 < day < 110 for day in neg_days)
+
+    @pytest.mark.parametrize(
+        "positive, negative, positive_days, negative_days",
+        [
+            # Days 111-199 and 81-169: positive wins the shared 111-169.
+            (WindowSpec(POSITIVE, -90, 0), WindowSpec(NEGATIVE, -120, -30), [150, 190], [100]),
+            # The control window's days 21-199 hold the whole positive window.
+            (WindowSpec(POSITIVE, -90, -30), WindowSpec(NEGATIVE, -180, 0), [150], [50, 75, 100, 190]),
+        ],
+    )
+    def test_overlapping_windows_give_shared_days_to_positive(
+        self, positive, negative, positive_days, negative_days
+    ):
+        facts = [DeliveryFact("p", day, "GEN", 1) for day in (50, 75, 100, 150, 190)]
+        pair = build_case_pair("p", grouped(*facts), 200, MAPPING, (positive, negative))
+        assert [day for day, _ in pair.positive] == positive_days
+        assert [day for day, _ in pair.negative] == negative_days
 
 
 class TestUnknownCodePolicy:
@@ -158,10 +181,22 @@ class TestUnknownCodePolicy:
         )
         assert len(build_database(raw, task, KB).pairs[0].positive) == 1
         mapping = make_event_mapping(KB, None, SCHEMA, unknown_code="abort")
-        facts = [DeliveryFact("p1", 150, "NOPE", 1)]
+        deliveries = grouped(DeliveryFact("p1", 150, "NOPE", 1))
         for _ in range(2):
             with pytest.raises(UnknownCode):
-                build_case_pair("p1", facts, 200, mapping, WINDOWS)
+                build_case_pair("p1", deliveries, 200, mapping, WINDOWS)
+
+
+    def test_abort_raises_the_earliest_unknown_code_in_a_window(self):
+        task = make_task(discriminative=True, class_filter=None)
+        # The positive window's code comes first in the input, the control
+        # window's first in day order; deliveries are mapped in day order.
+        raw = RawDatabase(
+            deliveries=(DeliveryFact("p1", 150, "LATER", 1), DeliveryFact("p1", 60, "EARLIER", 1)),
+            diseases=(DiseaseFact("p1", 200, "G403"),),
+        )
+        with pytest.raises(UnknownCode, match="EARLIER"):
+            build_database(raw, task, KB)
 
 
 class TestBuildDatabase:

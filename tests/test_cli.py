@@ -2,9 +2,13 @@
 
 import gc
 import json
+import random
+import shutil
+from collections import Counter
 
 import pytest
 
+from pathmine import ingest
 from pathmine.cli import main
 
 from conftest import STUDY_QUERY
@@ -183,6 +187,75 @@ class TestMineCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["complete"] is False
         assert out.exists()
+
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [(b"p\xe9,1,X,1\n", "not UTF-8"), (b"p1,1," + b"X" * 200_000 + b",1\n", "field limit")],
+    )
+    def test_unreadable_deliveries_exit_two(
+        self, cohort_dir, query_file, tmp_path, capsys, bad_row, message
+    ):
+        bad = tmp_path / "deliveries.csv"
+        bad.write_bytes((cohort_dir / "deliveries.csv").read_bytes() + bad_row)
+        args = mine_args(cohort_dir, query_file, tmp_path / "p.jsonl")
+        args[args.index("--deliveries") + 1] = str(bad)
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert message in err and str(bad) in err
+
+    def test_shuffled_rows_write_identical_bytes(self, cohort_dir, query_file, tmp_path, capsys):
+        shuffled = tmp_path / "shuffled"
+        shuffled.mkdir()
+        rng = random.Random(3)
+        for name in ("deliveries.csv", "diseases.csv"):
+            header, *rows = (cohort_dir / name).read_text(encoding="utf-8").splitlines(True)
+            rng.shuffle(rows)
+            (shuffled / name).write_text(header + "".join(rows), encoding="utf-8")
+        for name in ("kb_attributes.csv", "taxonomy.csv"):
+            shutil.copy(cohort_dir / name, shuffled / name)
+        # Same-patient same-day deliveries exist, so the stable sort matters.
+        days = Counter(
+            tuple(line.split(",")[:2])
+            for line in (cohort_dir / "deliveries.csv").read_text(encoding="utf-8").splitlines()
+        )
+        assert max(days.values()) > 1
+
+        counts = (
+            "patients_total", "patients_with_index", "deliveries_loaded", "diseases_loaded",
+            "pattern_count", "nodes_expanded", "counters",
+        )
+        outputs, reports = [], []
+        for data_dir in (cohort_dir, shuffled):
+            out = tmp_path / f"{data_dir.name}.jsonl"
+            assert main(mine_args(data_dir, query_file, out)) == 0
+            report = json.loads(capsys.readouterr().out)
+            outputs.append(out.read_bytes())
+            reports.append({key: report[key] for key in counts})
+        assert outputs[0] == outputs[1]
+        assert reports[0] == reports[1]
+
+    def test_mine_builds_no_delivery_fact(
+        self, cohort_dir, query_file, tmp_path, capsys, monkeypatch
+    ):
+        made = []
+
+        class CountingFact(ingest.DeliveryFact):
+            __slots__ = ()
+
+            def __new__(cls, *fields):
+                made.append(fields)
+                return super().__new__(cls, *fields)
+
+        monkeypatch.setattr(ingest, "DeliveryFact", CountingFact)
+        assert main(mine_args(cohort_dir, query_file, tmp_path / "p.jsonl")) == 0
+        capsys.readouterr()
+        assert made == []
+        raw = ingest.RawDatabase(
+            [("p2", 1, "X", 1), ("p1", 5, "Y", 1), ("p1", 2, "Z", 1)]
+        )
+        assert [(f.patient, f.day) for f in raw.deliveries] == [("p1", 2), ("p1", 5), ("p2", 1)]
+        assert all(isinstance(f, CountingFact) for f in raw.deliveries)
+        assert len(made) == 3
 
     def test_report_phases_add_up_to_wall_time(self, cohort_dir, query_file, tmp_path, capsys):
         assert main(mine_args(cohort_dir, query_file, tmp_path / "p.jsonl")) == 0

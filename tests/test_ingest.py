@@ -1,9 +1,12 @@
 """CSV loaders: field mapping, validation, round trips."""
 
 import csv
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pathmine import ingest
 from pathmine.errors import CycleError, DuplicateCode, NegativeDay, ParseError
 from pathmine.ingest import (
     DeliveryFact,
@@ -12,6 +15,7 @@ from pathmine.ingest import (
     load_deliveries,
     load_diseases,
     load_kb,
+    load_raw,
 )
 
 
@@ -169,6 +173,14 @@ class TestRawDatabase:
         assert [f.patient for f in raw.deliveries] == ["p1", "p1", "p2"]
         assert len(raw.deliveries) == 3
 
+    def test_first_bad_fact_in_sorted_order_raises(self):
+        with pytest.raises(ValueError, match="quantity must be >= 1, got 0"):
+            RawDatabase(deliveries=(DeliveryFact("p2", -1, "X", 1), DeliveryFact("p1", 3, "X", 0)))
+        with pytest.raises(NegativeDay, match="delivery on negative day -1"):
+            RawDatabase(deliveries=(DeliveryFact("p1", 3, "X", 0), DeliveryFact("p1", -1, "X", 1)))
+        with pytest.raises(NegativeDay, match="diagnosis on negative day -4"):
+            RawDatabase(diseases=(DiseaseFact("p2", -9, "G40"), DiseaseFact("p1", -4, "G40")))
+
     def test_patients_union(self):
         raw = RawDatabase(
             deliveries=(DeliveryFact("p1", 1, "X", 1),),
@@ -190,3 +202,140 @@ def test_round_trip_preserves_fact_multisets(tmp_path):
         writer.writerow(("patient", "day", "cip", "qty"))
         writer.writerows(first)
     assert load_deliveries(str(back)) == first
+
+
+VALID_FILES = {
+    "deliveries": "patient,day,cip,qty\np1,1,X,1\np1,2,Y,1\n",
+    "diseases": "patient,day,icd\np1,1,G40\np1,2,G41\n",
+    "attributes": "cip,atc,group,generic\nX,A,1,0\nY,B,2,1\n",
+    "taxonomy": "child,parent\nG403,G40\nG410,G41\n",
+}
+
+
+def load_one(kind, paths):
+    if kind == "deliveries":
+        return load_deliveries(paths[kind])
+    if kind == "diseases":
+        return load_diseases(paths[kind])
+    return load_kb(paths["attributes"], paths["taxonomy"])
+
+
+class TestUnreadableInput:
+    """Bytes that are not UTF-8 text or not CSV are a ParseError with path and line."""
+
+    def files_with_bad_third_line(self, tmp_path, kind, bad_line):
+        paths = {name: write(tmp_path / f"{name}.csv", text) for name, text in VALID_FILES.items()}
+        lines = VALID_FILES[kind].encode("utf-8").splitlines(keepends=True)
+        lines[2] = bad_line
+        (tmp_path / f"{kind}.csv").write_bytes(b"".join(lines))
+        return paths
+
+    @pytest.mark.parametrize("kind", VALID_FILES)
+    def test_undecodable_byte(self, tmp_path, kind):
+        paths = self.files_with_bad_third_line(tmp_path, kind, b"Caf\xe9,1,1,1\n")
+        with pytest.raises(ParseError) as err:
+            load_one(kind, paths)
+        assert (err.value.path, err.value.line) == (paths[kind], 3)
+        assert "0xe9" in str(err.value)
+
+    @pytest.mark.parametrize("kind", VALID_FILES)
+    def test_field_over_the_csv_limit(self, tmp_path, kind):
+        paths = self.files_with_bad_third_line(tmp_path, kind, b"p1," + b"9" * 200_000 + b"\n")
+        with pytest.raises(ParseError) as err:
+            load_one(kind, paths)
+        assert (err.value.path, err.value.line) == (paths[kind], 3)
+        assert "field larger than field limit" in str(err.value)
+
+
+#: Per column kind, cells the row validator accepts and cells it rejects
+#: or normalises (padding, lower case).
+CELLS = {
+    "patient": (["p1", "p2", "p10"], [" p1 ", "", "\tp2"]),
+    "day": (["0", "7", "31", "365"], ["-3", "soon", "", " 12 ", "+4", "1.5"]),
+    "code": (["C1", "G40", "X9"], ["c1", " g40 ", ""]),
+    "qty": (["1", "2", "30"], ["0", "-1", "x", " 3"]),
+}
+
+
+@st.composite
+def fact_file_rows(draw, columns):
+    """Data rows; about half carry one fault: an odd cell or a wrong width."""
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        fault = draw(st.sampled_from([None] * 5 + ["width", *columns]))
+        cells = [
+            draw(st.sampled_from(CELLS[column][column == fault])) for column in columns
+        ]
+        if fault == "width":
+            cells = cells[:-1] if draw(st.booleans()) else cells + ["extra"]
+        rows.append(",".join(cells))
+    return rows
+
+
+class TestBulkAgreesWithRowValidator:
+    """The bulk loaders return what the row validators return, or raise the same error."""
+
+    @staticmethod
+    def outcome(load, path):
+        try:
+            return tuple(load(path))
+        except ParseError as exc:
+            return type(exc), exc.line, str(exc)
+
+    def check(self, tmp_path_factory, header, rows, bulk, by_row):
+        path = tmp_path_factory.mktemp("agree") / "facts.csv"
+        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        # Two-row chunks, so that faults also fall in later chunks.
+        with mock.patch.object(ingest, "_CHUNK_ROWS", 2):
+            assert self.outcome(bulk, str(path)) == self.outcome(by_row, str(path))
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(rows=fact_file_rows(("patient", "day", "code", "qty")))
+    def test_deliveries(self, tmp_path_factory, rows):
+        self.check(
+            tmp_path_factory, "patient,day,cip,qty", rows, load_deliveries,
+            ingest._checked_deliveries,
+        )
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(rows=fact_file_rows(("patient", "day", "code")))
+    def test_diseases(self, tmp_path_factory, rows):
+        self.check(
+            tmp_path_factory, "patient,day,icd", rows, load_diseases, ingest._checked_diseases
+        )
+
+
+class TestGroupedStore:
+    def test_groups_hold_day_sorted_columns(self):
+        raw = RawDatabase(
+            deliveries=(
+                DeliveryFact("p2", 4, "Z", 1),
+                DeliveryFact("p1", 9, "X", 2),
+                DeliveryFact("p1", 3, "Y", 1),
+                DeliveryFact("p1", 3, "X", 1),
+            ),
+            diseases=(DiseaseFact("p3", 8, "G40"), DiseaseFact("p3", 2, "I10")),
+        )
+        assert list(raw.delivery_groups) == ["p1", "p2"]
+        assert raw.delivery_groups["p1"] == ((3, 3, 9), ("Y", "X", "X"), (1, 1, 2))
+        assert raw.disease_groups == {"p3": ((2, 8), ("I10", "G40"))}
+        assert (raw.delivery_count, raw.disease_count) == (4, 2)
+
+    def test_load_raw_matches_the_fact_loaders(self, tmp_path):
+        deliveries = write(
+            tmp_path / "d.csv", "patient,day,cip,qty\np2,5,x,1\n p1 ,9,X,1\np1,2,Y,3\np1,2,X,1\n"
+        )
+        diseases = write(tmp_path / "i.csv", "patient,day,icd\np2,5,g40\np1,9,G40\np1,2,G41\n")
+        raw = load_raw(deliveries, diseases)
+        facts = RawDatabase(load_deliveries(deliveries), load_diseases(diseases))
+        assert raw.delivery_groups == facts.delivery_groups
+        assert raw.disease_groups == facts.disease_groups
+        assert raw.deliveries == facts.deliveries
+        assert raw.diseases == facts.diseases
+
+    def test_load_raw_reports_the_first_bad_row(self, tmp_path):
+        deliveries = write(tmp_path / "d.csv", "patient,day,cip,qty\np1,2,X,1\np1,-2,X,1\n")
+        diseases = write(tmp_path / "i.csv", "patient,day,icd\np1,2,G40\n")
+        with pytest.raises(NegativeDay) as err:
+            load_raw(deliveries, diseases)
+        assert (err.value.path, err.value.line) == (deliveries, 3)
