@@ -7,21 +7,25 @@ control. Window bounds are strict on both ends, so with the usual
 offsets a delivery exactly 90 days before the index date lands in
 neither sequence.
 
-Reification goes through one event mapping per task
-(`make_event_mapping`), which is the task's code table: it looks each
-distinct delivery code up in the knowledge base once and hands out one
-shared `Item` per distinct attribute tuple. A cohort's items are
-therefore as many as its distinct codes, not its deliveries, and
-sorting and interning them downstream costs no per-event key.
+Reification goes through the task's code table (`CodeTable`), built from
+the knowledge base before any delivery is read: each code that passes
+the class filter maps to the id of its item, one item per distinct
+projected attribute tuple, with ids in ascending `Item.sort_key` order.
+Each window then becomes a tuple of ids sorted by (day, id), put in
+order by one C-level sort of `day * K + id` integers (K items), and a
+tuple of its days. No object is made per event: `CaseDatabase` holds
+these tuples, which the engine searches as they are, and its `pairs`
+are `EventSequence` views of them, built on demand.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import compress, repeat
-from operator import is_not
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from operator import add, attrgetter, is_not, mod, mul
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import UnknownCode
 from .ingest import DeliveryColumns, DiseaseFact, RawDatabase
@@ -30,10 +34,6 @@ from .model import NEGATIVE, POSITIVE, EventSequence, Item
 
 if TYPE_CHECKING:  # pragma: no cover
     from .query import MiningTask
-
-#: Turns a delivery code into a reified item, or None to drop the event.
-EventMapping = Callable[[str], Optional[Item]]
-
 
 @dataclass(frozen=True)
 class WindowSpec:
@@ -88,38 +88,81 @@ class CasePair:
     negative: EventSequence | None = None
 
 
-@dataclass(frozen=True)
 class CaseDatabase:
-    """All case pairs, sorted by patient id, one pair per patient.
+    """All case pairs, sorted by patient id, one pair per patient, interned.
 
-    Either every pair carries a negative sequence or none does; a pair
-    whose negative window contained no events holds an empty sequence,
-    which is different from having no negative window at all.
+    `items` is the item table in ascending `Item.sort_key` order, and an
+    item's id is its position in it. Entry k of `positives` is the k-th
+    patient's positive sequence as ids sorted by (day, id), and entry k
+    of `positive_days` its days. `negatives` and `negative_days` hold the
+    negative sequences the same way, or are None when there is no
+    negative window. Either every pair carries a negative sequence or
+    none does; a pair whose negative window contained no events holds an
+    empty sequence, which is different from having no negative window.
+
+    `CaseDatabase(pairs)` interns hand-built pairs, giving equal items
+    one id; `build_database` hands over its tuples as they are. `pairs`
+    is a view of `CasePair`s holding item `EventSequence`s, built on
+    first access.
     """
 
-    pairs: tuple[CasePair, ...] = ()
-
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.pairs, key=lambda p: p.patient))
-        seen = set()
-        for pair in ordered:
-            if pair.patient in seen:
-                raise ValueError(f"duplicate case pair for patient {pair.patient}")
-            seen.add(pair.patient)
+    def __init__(self, pairs: Iterable[CasePair] = ()) -> None:
+        ordered = sorted(pairs, key=attrgetter("patient"))
+        patients = tuple(pair.patient for pair in ordered)
+        for left, right in zip(patients, patients[1:]):
+            if left == right:
+                raise ValueError(f"duplicate case pair for patient {left}")
         shapes = {pair.negative is not None for pair in ordered}
         if len(shapes) > 1:
             raise ValueError("negative sequences must be present for all patients or none")
-        object.__setattr__(self, "pairs", ordered)
+        sequences = [pair.positive for pair in ordered] + [
+            pair.negative for pair in ordered if pair.negative is not None
+        ]
+        items = sorted({item for seq in sequences for _, item in seq}, key=Item.sort_key)
+        id_of = {item: iid for iid, item in enumerate(items)}
+        ids = tuple(tuple(id_of[item] for _, item in seq) for seq in sequences)
+        days = tuple(tuple(day for day, _ in seq) for seq in sequences)
+        count = len(patients)
+        negatives = (ids[count:], days[count:]) if True in shapes else ()
+        self._fill(patients, tuple(items), ids[:count], days[:count], *negatives)
+
+    @classmethod
+    def _interned(cls, *columns) -> "CaseDatabase":
+        """A database over sequences already interned, as `_fill` takes them."""
+        database = cls.__new__(cls)
+        database._fill(*columns)
+        return database
+
+    def _fill(self, patients, items, positives, positive_days, negatives=None, negative_days=None):
+        self._patients, self.items = patients, items
+        self.positives, self.positive_days = positives, positive_days
+        self.negatives, self.negative_days = negatives, negative_days
+
+    @cached_property
+    def pairs(self) -> tuple[CasePair, ...]:
+        items = self.items.__getitem__
+
+        def views(polarity: str, ids: tuple, days: tuple) -> list[EventSequence]:
+            return [
+                EventSequence((patient, polarity), tuple(zip(seq_days, map(items, seq_ids))))
+                for patient, seq_ids, seq_days in zip(self._patients, ids, days)
+            ]
+
+        positives = views(POSITIVE, self.positives, self.positive_days)
+        negatives = repeat(None)
+        if self.negatives is not None:
+            negatives = views(NEGATIVE, self.negatives, self.negative_days)
+        return tuple(map(CasePair, self._patients, positives, negatives))
 
     @property
     def has_negatives(self) -> bool:
-        return bool(self.pairs) and self.pairs[0].negative is not None
+        return bool(self.negatives)
 
     def patients(self) -> tuple[str, ...]:
-        return tuple(pair.patient for pair in self.pairs)
+        return self._patients
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self._patients)
 
     def __iter__(self):
         return iter(self.pairs)
@@ -132,122 +175,120 @@ def find_index_event(
 
     Order-insensitive: only the minimum day matters, ties collapse.
     """
-    return _index_day(((fact.day, fact.icd) for fact in diseases), rule, taxonomy)
+    ancestors = rule.diagnosis_ancestors
+    return min(
+        (fact.day for fact in diseases if taxonomy.ancestors(fact.icd) & ancestors), default=None
+    )
 
 
-def _index_day(
-    diagnoses: Iterable[tuple[int, str]], rule: IndexEventRule, taxonomy: Taxonomy
-) -> int | None:
-    """`find_index_event` over (day, code) pairs."""
-    best: int | None = None
-    for day, icd in diagnoses:
-        if best is not None and day >= best:
-            continue
-        if taxonomy.ancestors(icd) & rule.diagnosis_ancestors:
-            best = day
-    return best
+class CodeTable(dict):
+    """The task's code table: delivery code to item id, or None to drop the event.
+
+    Built before any delivery is read. Every code of the knowledge base
+    is looked up once and projected onto `schema`; codes whose class is
+    outside `class_filter` (None accepts every class) map to None, and
+    codes projecting to the same attribute tuple share one item. `items`
+    lists the items in ascending `Item.sort_key` order, and an id is a
+    position in it.
+
+    A delivery code missing from the table is looked up on first sight:
+    an unknown code maps to None under `skip` and raises UnknownCode
+    under `abort`. A lookup that raises stores nothing, so an unknown
+    code raises every time it is seen.
+    """
+
+    def __init__(
+        self,
+        kb: KnowledgeBase,
+        class_filter: frozenset[str] | None,
+        schema: tuple[str, ...],
+        unknown_code: str = "abort",
+    ) -> None:
+        if unknown_code not in ("abort", "skip"):
+            raise ValueError(f"unknown_code must be abort or skip, got {unknown_code!r}")
+        super().__init__()
+
+        def project(cip: str) -> tuple | None:
+            attrs = kb.attributes.attributes(cip)
+            if class_filter is not None and attrs.atc not in class_filter:
+                return None
+            return tuple(getattr(attrs, name) for name in schema)
+
+        self._project = project
+        self._skip = unknown_code == "skip"
+        projected = {code: project(code) for code in kb.attributes.codes()}
+        self.items = tuple(sorted(map(Item, set(projected.values()) - {None}), key=Item.sort_key))
+        # A dropped code projects to None, and None is its id.
+        self._ids = {None: None, **{item.values: iid for iid, item in enumerate(self.items)}}
+        self.update(zip(projected, map(self._ids.__getitem__, projected.values())))
+
+    def __missing__(self, cip: str) -> int | None:
+        try:
+            iid = self[cip] = self._ids[self._project(cip)]
+        except UnknownCode:
+            if not self._skip:
+                raise
+            iid = self[cip] = None
+        return iid
 
 
 _NO_DELIVERIES = DeliveryColumns((), (), ())
 
 
-def build_case_pair(
-    patient: str,
-    deliveries: DeliveryColumns,
-    index_day: int,
-    event_mapping: EventMapping,
-    windows: tuple[WindowSpec, WindowSpec | None],
-) -> CasePair:
-    """Reify one patient's in-window deliveries into their case pair.
+def _spans(positive: WindowSpec, negative: WindowSpec | None) -> list[tuple[int, int, int]]:
+    """The windows' days as (start, stop, polarity) offsets from the index day.
 
-    `deliveries` holds the patient's delivery columns sorted by day, as
-    `RawDatabase.delivery_groups` does. The event mapping encapsulates
-    the class filter, attribute projection, and the unknown-code policy.
-
-    Each window's deliveries are one slice of the columns, found by
-    bisection on the days. A day inside both windows counts as positive,
-    so no delivery lands in both sequences. The slices are mapped in day
-    order, so under the abort policy the unknown code raised is the
-    earliest one inside a window.
+    Polarity 0 is positive and 1 negative. The spans are disjoint,
+    non-empty and in day order. A day inside both windows counts as
+    positive, so no delivery lands in both sequences.
     """
-    positive_window, negative_window = windows
-    pos_days = positive_window.days(index_day)
-    pos_events: list[tuple[int, Item]] = []
-    neg_events: list[tuple[int, Item]] = []
-    spans = [(pos_days, pos_events)]
-    if negative_window is not None:
-        neg_days = negative_window.days(index_day)
+    pos = positive.days(0)
+    spans = [(pos.start, pos.stop, 0)]
+    if negative is not None:
+        neg = negative.days(0)
         # The control window minus the positive one: the days before it
-        # and the days after it, either possibly empty.
-        spans.append((range(neg_days.start, min(neg_days.stop, pos_days.start)), neg_events))
-        spans.append((range(max(neg_days.start, pos_days.stop), neg_days.stop), neg_events))
-        spans.sort(key=lambda span: span[0].start)
+        # and the days after it.
+        spans = [
+            (neg.start, min(neg.stop, pos.start), 1),
+            spans[0],
+            (max(neg.start, pos.stop), neg.stop, 1),
+        ]
+    return [span for span in spans if span[0] < span[1]]
+
+
+def _sequences(
+    deliveries: DeliveryColumns, index_day: int, spans: list[tuple[int, int, int]], table: CodeTable
+) -> tuple[tuple[int, ...], ...]:
+    """One patient's positive ids and days, then negative ids and days.
+
+    Each polarity's ids are sorted by (day, id), beside their days. The
+    spans are mapped in day order, so under the abort policy the
+    unknown code raised is the earliest one inside a window. The
+    deliveries are sorted by day, so each polarity's kept days are
+    already in order and only the ids of one day may need sorting. Ids
+    are below K = `len(table.items)`, so the integers `day * K + id`
+    sort as (day, id) pairs do, in one C-level sort.
+    """
     days, codes = deliveries.days, deliveries.codes
-    for span, events in spans:
-        lo = bisect_left(days, span.start)
-        hi = bisect_left(days, span.stop, lo)
-        if lo < hi:
-            items = list(map(event_mapping, codes[lo:hi]))
-            events += compress(zip(days[lo:hi], items), map(is_not, items, repeat(None)))
-    positive = EventSequence((patient, POSITIVE), tuple(pos_events))
-    negative = None
-    if negative_window is not None:
-        negative = EventSequence((patient, NEGATIVE), tuple(neg_events))
-    return CasePair(patient, positive, negative)
-
-
-def make_event_mapping(
-    kb: KnowledgeBase,
-    class_filter: frozenset[str] | None,
-    schema: tuple[str, ...],
-    unknown_code: str = "abort",
-) -> EventMapping:
-    """Compose classification, projection, and the unknown-code policy.
-
-    The mapping returns None for a code whose class is outside
-    `class_filter` (None accepts every class) and for an unknown code
-    under `skip`; an unknown code under `abort` raises UnknownCode.
-
-    Each call builds the task's code table: a code is looked up in the
-    knowledge base the first time it is seen and its result, item or
-    None, is remembered. Codes projecting to the same attribute tuple
-    share one Item. An unknown code under `abort` is never remembered,
-    so it raises every time it is seen.
-    """
-    if unknown_code not in ("abort", "skip"):
-        raise ValueError(f"unknown_code must be abort or skip, got {unknown_code!r}")
-    by_values: dict[tuple, Item] = {}
-
-    def lookup(cip: str) -> Item | None:
-        try:
-            attrs = kb.attributes.attributes(cip)
-        except UnknownCode:
-            if unknown_code == "abort":
-                raise
-            return None
-        if class_filter is not None and attrs.atc not in class_filter:
-            return None
-        values = tuple(getattr(attrs, name) for name in schema)
-        return by_values.setdefault(values, Item(values))
-
-    return _CodeTable(lookup).__getitem__
-
-
-class _CodeTable(dict):
-    """Delivery code to item or None, each code looked up on first use.
-
-    A lookup that raises stores nothing. Its `__getitem__` is the event
-    mapping, so a code seen before costs one dict lookup and no Python
-    call.
-    """
-
-    def __init__(self, lookup: EventMapping) -> None:
-        super().__init__()
-        self._lookup = lookup
-
-    def __missing__(self, cip: str) -> Item | None:
-        item = self[cip] = self._lookup(cip)
-        return item
+    keys: tuple[list[int], list[int]] = ([], [])
+    kept_days: tuple[list[int], list[int]] = ([], [])
+    scale = repeat(len(table.items))
+    for start, stop, polarity in spans:
+        lo = bisect_left(days, index_day + start)
+        hi = bisect_left(days, index_day + stop, lo)
+        ids = list(map(table.__getitem__, codes[lo:hi]))
+        span_days = days[lo:hi]
+        if None in ids:
+            kept = list(map(is_not, ids, repeat(None)))
+            ids = list(compress(ids, kept))
+            span_days = tuple(compress(span_days, kept))
+        kept_days[polarity].extend(span_days)
+        keys[polarity].extend(map(add, map(mul, span_days, scale), ids))
+    sequences = []
+    for polarity_keys, polarity_days in zip(keys, kept_days):
+        polarity_keys.sort()
+        sequences += (tuple(map(mod, polarity_keys, scale)), tuple(polarity_days))
+    return tuple(sequences)
 
 
 def build_database(
@@ -262,19 +303,23 @@ def build_database(
     whose windows contain no matching deliveries keep their (empty)
     pair.
     """
-    mapping = make_event_mapping(kb, task.class_filter, task.schema, unknown_code)
-    windows = (task.positive_window, task.negative_window)
+    table = CodeTable(kb, task.class_filter, task.schema, unknown_code)
+    spans = _spans(task.positive_window, task.negative_window)
     deliveries = raw.delivery_groups
-    pairs = []
+    # Whether a diagnosis code qualifies, each distinct code's answer computed once.
+    qualifies = lru_cache(maxsize=None)(
+        lambda icd: not kb.taxonomy.ancestors(icd).isdisjoint(task.index_rule.diagnosis_ancestors)
+    )
+    rows = []
     for patient, diagnoses in raw.disease_groups.items():
-        index_day = _index_day(
-            zip(diagnoses.days, diagnoses.codes), task.index_rule, kb.taxonomy
-        )
+        # Each patient's diagnoses are sorted by day: the first qualifying is the earliest.
+        index_day = next(compress(diagnoses.days, map(qualifies, diagnoses.codes)), None)
         if index_day is None:
             continue
-        pairs.append(
-            build_case_pair(
-                patient, deliveries.get(patient, _NO_DELIVERIES), index_day, mapping, windows
-            )
-        )
-    return CaseDatabase(tuple(pairs))
+        columns = deliveries.get(patient, _NO_DELIVERIES)
+        rows.append((patient, *_sequences(columns, index_day, spans, table)))
+    # Disease groups come in ascending patient order, so the rows do too.
+    patients, *sequences = zip(*rows) if rows else ((),) * 5
+    if task.negative_window is None:
+        del sequences[2:]
+    return CaseDatabase._interned(patients, table.items, *sequences)

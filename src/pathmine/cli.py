@@ -16,13 +16,14 @@ still written). Diagnostics go to stderr only.
 ``mine`` runs with Python's cyclic garbage collector disabled and
 restores its previous state when the command returns, so library
 callers and in-process ``main()`` calls see no change. The bulk phases
-allocate hundreds of thousands of container objects (fact tuples,
-events, index lists), and each automatic collection would traverse all
-of them again, yet none of them is part of a reference cycle: facts,
-items and sequences are immutable trees, and everything they reference
-is freed by reference counting. Turning the collector off therefore
-leaks nothing that grows with the data; the tests check that the
-garbage left after a run does not depend on the cohort size.
+allocate hundreds of thousands of container objects (parsed rows, fact
+columns, the windows' id tuples, index lists), and each automatic
+collection would traverse all of them again, yet none of them is part
+of a reference cycle: facts, items and id tuples are immutable trees,
+and everything they reference is freed by reference counting. Turning
+the collector off therefore leaks nothing that grows with the data; the
+tests check that the garbage left after a run does not depend on the
+cohort size.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import asdict, dataclass
 from .builder import build_database
 from .engine import MiningOptions, MiningResult, mine
 from .errors import InvalidPlantSpec, PathmineError, QueryError
-from .ingest import load_kb, load_raw
+from .ingest import load_kb, load_raw, undecodable
 from .model import PatternTuple
 from .query import compile_query, parse_query
 from .synth import CohortConfig, PlantSpec, generate_cohort, write_cohort
@@ -187,6 +188,9 @@ def _mine(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot read query: {exc}", file=sys.stderr)
         return USAGE_EXIT
+    except UnicodeDecodeError:
+        print(f"error: cannot read query: {undecodable(args.query)}", file=sys.stderr)
+        return USAGE_EXIT
     ast = parse_query(query_text)
 
     kb = load_kb(args.kb, args.taxonomy)
@@ -203,6 +207,9 @@ def _mine(args: argparse.Namespace) -> int:
     ends["write"] = time.monotonic()
 
     wall_seconds, phases = _phase_seconds(started, ends)
+    # Every option of the mine command, and the threshold the query set.
+    config = dict(vars(args), min_support=task.min_support)
+    del config["command"]
     report = RunReport(
         patients_total=patients_total,
         patients_with_index=len(database),
@@ -214,21 +221,7 @@ def _mine(args: argparse.Namespace) -> int:
         wall_seconds=wall_seconds,
         phases=phases,
         counters=result.counters,
-        config={
-            "query": args.query,
-            "deliveries": args.deliveries,
-            "diseases": args.diseases,
-            "kb": args.kb,
-            "taxonomy": args.taxonomy,
-            "out": args.out,
-            "embeddings": args.embeddings,
-            "max_len": args.max_len,
-            "unknown_code": args.unknown_code,
-            "max_nodes": args.max_nodes,
-            "max_seconds": args.max_seconds,
-            "class_filter_exact": args.class_filter_exact,
-            "min_support": task.min_support,
-        },
+        config=config,
     )
     print(json.dumps(asdict(report), sort_keys=True, indent=2))
     if not result.complete:

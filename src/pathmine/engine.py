@@ -53,7 +53,7 @@ from typing import Callable, Iterator, Sequence
 
 from .builder import CaseDatabase
 from .errors import MissingNegativeWindow
-from .model import Embedding, Item, Pattern, PatternTuple, iter_embeddings
+from .model import Embedding, Pattern, PatternTuple, iter_embeddings
 from .query import MiningTask
 
 EMBEDDINGS_ALL = "all"
@@ -161,14 +161,11 @@ def _decide(
 
 
 class _Prepared:
-    """Interned view of the database, with a last-occurrence index.
+    """The database's interned sequences, with a last-occurrence index.
 
-    Ids are assigned in canonical item order, so ascending id order is
-    ascending output order and no per-candidate key computation happens
-    in the search loop. The builder shares one item object per distinct
-    value, so events are mapped to ids by object identity and only the
-    distinct objects are hashed; equal items built apart still share
-    one id.
+    The database's ids follow canonical item order, so ascending id
+    order is ascending output order and no per-candidate key
+    computation happens in the search loop.
 
     For each positive sequence, `order` lists its distinct item ids by
     ascending last occurrence and `lasts` the matching last positions.
@@ -178,42 +175,19 @@ class _Prepared:
     only the items still wanted.
     """
 
-    __slots__ = (
-        "task",
-        "patients",
-        "pos_ids",
-        "order",
-        "lasts",
-        "neg_ids",
-        "items",
-        "switches",
-        "switch_values",
-        "contains_ids",
-        "max_len",
-    )
-
     def __init__(self, task: MiningTask, database: CaseDatabase, options: MiningOptions) -> None:
         self.task = task
-        self.patients = list(database.patients())
-        positives = [pair.positive.items() for pair in database]
-        negatives = [pair.negative.items() for pair in database] if database.has_negatives else []
-        objects: dict[int, Item] = {}
-        for seq in positives + negatives:
-            objects.update(zip(map(id, seq), seq))
-        self.items = sorted(set(objects.values()), key=Item.sort_key)
-        ids = {item: i for i, item in enumerate(self.items)}
-        id_of = {address: ids[item] for address, item in objects.items()}.__getitem__
-        self.pos_ids = [tuple(map(id_of, map(id, seq))) for seq in positives]
+        self.patients = database.patients()
+        self.items = database.items
+        self.pos_ids = database.positives
+        self.neg_ids = database.negatives
         self.order = []
         self.lasts = []
         for seq in self.pos_ids:
-            last = dict(zip(seq, range(len(seq))))
-            order = tuple(sorted(last, key=last.__getitem__))
-            self.order.append(order)
-            self.lasts.append(tuple(map(last.__getitem__, order)))
-        self.neg_ids = None
-        if database.has_negatives:
-            self.neg_ids = [tuple(map(id_of, map(id, seq))) for seq in negatives]
+            # Each distinct item's last position, ascending; the item at it.
+            lasts = sorted(dict(zip(seq, range(len(seq)))).values())
+            self.order.append(tuple(map(seq.__getitem__, lasts)))
+            self.lasts.append(tuple(lasts))
         self.switches = task.switch_constraints()
         self.switch_values = [
             [item.values[c.attr_index] for item in self.items] for c in self.switches
@@ -222,10 +196,7 @@ class _Prepared:
             frozenset(i for i, item in enumerate(self.items) if item.values[c.attr_index] == c.value)
             for c in task.contains_constraints()
         ]
-        if options.max_len is not None:
-            self.max_len = options.max_len
-        else:
-            self.max_len = max((len(seq) for seq in self.pos_ids), default=0)
+        self.max_len = options.max_len or max(map(len, self.pos_ids), default=0)
 
     def count(
         self, seqs: Sequence[int], starts: Sequence[int]

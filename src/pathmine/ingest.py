@@ -166,7 +166,7 @@ def _check_groups(
             raise NegativeDay(f"diagnosis on negative day {group.days[0]}")
 
 
-def _undecodable(path: str) -> ParseError:
+def undecodable(path: str) -> ParseError:
     """The error for the first line of `path` that is not UTF-8."""
     with open(path, "rb") as handle:
         # No UTF-8 sequence contains a newline byte, so lines decode alone.
@@ -208,7 +208,7 @@ def _csv_reader(path: str, expected: Sequence[str], exact: bool):
                 )
             yield reader, len(names)
     except UnicodeDecodeError:
-        raise _undecodable(path) from None
+        raise undecodable(path) from None
     except csv.Error as exc:
         line = reader.line_num if reader is not None else None
         raise ParseError(f"malformed CSV: {exc}", path=path, line=line) from None

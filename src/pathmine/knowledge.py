@@ -63,6 +63,10 @@ class CodeAttributes:
         except KeyError:
             raise UnknownCode(f"unknown delivery code {_norm(cip)}") from None
 
+    def codes(self) -> Iterable[str]:
+        """Every code in the table, upper-cased."""
+        return self._table.keys()
+
     def therapeutic_classes(self) -> frozenset[str]:
         return frozenset(attrs.atc for attrs in self._table.values())
 

@@ -43,9 +43,9 @@ class Item:
     (names and order); the schema itself lives on the task. Equality is
     exact tuple equality over all attribute values.
 
-    The sort key is computed once, on construction: the builder shares
-    one item per distinct attribute tuple across all events, so sorting
-    events costs no per-event key.
+    The sort key is computed once, on construction. The builder makes
+    one item per distinct attribute tuple and numbers the items in sort
+    key order, so the search compares ids, never items.
     """
 
     values: tuple[AttributeValue, ...]
@@ -74,6 +74,11 @@ class EventSequence:
     Events are sorted by (timestamp, item attribute tuple) on
     construction, so embeddings are deterministic regardless of input
     order. Timestamps are non-negative day numbers.
+
+    This is the item form of a sequence, for hand-built databases, the
+    reference oracle and callers that want items. The builder and the
+    engine never make one: `CaseDatabase` keeps each sequence as item
+    ids, and its `pairs` builds these views on demand.
     """
 
     sequence_id: SequenceId

@@ -10,16 +10,17 @@ import time
 
 import pytest
 
-from pathmine.builder import CaseDatabase, CasePair, WindowSpec, build_case_pair, build_database
+from pathmine.builder import CaseDatabase, CasePair, build_database
 from pathmine.cli import main
 from pathmine.engine import MiningOptions, mine
-from pathmine.ingest import DeliveryFact, RawDatabase
+from pathmine.ingest import DeliveryFact, DiseaseFact, RawDatabase
+from pathmine.knowledge import CodeAttributes, KnowledgeBase, Taxonomy
 from pathmine.model import NEGATIVE, POSITIVE, Item, Pattern
 from pathmine.oracle import count_switches, discriminative_support, oracle_mine, positive_support
 from pathmine.query import compile_query, parse_query
 from pathmine.synth import CohortConfig, PlantSpec, generate_cohort, knowledge_base, raw_database
 
-from conftest import ALPHABET, STUDY_QUERY, make_seq, random_instance
+from conftest import ALPHABET, STUDY_QUERY, make_seq, make_task, random_instance
 
 SEEDS = range(108)
 ORACLE_MAX_LEN = 6
@@ -202,10 +203,11 @@ def test_criterion_semantics_spot_checks(verdict):
         and positive_support(pattern, database) == frozenset({"p1", "p2"})
     )
 
-    windows = (WindowSpec(POSITIVE, -90, 0), WindowSpec(NEGATIVE, -180, -90))
+    # Windows (index-90, index) and (index-180, index-90) around index day 200.
     deliveries = [DeliveryFact("p1", day, "C", 1) for day in (20, 109, 110, 111, 200)]
-    grouped = RawDatabase(deliveries).delivery_groups["p1"]
-    pair = build_case_pair("p1", grouped, 200, lambda cip: a, windows)
+    raw = RawDatabase(deliveries, [DiseaseFact("p1", 200, "G40")])
+    kb = KnowledgeBase(CodeAttributes.from_rows([("C", *a.values)]), Taxonomy())
+    (pair,) = build_database(raw, make_task(discriminative=True), kb).pairs
     boundary_ok = (
         tuple(day for day, _ in pair.positive) == (111,)
         and tuple(day for day, _ in pair.negative) == (109,)

@@ -1,23 +1,28 @@
 """Case-crossover construction: index events, windows, database assembly."""
 
+import hashlib
+import json
+from dataclasses import replace
+
 import pytest
 
 from pathmine.builder import (
     CaseDatabase,
     CasePair,
+    CodeTable,
     IndexEventRule,
     WindowSpec,
-    build_case_pair,
     build_database,
     find_index_event,
-    make_event_mapping,
 )
 from pathmine.errors import UnknownCode
 from pathmine.ingest import DeliveryFact, DiseaseFact, RawDatabase
 from pathmine.knowledge import CodeAttributes, KnowledgeBase, Taxonomy
 from pathmine.model import NEGATIVE, POSITIVE, EventSequence, Item
+from pathmine.query import compile_query, parse_query
+from pathmine.synth import CohortConfig, PlantSpec, generate_cohort, knowledge_base, raw_database
 
-from conftest import SCHEMA, make_task
+from conftest import SCHEMA, STUDY_QUERY, make_task
 
 RULE = IndexEventRule(frozenset({"G40", "G41"}))
 TAX = Taxonomy.from_edges([("G403", "G40"), ("G410", "G41")])
@@ -34,13 +39,20 @@ KB = KnowledgeBase(
 )
 
 
-def grouped(*facts):
-    """One patient's delivery facts as the day-sorted columns build_case_pair takes."""
-    return RawDatabase(facts).delivery_groups[facts[0].patient]
-
-
-MAPPING = make_event_mapping(KB, frozenset({"N03AG01", "N03AX14"}), ("atc", "group", "generic"))
 WINDOWS = (WindowSpec(POSITIVE, -90, 0), WindowSpec(NEGATIVE, -180, -90))
+
+
+def case_pair(*deliveries, windows=WINDOWS):
+    """Patient p's case pair for index day 200, classes N03AG01 and N03AX14."""
+    positive, negative = windows
+    task = replace(
+        make_task(class_filter=frozenset({"N03AG01", "N03AX14"})),
+        positive_window=positive,
+        negative_window=negative,
+    )
+    raw = RawDatabase(deliveries, (DiseaseFact("p", 200, "G403"),))
+    (pair,) = build_database(raw, task, KB).pairs
+    return pair
 
 
 class TestWindowSpec:
@@ -95,45 +107,30 @@ class TestFindIndexEvent:
 
 class TestBuildCasePair:
     def test_boundary_day_in_neither_window(self):
-        index = 200
-        pair = build_case_pair(
-            "p", grouped(DeliveryFact("p", 110, "GEN", 1)), index, MAPPING, WINDOWS
-        )
+        pair = case_pair(DeliveryFact("p", 110, "GEN", 1))
         assert len(pair.positive) == 0
         assert len(pair.negative) == 0
 
     def test_generic_delivery_lands_positive(self):
-        pair = build_case_pair(
-            "p", grouped(DeliveryFact("p", 199, "GEN", 1)), 200, MAPPING, WINDOWS
-        )
+        pair = case_pair(DeliveryFact("p", 199, "GEN", 1))
         assert pair.positive.items() == (Item(("N03AG01", "438", 1)),)
         assert len(pair.negative) == 0
 
     def test_control_window_delivery_lands_negative(self):
-        pair = build_case_pair(
-            "p", grouped(DeliveryFact("p", 60, "BRA", 1)), 200, MAPPING, WINDOWS
-        )
+        pair = case_pair(DeliveryFact("p", 60, "BRA", 1))
         assert pair.negative.items() == (Item(("N03AX14", "1023", 0)),)
 
     def test_unfiltered_class_absent_from_both(self):
-        pair = build_case_pair(
-            "p",
-            grouped(DeliveryFact("p", 190, "OTC", 1), DeliveryFact("p", 60, "OTC", 1)),
-            200,
-            MAPPING,
-            WINDOWS,
-        )
+        pair = case_pair(DeliveryFact("p", 190, "OTC", 1), DeliveryFact("p", 60, "OTC", 1))
         assert len(pair.positive) == 0 and len(pair.negative) == 0
 
     def test_no_negative_window_gives_none(self):
-        pair = build_case_pair(
-            "p", grouped(DeliveryFact("p", 199, "GEN", 1)), 200, MAPPING, (WINDOWS[0], None)
-        )
+        pair = case_pair(DeliveryFact("p", 199, "GEN", 1), windows=(WINDOWS[0], None))
         assert pair.negative is None
 
     def test_windows_partition_deliveries(self):
         facts = [DeliveryFact("p", day, "GEN", 1) for day in range(10, 200, 7)]
-        pair = build_case_pair("p", grouped(*facts), 200, MAPPING, WINDOWS)
+        pair = case_pair(*facts)
         pos_days = {day for day, _ in pair.positive}
         neg_days = {day for day, _ in pair.negative}
         assert not pos_days & neg_days
@@ -153,24 +150,24 @@ class TestBuildCasePair:
         self, positive, negative, positive_days, negative_days
     ):
         facts = [DeliveryFact("p", day, "GEN", 1) for day in (50, 75, 100, 150, 190)]
-        pair = build_case_pair("p", grouped(*facts), 200, MAPPING, (positive, negative))
+        pair = case_pair(*facts, windows=(positive, negative))
         assert [day for day, _ in pair.positive] == positive_days
         assert [day for day, _ in pair.negative] == negative_days
 
 
 class TestUnknownCodePolicy:
     def test_abort_raises(self):
-        mapping = make_event_mapping(KB, None, ("atc",), unknown_code="abort")
+        table = CodeTable(KB, None, ("atc",), unknown_code="abort")
         with pytest.raises(UnknownCode):
-            mapping("NOPE")
+            table["NOPE"]
 
     def test_skip_drops(self):
-        mapping = make_event_mapping(KB, None, ("atc",), unknown_code="skip")
-        assert mapping("NOPE") is None
+        table = CodeTable(KB, None, ("atc",), unknown_code="skip")
+        assert table["NOPE"] is None
 
     def test_projection_follows_schema_order(self):
-        mapping = make_event_mapping(KB, None, ("generic", "atc"))
-        assert mapping("GEN") == Item((1, "N03AG01"))
+        table = CodeTable(KB, None, ("generic", "atc"))
+        assert table.items[table["GEN"]] == Item((1, "N03AG01"))
 
     def test_abort_only_for_codes_inside_a_window(self):
         task = make_task(discriminative=True, class_filter=None)
@@ -180,11 +177,17 @@ class TestUnknownCodePolicy:
             diseases=(DiseaseFact("p1", 200, "G403"),),
         )
         assert len(build_database(raw, task, KB).pairs[0].positive) == 1
-        mapping = make_event_mapping(KB, None, SCHEMA, unknown_code="abort")
-        deliveries = grouped(DeliveryFact("p1", 150, "NOPE", 1))
+        inside = RawDatabase(
+            deliveries=(DeliveryFact("p1", 150, "NOPE", 1),),
+            diseases=(DiseaseFact("p1", 200, "G403"),),
+        )
+        with pytest.raises(UnknownCode):
+            build_database(inside, task, KB)
+        # A lookup that raised is not remembered: the code raises again.
+        table = CodeTable(KB, None, SCHEMA, unknown_code="abort")
         for _ in range(2):
             with pytest.raises(UnknownCode):
-                build_case_pair("p1", deliveries, 200, mapping, WINDOWS)
+                table["NOPE"]
 
 
     def test_abort_raises_the_earliest_unknown_code_in_a_window(self):
@@ -193,6 +196,21 @@ class TestUnknownCodePolicy:
         # window's first in day order; deliveries are mapped in day order.
         raw = RawDatabase(
             deliveries=(DeliveryFact("p1", 150, "LATER", 1), DeliveryFact("p1", 60, "EARLIER", 1)),
+            diseases=(DiseaseFact("p1", 200, "G403"),),
+        )
+        with pytest.raises(UnknownCode, match="EARLIER"):
+            build_database(raw, task, KB)
+
+    def test_earliest_unknown_code_when_the_control_window_wraps_the_positive(self):
+        # Control days 21-199 around positive days 111-169: the control
+        # window's later part comes after the positive window in day order.
+        task = replace(
+            make_task(discriminative=True, class_filter=None),
+            positive_window=WindowSpec(POSITIVE, -90, -30),
+            negative_window=WindowSpec(NEGATIVE, -180, 0),
+        )
+        raw = RawDatabase(
+            deliveries=(DeliveryFact("p1", 190, "LATER", 1), DeliveryFact("p1", 150, "EARLIER", 1)),
             diseases=(DiseaseFact("p1", 200, "G403"),),
         )
         with pytest.raises(UnknownCode, match="EARLIER"):
@@ -247,6 +265,53 @@ class TestBuildDatabase:
         by_patient = {pair.patient: pair for pair in db}
         assert len(by_patient["p1"].positive) == 1
         assert len(by_patient["p2"].positive) == 0
+
+    def test_seeded_cohort_pinned(self):
+        """Every sequence's patient, days and item values, as pinned by SHA-256."""
+        cohort = generate_cohort(
+            CohortConfig(
+                patients=300,
+                seed=2017,
+                plant=PlantSpec.parse(
+                    "N03AG01,438,1|N03AG01,438,1|N03AX14,1023,0|N03AX14,1023,0@20"
+                ),
+                mean_events=12.0,
+                noise_items=40,
+            )
+        )
+        kb = knowledge_base(cohort)
+        # A negative window and a class filter that drops the comedication.
+        task = compile_query(parse_query(STUDY_QUERY), kb)
+        db = build_database(raw_database(cohort), task, kb)
+        digest = hashlib.sha256()
+        for pair in db.pairs:
+            for sequence in (pair.positive, pair.negative):
+                days = [day for day, _ in sequence]
+                values = [list(item.values) for _, item in sequence]
+                digest.update(json.dumps([pair.patient, days, values]).encode())
+        assert digest.hexdigest() == (
+            "17fa98ddcb4a90e1f1240d2ee4c805a9de206b69fc75479e41a4c1b3c1ea576c"
+        )
+        keys = [item.sort_key() for item in db.items]
+        assert all(left < right for left, right in zip(keys, keys[1:]))
+
+    def test_hand_built_pairs_share_one_id_per_item(self):
+        db = CaseDatabase(
+            (
+                CasePair("p2", EventSequence(("p2", POSITIVE), ((3, Item(("B", "1", 0))),))),
+                CasePair(
+                    "p1",
+                    EventSequence(
+                        ("p1", POSITIVE), ((5, Item(("B", "1", 0))), (5, Item(("A", "1", 1))))
+                    ),
+                ),
+            )
+        )
+        assert db.items == (Item(("A", "1", 1)), Item(("B", "1", 0)))
+        assert db.patients() == ("p1", "p2")
+        assert db.positives == ((0, 1), (1,))
+        assert db.positive_days == ((5, 5), (3,))
+        assert db.negatives is None and not db.has_negatives
 
     def test_mixed_shapes_rejected(self):
         seq = EventSequence(("p1", POSITIVE))

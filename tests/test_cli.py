@@ -140,6 +140,16 @@ class TestMineCommand:
         out = tmp_path / "patterns.jsonl"
         assert main(mine_args(cohort_dir, tmp_path / "absent.pmq", out)) == 1
 
+    def test_undecodable_query_exits_one_naming_file_and_line(self, cohort_dir, tmp_path, capsys):
+        query = tmp_path / "latin1.pmq"
+        query.write_bytes(b"min_support 5;\n# caf\xe9\n")
+        out = tmp_path / "patterns.jsonl"
+        assert main(mine_args(cohort_dir, query, out)) == 1
+        err = capsys.readouterr().err
+        assert f"{query}:2: not UTF-8: byte 0xe9" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_data_file_exits_two(self, cohort_dir, query_file, tmp_path):
         args = mine_args(cohort_dir, query_file, tmp_path / "p.jsonl")
         args[args.index("--deliveries") + 1] = str(tmp_path / "absent.csv")

@@ -423,6 +423,35 @@ class TestLastOccurrenceIndex:
         self.check(prep, [0, 1, 2], [9, 0, 4])
 
 
+class TestInterning:
+    @staticmethod
+    def copied(seq):
+        """The sequence with a fresh, equal Item object for every event."""
+        if seq is None:
+            return None
+        owner, polarity = seq.sequence_id
+        days = [day for day, _ in seq]
+        return make_seq(owner, polarity, [Item(tuple(item.values)) for _, item in seq], days)
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_equal_items_built_apart_mine_like_shared_ones(self, seed):
+        task, shared = random_instance(seed)
+        pairs = [
+            CasePair(pair.patient, self.copied(pair.positive), self.copied(pair.negative))
+            for pair in shared
+        ]
+        events = [item for pair in pairs for _, item in pair.positive]
+        assert len({id(item) for item in events}) == len(events)
+        apart = CaseDatabase(pairs)
+        assert apart.items == shared.items
+        assert apart.positives == shared.positives
+        for mode in ("all", "witness"):
+            options = MiningOptions(embeddings=mode)
+            want, got = mine(task, shared, options), mine(task, apart, options)
+            assert got.patterns == want.patterns
+            assert (got.nodes_expanded, got.counters) == (want.nodes_expanded, want.counters)
+
+
 class TestCounters:
     def test_hand_checked_instance(self):
         # Roots GEN and BRA. GEN's child BRA overshoots `switch <= 0`; BRA's

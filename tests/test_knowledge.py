@@ -2,7 +2,7 @@
 
 import pytest
 
-from pathmine.builder import make_event_mapping
+from pathmine.builder import CodeTable
 from pathmine.errors import CycleError, DuplicateCode, UnknownCode
 from pathmine.knowledge import CodeAttributes, DeliveryAttributes, KnowledgeBase, Taxonomy
 from pathmine.model import Item
@@ -47,13 +47,14 @@ class TestCodeAttributes:
 
 
 class TestClassifyDelivery:
-    """Reifying one delivery code through the builder's event mapping."""
+    """Reifying one delivery code through the builder's code table."""
 
     @staticmethod
     def classify(cip, class_filter=None):
         kb = KnowledgeBase(table())
-        mapping = make_event_mapping(kb, class_filter, ("atc", "group", "generic"))
-        return mapping(cip)
+        codes = CodeTable(kb, class_filter, ("atc", "group", "generic"))
+        iid = codes[cip]
+        return None if iid is None else codes.items[iid]
 
     def test_reifies_full_triple(self):
         item = self.classify("C1", frozenset({"N03AG01"}))

@@ -2,7 +2,7 @@
 
 import ast
 import importlib
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -97,4 +97,5 @@ def test_setup_snippet_imports_resolve():
     "cls, field", [(CaseDatabase, "pairs"), (MiningResult, "nodes_expanded")]
 )
 def test_fields_the_traced_run_reads(cls, field):
-    assert field in {f.name for f in fields(cls)}
+    # A dataclass field, or an attribute of the class such as a property.
+    assert field in {f.name for f in fields(cls)} if is_dataclass(cls) else hasattr(cls, field)
