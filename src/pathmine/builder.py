@@ -11,11 +11,11 @@ Reification goes through the task's code table (`CodeTable`), built from
 the knowledge base before any delivery is read: each code that passes
 the class filter maps to the id of its item, one item per distinct
 projected attribute tuple, with ids in ascending `Item.sort_key` order.
-Each window then becomes a tuple of ids sorted by (day, id), put in
-order by one C-level sort of `day * K + id` integers (K items), and a
-tuple of its days. No object is made per event: `CaseDatabase` holds
-these tuples, which the engine searches as they are, and its `pairs`
-are `EventSequence` views of them, built on demand.
+Each window then becomes one sorted tuple of keys `day * K + id` (K
+items), which sort as (day, id) pairs do, in one C-level sort; a key's
+id is `key % K` and its day `key // K`. No object is made per event:
+`CaseDatabase` holds these tuples, the engine takes the ids off them,
+and its `pairs` are `EventSequence` views of them, built on demand.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import compress, repeat
-from operator import add, attrgetter, is_not, mod, mul
-from typing import TYPE_CHECKING, Iterable
+from operator import add, attrgetter, is_not, mul
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .errors import UnknownCode
-from .ingest import DeliveryColumns, DiseaseFact, RawDatabase
+from .ingest import DeliveryColumns, DiseaseColumns, RawDatabase
 from .knowledge import KnowledgeBase, Taxonomy
 from .model import NEGATIVE, POSITIVE, EventSequence, Item
 
@@ -78,6 +78,16 @@ class IndexEventRule:
             raise ValueError("index event rule needs at least one ancestor code")
         object.__setattr__(self, "diagnosis_ancestors", codes)
 
+    def qualifier(self, taxonomy: Taxonomy) -> Callable[[str], bool]:
+        """Whether a diagnosis code has an ancestor in the set; each code is looked up once."""
+        ancestors = self.diagnosis_ancestors
+
+        @lru_cache(maxsize=None)
+        def qualifies(icd: str) -> bool:
+            return not ancestors.isdisjoint(taxonomy.ancestors(icd))
+
+        return qualifies
+
 
 @dataclass(frozen=True)
 class CasePair:
@@ -93,12 +103,13 @@ class CaseDatabase:
 
     `items` is the item table in ascending `Item.sort_key` order, and an
     item's id is its position in it. Entry k of `positives` is the k-th
-    patient's positive sequence as ids sorted by (day, id), and entry k
-    of `positive_days` its days. `negatives` and `negative_days` hold the
-    negative sequences the same way, or are None when there is no
-    negative window. Either every pair carries a negative sequence or
-    none does; a pair whose negative window contained no events holds an
-    empty sequence, which is different from having no negative window.
+    patient's positive sequence as sorted keys `day * K + id`, K being
+    `len(items)`: keys sort as (day, id) pairs do, `key % K` is the id
+    and `key // K` the day. `negatives` holds the negative sequences the
+    same way, or is None when there is no negative window. Either every
+    pair carries a negative sequence or none does; a pair whose negative
+    window contained no events holds an empty sequence, which is
+    different from having no negative window.
 
     `CaseDatabase(pairs)` interns hand-built pairs, giving equal items
     one id; `build_database` hands over its tuples as they are. `pairs`
@@ -115,43 +126,40 @@ class CaseDatabase:
         shapes = {pair.negative is not None for pair in ordered}
         if len(shapes) > 1:
             raise ValueError("negative sequences must be present for all patients or none")
-        sequences = [pair.positive for pair in ordered] + [
-            pair.negative for pair in ordered if pair.negative is not None
-        ]
+        negatives = [pair.negative for pair in ordered] if True in shapes else []
+        sequences = [pair.positive for pair in ordered] + negatives
         items = sorted({item for seq in sequences for _, item in seq}, key=Item.sort_key)
         id_of = {item: iid for iid, item in enumerate(items)}
-        ids = tuple(tuple(id_of[item] for _, item in seq) for seq in sequences)
-        days = tuple(tuple(day for day, _ in seq) for seq in sequences)
+        # Events are sorted by (day, sort key), so the keys come out sorted.
+        scale = len(items)
+        keys = tuple(tuple(day * scale + id_of[item] for day, item in seq) for seq in sequences)
         count = len(patients)
-        negatives = (ids[count:], days[count:]) if True in shapes else ()
-        self._fill(patients, tuple(items), ids[:count], days[:count], *negatives)
+        self._patients, self.items, self.positives = patients, tuple(items), keys[:count]
+        self.negatives = keys[count:] if True in shapes else None
 
     @classmethod
-    def _interned(cls, *columns) -> "CaseDatabase":
-        """A database over sequences already interned, as `_fill` takes them."""
+    def _interned(cls, patients, items, positives, negatives) -> "CaseDatabase":
+        """A database over sequences already interned."""
         database = cls.__new__(cls)
-        database._fill(*columns)
+        database._patients, database.items = patients, items
+        database.positives, database.negatives = positives, negatives
         return database
-
-    def _fill(self, patients, items, positives, positive_days, negatives=None, negative_days=None):
-        self._patients, self.items = patients, items
-        self.positives, self.positive_days = positives, positive_days
-        self.negatives, self.negative_days = negatives, negative_days
 
     @cached_property
     def pairs(self) -> tuple[CasePair, ...]:
-        items = self.items.__getitem__
+        items, scale = self.items, repeat(len(self.items))
 
-        def views(polarity: str, ids: tuple, days: tuple) -> list[EventSequence]:
+        def views(polarity: str, sequences: tuple) -> list[EventSequence]:
             return [
-                EventSequence((patient, polarity), tuple(zip(seq_days, map(items, seq_ids))))
-                for patient, seq_ids, seq_days in zip(self._patients, ids, days)
+                EventSequence(
+                    (patient, polarity),
+                    tuple((day, items[iid]) for day, iid in map(divmod, keys, scale)),
+                )
+                for patient, keys in zip(self._patients, sequences)
             ]
 
-        positives = views(POSITIVE, self.positives, self.positive_days)
-        negatives = repeat(None)
-        if self.negatives is not None:
-            negatives = views(NEGATIVE, self.negatives, self.negative_days)
+        positives = views(POSITIVE, self.positives)
+        negatives = repeat(None) if self.negatives is None else views(NEGATIVE, self.negatives)
         return tuple(map(CasePair, self._patients, positives, negatives))
 
     @property
@@ -168,17 +176,15 @@ class CaseDatabase:
         return iter(self.pairs)
 
 
-def find_index_event(
-    diseases: Iterable[DiseaseFact], rule: IndexEventRule, taxonomy: Taxonomy
-) -> int | None:
+def find_index_event(diagnoses: DiseaseColumns, qualifies: Callable[[str], bool]) -> int | None:
     """Earliest day with a qualifying diagnosis; None when none qualifies.
 
-    Order-insensitive: only the minimum day matters, ties collapse.
+    `diagnoses` are one patient's, sorted by day as in
+    `RawDatabase.disease_groups`, so the first qualifying day is the
+    earliest and same-day ties collapse. `qualifies` is the rule's
+    `IndexEventRule.qualifier`.
     """
-    ancestors = rule.diagnosis_ancestors
-    return min(
-        (fact.day for fact in diseases if taxonomy.ancestors(fact.icd) & ancestors), default=None
-    )
+    return next(compress(diagnoses.days, map(qualifies, diagnoses.codes)), None)
 
 
 class CodeTable(dict):
@@ -258,37 +264,27 @@ def _spans(positive: WindowSpec, negative: WindowSpec | None) -> list[tuple[int,
 
 def _sequences(
     deliveries: DeliveryColumns, index_day: int, spans: list[tuple[int, int, int]], table: CodeTable
-) -> tuple[tuple[int, ...], ...]:
-    """One patient's positive ids and days, then negative ids and days.
+) -> list[tuple[int, ...]]:
+    """One patient's positive keys, then negative keys, each sorted.
 
-    Each polarity's ids are sorted by (day, id), beside their days. The
-    spans are mapped in day order, so under the abort policy the
-    unknown code raised is the earliest one inside a window. The
-    deliveries are sorted by day, so each polarity's kept days are
-    already in order and only the ids of one day may need sorting. Ids
-    are below K = `len(table.items)`, so the integers `day * K + id`
-    sort as (day, id) pairs do, in one C-level sort.
+    A key is `day * K + id`, K being `len(table.items)`, so the keys
+    sort as (day, id) pairs do, in one C-level sort. The spans are
+    mapped in day order, so under the abort policy the unknown code
+    raised is the earliest one inside a window.
     """
     days, codes = deliveries.days, deliveries.codes
     keys: tuple[list[int], list[int]] = ([], [])
-    kept_days: tuple[list[int], list[int]] = ([], [])
     scale = repeat(len(table.items))
     for start, stop, polarity in spans:
         lo = bisect_left(days, index_day + start)
         hi = bisect_left(days, index_day + stop, lo)
         ids = list(map(table.__getitem__, codes[lo:hi]))
-        span_days = days[lo:hi]
+        offsets = map(mul, days[lo:hi], scale)
         if None in ids:
             kept = list(map(is_not, ids, repeat(None)))
-            ids = list(compress(ids, kept))
-            span_days = tuple(compress(span_days, kept))
-        kept_days[polarity].extend(span_days)
-        keys[polarity].extend(map(add, map(mul, span_days, scale), ids))
-    sequences = []
-    for polarity_keys, polarity_days in zip(keys, kept_days):
-        polarity_keys.sort()
-        sequences += (tuple(map(mod, polarity_keys, scale)), tuple(polarity_days))
-    return tuple(sequences)
+            offsets, ids = compress(offsets, kept), compress(ids, kept)
+        keys[polarity].extend(map(add, offsets, ids))
+    return [tuple(sorted(polarity_keys)) for polarity_keys in keys]
 
 
 def build_database(
@@ -306,20 +302,16 @@ def build_database(
     table = CodeTable(kb, task.class_filter, task.schema, unknown_code)
     spans = _spans(task.positive_window, task.negative_window)
     deliveries = raw.delivery_groups
-    # Whether a diagnosis code qualifies, each distinct code's answer computed once.
-    qualifies = lru_cache(maxsize=None)(
-        lambda icd: not kb.taxonomy.ancestors(icd).isdisjoint(task.index_rule.diagnosis_ancestors)
-    )
+    qualifies = task.index_rule.qualifier(kb.taxonomy)
     rows = []
     for patient, diagnoses in raw.disease_groups.items():
-        # Each patient's diagnoses are sorted by day: the first qualifying is the earliest.
-        index_day = next(compress(diagnoses.days, map(qualifies, diagnoses.codes)), None)
+        index_day = find_index_event(diagnoses, qualifies)
         if index_day is None:
             continue
         columns = deliveries.get(patient, _NO_DELIVERIES)
         rows.append((patient, *_sequences(columns, index_day, spans, table)))
     # Disease groups come in ascending patient order, so the rows do too.
-    patients, *sequences = zip(*rows) if rows else ((),) * 5
+    patients, positives, negatives = zip(*rows) if rows else ((),) * 3
     if task.negative_window is None:
-        del sequences[2:]
-    return CaseDatabase._interned(patients, table.items, *sequences)
+        negatives = None
+    return CaseDatabase._interned(patients, table.items, positives, negatives)

@@ -17,13 +17,13 @@ still written). Diagnostics go to stderr only.
 restores its previous state when the command returns, so library
 callers and in-process ``main()`` calls see no change. The bulk phases
 allocate hundreds of thousands of container objects (parsed rows, fact
-columns, the windows' id tuples, index lists), and each automatic
-collection would traverse all of them again, yet none of them is part
-of a reference cycle: facts, items and id tuples are immutable trees,
-and everything they reference is freed by reference counting. Turning
-the collector off therefore leaks nothing that grows with the data; the
-tests check that the garbage left after a run does not depend on the
-cohort size.
+columns, the windows' key and id tuples, index lists), and each
+automatic collection would traverse all of them again, yet none of them
+is part of a reference cycle: facts, items and tuples of ints are
+immutable trees, and everything they reference is freed by reference
+counting. Turning the collector off therefore leaks nothing that grows
+with the data; the tests check that the garbage left after a run does
+not depend on the cohort size.
 """
 
 from __future__ import annotations
@@ -207,9 +207,6 @@ def _mine(args: argparse.Namespace) -> int:
     ends["write"] = time.monotonic()
 
     wall_seconds, phases = _phase_seconds(started, ends)
-    # Every option of the mine command, and the threshold the query set.
-    config = dict(vars(args), min_support=task.min_support)
-    del config["command"]
     report = RunReport(
         patients_total=patients_total,
         patients_with_index=len(database),
@@ -221,7 +218,21 @@ def _mine(args: argparse.Namespace) -> int:
         wall_seconds=wall_seconds,
         phases=phases,
         counters=result.counters,
-        config=config,
+        config={
+            "query": args.query,
+            "deliveries": args.deliveries,
+            "diseases": args.diseases,
+            "kb": args.kb,
+            "taxonomy": args.taxonomy,
+            "out": args.out,
+            "embeddings": args.embeddings,
+            "max_len": args.max_len,
+            "unknown_code": args.unknown_code,
+            "max_nodes": args.max_nodes,
+            "max_seconds": args.max_seconds,
+            "class_filter_exact": args.class_filter_exact,
+            "min_support": task.min_support,
+        },
     )
     print(json.dumps(asdict(report), sort_keys=True, indent=2))
     if not result.complete:

@@ -48,7 +48,8 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
+from itertools import chain, repeat
+from operator import mod
 from typing import Callable, Iterator, Sequence
 
 from .builder import CaseDatabase
@@ -161,11 +162,12 @@ def _decide(
 
 
 class _Prepared:
-    """The database's interned sequences, with a last-occurrence index.
+    """The database's sequences as item ids, with a last-occurrence index.
 
-    The database's ids follow canonical item order, so ascending id
-    order is ascending output order and no per-candidate key
-    computation happens in the search loop.
+    Each sequence's ids are its keys modulo the number of items. The
+    database's ids follow canonical item order, so ascending id order
+    is ascending output order and no per-candidate key computation
+    happens in the search loop.
 
     For each positive sequence, `order` lists its distinct item ids by
     ascending last occurrence and `lasts` the matching last positions.
@@ -175,12 +177,29 @@ class _Prepared:
     only the items still wanted.
     """
 
+    __slots__ = (
+        "task",
+        "patients",
+        "pos_ids",
+        "order",
+        "lasts",
+        "neg_ids",
+        "items",
+        "switches",
+        "switch_values",
+        "contains_ids",
+        "max_len",
+    )
+
     def __init__(self, task: MiningTask, database: CaseDatabase, options: MiningOptions) -> None:
         self.task = task
         self.patients = database.patients()
         self.items = database.items
-        self.pos_ids = database.positives
-        self.neg_ids = database.negatives
+        scale = repeat(len(self.items))
+        self.pos_ids = [tuple(map(mod, keys, scale)) for keys in database.positives]
+        self.neg_ids = None
+        if database.negatives is not None:
+            self.neg_ids = [tuple(map(mod, keys, scale)) for keys in database.negatives]
         self.order = []
         self.lasts = []
         for seq in self.pos_ids:

@@ -77,8 +77,9 @@ class EventSequence:
 
     This is the item form of a sequence, for hand-built databases, the
     reference oracle and callers that want items. The builder and the
-    engine never make one: `CaseDatabase` keeps each sequence as item
-    ids, and its `pairs` builds these views on demand.
+    engine never make one: `CaseDatabase` keeps each sequence as sorted
+    integer keys of day and item id, and its `pairs` builds these views
+    on demand.
     """
 
     sequence_id: SequenceId

@@ -80,20 +80,25 @@ class TestWindowSpec:
             IndexEventRule(frozenset())
 
 
+def index_event(facts):
+    """Patient p's index day, from the diagnoses grouped as the builder reads them."""
+    return find_index_event(RawDatabase(diseases=facts).disease_groups["p"], RULE.qualifier(TAX))
+
+
 class TestFindIndexEvent:
     def test_earliest_qualifying_day(self):
         facts = [DiseaseFact("p", 100, "G403"), DiseaseFact("p", 50, "G410")]
-        assert find_index_event(facts, RULE, TAX) == 50
+        assert index_event(facts) == 50
 
     def test_ancestor_membership_via_taxonomy(self):
-        assert find_index_event([DiseaseFact("p", 9, "G403")], RULE, TAX) == 9
+        assert index_event([DiseaseFact("p", 9, "G403")]) == 9
 
     def test_no_qualifying_diagnosis(self):
-        assert find_index_event([DiseaseFact("p", 5, "I10")], RULE, TAX) is None
+        assert index_event([DiseaseFact("p", 5, "I10")]) is None
 
     def test_same_day_tie_is_single_index(self):
         facts = [DiseaseFact("p", 50, "G403"), DiseaseFact("p", 50, "G410")]
-        assert find_index_event(facts, RULE, TAX) == 50
+        assert index_event(facts) == 50
 
     def test_permutation_invariant(self):
         facts = [
@@ -101,7 +106,7 @@ class TestFindIndexEvent:
             DiseaseFact("p", 30, "I10"),
             DiseaseFact("p", 60, "G410"),
         ]
-        days = {find_index_event(list(perm), RULE, TAX) for perm in (facts, facts[::-1])}
+        days = {index_event(list(perm)) for perm in (facts, facts[::-1])}
         assert days == {60}
 
 
@@ -309,8 +314,9 @@ class TestBuildDatabase:
         )
         assert db.items == (Item(("A", "1", 1)), Item(("B", "1", 0)))
         assert db.patients() == ("p1", "p2")
-        assert db.positives == ((0, 1), (1,))
-        assert db.positive_days == ((5, 5), (3,))
+        # Keys day * 2 + id, two items.
+        assert db.positives == ((5 * 2 + 0, 5 * 2 + 1), (3 * 2 + 1,))
+        assert [day for day, _ in db.pairs[0].positive] == [5, 5]
         assert db.negatives is None and not db.has_negatives
 
     def test_mixed_shapes_rejected(self):
