@@ -24,7 +24,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import compress, repeat
-from operator import add, attrgetter, is_not, mul
+from operator import add, attrgetter, is_not, mod, mul
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .errors import UnknownCode
@@ -161,6 +161,11 @@ class CaseDatabase:
         positives = views(POSITIVE, self.positives)
         negatives = repeat(None) if self.negatives is None else views(NEGATIVE, self.negatives)
         return tuple(map(CasePair, self._patients, positives, negatives))
+
+    def ids(self, sequences: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
+        """`positives` or `negatives` as item ids, each sequence in order."""
+        scale = repeat(len(self.items))
+        return [tuple(map(mod, keys, scale)) for keys in sequences]
 
     @property
     def has_negatives(self) -> bool:

@@ -48,8 +48,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, repeat
-from operator import mod
+from itertools import chain
 from typing import Callable, Iterator, Sequence
 
 from .builder import CaseDatabase
@@ -164,10 +163,9 @@ def _decide(
 class _Prepared:
     """The database's sequences as item ids, with a last-occurrence index.
 
-    Each sequence's ids are its keys modulo the number of items. The
-    database's ids follow canonical item order, so ascending id order
-    is ascending output order and no per-candidate key computation
-    happens in the search loop.
+    The database's ids follow canonical item order, so ascending id
+    order is ascending output order and no per-candidate key
+    computation happens in the search loop.
 
     For each positive sequence, `order` lists its distinct item ids by
     ascending last occurrence and `lasts` the matching last positions.
@@ -195,11 +193,10 @@ class _Prepared:
         self.task = task
         self.patients = database.patients()
         self.items = database.items
-        scale = repeat(len(self.items))
-        self.pos_ids = [tuple(map(mod, keys, scale)) for keys in database.positives]
+        self.pos_ids = database.ids(database.positives)
         self.neg_ids = None
         if database.negatives is not None:
-            self.neg_ids = [tuple(map(mod, keys, scale)) for keys in database.negatives]
+            self.neg_ids = database.ids(database.negatives)
         self.order = []
         self.lasts = []
         for seq in self.pos_ids:
@@ -215,7 +212,10 @@ class _Prepared:
             frozenset(i for i, item in enumerate(self.items) if item.values[c.attr_index] == c.value)
             for c in task.contains_constraints()
         ]
-        self.max_len = options.max_len or max(map(len, self.pos_ids), default=0)
+        if options.max_len is not None:
+            self.max_len = options.max_len
+        else:
+            self.max_len = max((len(seq) for seq in self.pos_ids), default=0)
 
     def count(
         self, seqs: Sequence[int], starts: Sequence[int]
