@@ -14,8 +14,9 @@ projected attribute tuple, with ids in ascending `Item.sort_key` order.
 Each window then becomes one sorted tuple of keys `day * K + id` (K
 items), which sort as (day, id) pairs do, in one C-level sort; a key's
 id is `key % K` and its day `key // K`. No object is made per event:
-`CaseDatabase` holds these tuples, the engine takes the ids off them,
-and its `pairs` are `EventSequence` views of them, built on demand.
+`CaseDatabase` holds these tuples, the engine reads their ids through
+`CaseDatabase.ids`, and `CaseDatabase.pairs` holds `EventSequence`
+views of them, built on demand.
 """
 
 from __future__ import annotations
