@@ -75,27 +75,28 @@ class _Parser(argparse.ArgumentParser):
 
 
 def pattern_record(pt: PatternTuple) -> dict:
-    """JSON-ready view of one mined pattern."""
+    """JSON-ready view of one mined pattern.
+
+    Item values and embeddings stay tuples, which JSON writes as lists.
+    """
     discr = None
     if pt.discriminative is not None:
         discr = sorted(pt.discriminative)
     return {
-        "items": [list(item.values) for item in pt.pattern.items],
+        "items": [item.values for item in pt.pattern.items],
         "positive_support": len(pt.supported),
         "discriminative_support": discr,
-        "embeddings": {
-            patient: sorted(list(emb) for emb in embs)
-            for patient, embs in pt.embeddings.items()
-        },
+        "embeddings": {patient: sorted(embs) for patient, embs in pt.embeddings.items()},
     }
 
 
 def render_patterns(patterns: tuple[PatternTuple, ...]) -> str:
     """JSON Lines text for a whole result, one pattern per line."""
-    return "".join(
-        json.dumps(pattern_record(pt), sort_keys=True, separators=(",", ":")) + "\n"
-        for pt in patterns
-    )
+    # One encoder for every record; the records hold no reference cycles.
+    encode = json.JSONEncoder(
+        sort_keys=True, separators=(",", ":"), check_circular=False
+    ).encode
+    return "".join(encode(pattern_record(pt)) + "\n" for pt in patterns)
 
 
 def build_parser() -> _Parser:

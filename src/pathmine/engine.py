@@ -17,8 +17,14 @@ the many infrequent candidates stops at the count.
 The chain of tails along the search path is itself the leftmost
 embedding (PrefixSpan's pseudo-projection), so each node carries it and
 witness mode reads every supporter's witness off the search path
-instead of searching for it again. The depth-first walk keeps an
-explicit stack, so no sequence is too long to mine.
+instead of searching for it again. The negative frontier is carried
+down the path like the positive one: where the greedy leftmost match
+of the prefix ends in each supporter's own negative sequence, so a
+child's discriminative check is one hop per supporter from its
+parent's frontier, not a rescan of the whole prefix. A node whose
+candidates all fall below the support bound stops right after the
+count. The depth-first walk keeps an explicit stack, and the frontier
+is filled in by a loop up the path, so no sequence is too long to mine.
 
 Each kind of constraint steers the search its own way:
 
@@ -48,6 +54,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import chain
 from typing import Callable, Iterator, Sequence
 
@@ -104,8 +111,8 @@ class MiningResult:
     `counters` holds plain ints on why the search did what it did:
     `support_pruned` candidates dropped by the support bound,
     `switch_pruned` candidates dropped by an overshot switch bound, and
-    `negative_checks` negative sequences scanned by the discriminative
-    filter.
+    `negative_checks` one per supporter of each node whose
+    discriminative check ran.
     """
 
     patterns: tuple[PatternTuple, ...]
@@ -131,7 +138,7 @@ def _decide(
     support_count: int,
     switch_counts: Sequence[int],
     contains_flags: Sequence[bool],
-    task: MiningTask,
+    prep: "_Prepared",
     discr_count: Callable[[], int],
 ) -> Decision:
     """The engine's one definition of constraint semantics.
@@ -141,9 +148,9 @@ def _decide(
     extend otherwise. The discriminative count is only requested when
     everything else already passed.
     """
-    if support_count < task.min_support:
+    if support_count < prep.min_support:
         return Decision.PRUNE
-    switches = task.switch_constraints()
+    switches = prep.switches
     if _overshoots(switch_counts, switches):
         return Decision.PRUNE
     emittable = all(contains_flags)
@@ -155,7 +162,7 @@ def _decide(
             if constraint.comparator == ">=" and count < constraint.value:
                 emittable = False
                 break
-    if emittable and task.discriminative and discr_count() < task.min_support:
+    if emittable and prep.discriminative and discr_count() < prep.min_support:
         emittable = False
     return Decision.EMIT if emittable else Decision.EXTEND_ONLY
 
@@ -183,6 +190,8 @@ class _Prepared:
         "lasts",
         "neg_ids",
         "items",
+        "min_support",
+        "discriminative",
         "switches",
         "switch_values",
         "contains_ids",
@@ -204,6 +213,8 @@ class _Prepared:
             lasts = sorted(dict(zip(seq, range(len(seq)))).values())
             self.order.append(tuple(map(seq.__getitem__, lasts)))
             self.lasts.append(tuple(lasts))
+        self.min_support = task.min_support
+        self.discriminative = task.discriminative
         self.switches = task.switch_constraints()
         self.switch_values = [
             [item.values[c.attr_index] for item in self.items] for c in self.switches
@@ -250,17 +261,6 @@ class _Prepared:
                 wanted[iid].append((k, events.index(iid, start)))
 
 
-def _contains_ids(haystack: tuple[int, ...], needle: Sequence[int]) -> bool:
-    # Greedy subsequence test over interned ids, hopping to each next match.
-    at = 0
-    try:
-        for wanted in needle:
-            at = haystack.index(wanted, at) + 1
-    except ValueError:
-        return False
-    return True
-
-
 class _Node:
     """One pattern on the search path, with its supporters' leftmost embeddings.
 
@@ -270,9 +270,27 @@ class _Node:
     search after. A child's embedding is its parent's plus one
     position, so the witness costs one tuple per supporter and is never
     searched for again.
+
+    The negative frontier is carried down the path the same way: entry
+    k of `negative` is the 0-based position just after the greedy
+    leftmost match of the prefix in the k-th supporter's negative
+    sequence, or None when that sequence lacks the prefix. Greedy
+    leftmost matching is exact for containment, so a child's entry is
+    one hop from its parent's. It is filled in only for the nodes whose
+    discriminative check runs, and for the ancestors they need; `occs`
+    maps each supporter here to its index in `parent`.
     """
 
-    __slots__ = ("prefix", "seqs", "witnesses", "switch_counts", "contains_flags")
+    __slots__ = (
+        "prefix",
+        "seqs",
+        "witnesses",
+        "switch_counts",
+        "contains_flags",
+        "parent",
+        "occs",
+        "negative",
+    )
 
     def __init__(
         self,
@@ -281,12 +299,18 @@ class _Node:
         witnesses: list[Embedding],
         switch_counts: tuple[int, ...],
         contains_flags: tuple[bool, ...],
+        parent: "_Node | None" = None,
+        occs: list[tuple[int, int]] | None = None,
+        negative: list[int | None] | None = None,
     ) -> None:
         self.prefix = prefix
         self.seqs = seqs
         self.witnesses = witnesses
         self.switch_counts = switch_counts
         self.contains_flags = contains_flags
+        self.parent = parent
+        self.occs = occs
+        self.negative = negative
 
     def child(
         self,
@@ -304,6 +328,8 @@ class _Node:
             [witnesses[k] + (pos + 1,) for k, pos in occs],
             switch_counts,
             contains_flags,
+            self,
+            occs,
         )
 
 
@@ -370,37 +396,59 @@ class _Searcher:
             return None
         self.nodes += 1
         prep = self.prep
-        discr_cache: list[frozenset | None] = [None]
-
-        def discr_count() -> int:
-            assert prep.neg_ids is not None
-            self.counters["negative_checks"] += len(node.seqs)
-            supporters = frozenset(
-                prep.patients[seq_idx]
-                for seq_idx in node.seqs
-                if not _contains_ids(prep.neg_ids[seq_idx], node.prefix)
-            )
-            discr_cache[0] = supporters
-            return len(supporters)
-
         decision = _decide(
-            len(node.seqs), node.switch_counts, node.contains_flags, prep.task, discr_count
+            len(node.seqs),
+            node.switch_counts,
+            node.contains_flags,
+            prep,
+            partial(self._lacking, node),
         )
         if decision is Decision.PRUNE and self.options.prune:
             # Children were checked before they were made, so only a root gets here.
-            if len(node.seqs) < prep.task.min_support:
+            if len(node.seqs) < prep.min_support:
                 self.counters["support_pruned"] += 1
             else:
                 self.counters["switch_pruned"] += 1
             return None
         if decision is Decision.EMIT:
-            record = self._emit(node, discr_cache[0])
+            record = self._emit(node)
             if record is None:
                 return None
             self.found.append((node.prefix, record))
         if len(node.prefix) >= prep.max_len:
             return None
         return (node.child(*extension) for extension in self.extensions(node))
+
+    def _lacking(self, node: _Node) -> int:
+        """How many supporters' negative sequences lack the node's pattern."""
+        self.counters["negative_checks"] += len(node.seqs)
+        return self._negative_frontier(node).count(None)
+
+    def _negative_frontier(self, node: _Node) -> list[int | None]:
+        """The node's negative frontier, filling in the path down from the
+        nearest ancestor that has one.
+
+        The walk is a loop, not a recursion, so no path is too deep.
+        """
+        path = []
+        while node.negative is None:
+            path.append(node)
+            node = node.parent
+        frontier = node.negative
+        neg_ids = self.prep.neg_ids
+        for node in reversed(path):
+            iid = node.prefix[-1]
+            ahead: list[int | None] = []
+            for (k, _), seq_idx in zip(node.occs, node.seqs):
+                at = frontier[k]
+                if at is not None:
+                    try:
+                        at = neg_ids[seq_idx].index(iid, at) + 1
+                    except ValueError:
+                        at = None
+                ahead.append(at)
+            node.negative = frontier = ahead
+        return frontier
 
     def extensions(self, node: _Node) -> list[_Extension]:
         """The node's extensions in ascending item order, minus those pruned up front.
@@ -422,7 +470,11 @@ class _Searcher:
         counts, tails = prep.count(seqs, starts)
         bounded = self.options.prune and last is not None
         if bounded:
-            min_support = prep.task.min_support
+            min_support = prep.min_support
+            if max(counts.values(), default=0) < min_support:
+                # A leaf: no candidate clears the bound, so none is looked at.
+                self.counters["support_pruned"] += len(counts)
+                return []
             candidates = [iid for iid, supporters in counts.items() if supporters >= min_support]
             self.counters["support_pruned"] += len(counts) - len(candidates)
         else:
@@ -453,20 +505,19 @@ class _Searcher:
             for iid in sorted(wanted)
         ]
 
-    def _emit(self, node: _Node, discr: frozenset | None) -> PatternTuple | None:
+    def _emit(self, node: _Node) -> PatternTuple | None:
         """The node's result record, or None if the budget ran out meanwhile.
 
         Witness mode reads each supporter's leftmost embedding off the
         node. All mode enumerates the embeddings lazily and charges them
         to the budget as it goes, since their number grows
-        combinatorially.
+        combinatorially. The discriminative supporters are those whose
+        negative frontier found no match.
         """
         prep = self.prep
         patients = [prep.patients[seq_idx] for seq_idx in node.seqs]
         if self.options.embeddings == EMBEDDINGS_WITNESS:
-            embeddings = {
-                patient: (witness,) for patient, witness in zip(patients, node.witnesses)
-            }
+            embeddings = dict(zip(patients, map(frozenset, zip(node.witnesses))))
         else:
             embeddings = {}
             enumerated = 0
@@ -477,11 +528,16 @@ class _Searcher:
                     enumerated += 1
                     if not enumerated % _DEADLINE_STRIDE and not self.spend():
                         return None
+        discr = None
+        if prep.discriminative:
+            discr = frozenset(
+                patient for patient, at in zip(patients, node.negative) if at is None
+            )
         return PatternTuple(
             pattern=Pattern(tuple(prep.items[iid] for iid in node.prefix)),
             supported=frozenset(patients),
             embeddings=embeddings,
-            discriminative=discr if prep.task.discriminative else None,
+            discriminative=discr,
         )
 
 
@@ -511,6 +567,7 @@ def mine(
             [()] * count,
             (0,) * len(prep.switches),
             (False,) * len(prep.contains_ids),
+            negative=None if prep.neg_ids is None else [0] * count,
         )
     )
     found = searcher.found

@@ -79,14 +79,26 @@ class EventSequence:
     reference oracle and callers that want items. The builder and the
     engine never make one: `CaseDatabase` keeps each sequence as sorted
     integer keys of day and item id, and its `pairs` builds these views
-    on demand.
+    on demand, from keys already in order, so they are not sorted again.
     """
 
     sequence_id: SequenceId
     events: tuple[tuple[int, Item], ...] = ()
 
     def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.events, key=lambda ev: (ev[0], ev[1]._key)))
+        self._settle(tuple(sorted(self.events, key=lambda ev: (ev[0], ev[1]._key))))
+
+    @classmethod
+    def _presorted(
+        cls, sequence_id: SequenceId, events: tuple[tuple[int, Item], ...]
+    ) -> "EventSequence":
+        """A sequence over events already in (day, item) order, not sorted again."""
+        sequence = object.__new__(cls)
+        object.__setattr__(sequence, "sequence_id", sequence_id)
+        sequence._settle(events)
+        return sequence
+
+    def _settle(self, ordered: tuple[tuple[int, Item], ...]) -> None:
         # Sorted by day first, so the first event has the smallest day.
         if ordered and ordered[0][0] < 0:
             raise ValueError(f"negative day {ordered[0][0]} in sequence {self.sequence_id}")

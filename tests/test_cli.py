@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output shape, determinism."""
 
 import gc
+import hashlib
 import json
 import random
 import shutil
@@ -9,7 +10,11 @@ from collections import Counter
 import pytest
 
 from pathmine import ingest
-from pathmine.cli import main
+from pathmine.builder import build_database
+from pathmine.cli import main, render_patterns
+from pathmine.engine import MiningOptions, mine
+from pathmine.query import compile_query, parse_query
+from pathmine.synth import CohortConfig, PlantSpec, generate_cohort, knowledge_base, raw_database
 
 from conftest import STUDY_QUERY
 
@@ -282,6 +287,60 @@ class TestMineCommand:
         assert all(type(value) is int and value >= 0 for value in counters.values())
         # The study query is discriminative and emits patterns, so negatives were checked.
         assert counters["negative_checks"] > 0
+
+
+class TestRenderedOutputPinned:
+    """The emit and render path's bytes and the search's counters, pinned.
+
+    A seeded cohort mined at low support emits hundreds of patterns, so
+    every record shape (several supporters, several embeddings in all
+    mode, discriminative sets) goes through `render_patterns`.
+    """
+
+    QUERY = """\
+index_event first diagnosis in {G40, G41};
+event delivery where atc in {N03AX09, N03AX14, N03AX11, N03AG01, N03AF01}
+      as (atc, group, generic);
+window positive (index-90, index);
+window negative (index-180, index-90);
+min_support 4;
+constraint discriminative;
+constraint contains_value(generic, 1);
+"""
+
+    COUNTERS = {"support_pruned": 4312, "switch_pruned": 0, "negative_checks": 2087}
+
+    @pytest.fixture(scope="class")
+    def mined(self):
+        cohort = generate_cohort(
+            CohortConfig(
+                patients=80,
+                seed=2017,
+                plant=PlantSpec.parse(PLANT.replace("@9", "@8")),
+                mean_events=8.0,
+                noise_items=20,
+            )
+        )
+        kb = knowledge_base(cohort)
+        task = compile_query(parse_query(self.QUERY), kb)
+        database = build_database(raw_database(cohort), task, kb)
+        return lambda mode: mine(task, database, MiningOptions(embeddings=mode))
+
+    @pytest.mark.parametrize(
+        "mode,digest",
+        [
+            ("witness", "368fd2de4614f01438281b9550e78fb2cc396ba67498b762a293711f91bcd419"),
+            ("all", "81e2e0312ac2b16881246e96b791cd69a0609bba6498a84b6f87f2d0bdd80174"),
+        ],
+    )
+    def test_rendered_bytes_and_counters(self, mined, mode, digest):
+        result = mined(mode)
+        assert result.complete
+        assert len(result.patterns) == 304
+        assert result.nodes_expanded == 394
+        assert result.counters == self.COUNTERS
+        text = render_patterns(result.patterns)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestGarbageCollectorPolicy:

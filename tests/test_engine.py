@@ -158,7 +158,8 @@ class TestCheckConstraints:
         def unexpected():
             raise AssertionError("the discriminative count was not needed")
 
-        return _decide(support, switch_counts, contains, task, discr_count or unexpected)
+        prep = _Prepared(task, CaseDatabase(), MiningOptions())
+        return _decide(support, switch_counts, contains, prep, discr_count or unexpected)
 
     def test_support_below_threshold_prunes(self):
         task = make_task(f_min=20)
@@ -308,6 +309,20 @@ class TestLongSequences:
         assert len(result.patterns) == 2000
         longest = result.patterns[-1]
         assert longest.embeddings["p"] == {tuple(range(1, 2001))}
+
+    def test_deep_discriminative_chain(self):
+        # A sorts before G, so the walk reaches A^1500 before any A^k G and
+        # the first discriminative check needs the negative frontier of a
+        # path 1,500 deep.
+        G = GEN
+        db = paired_db([("p", [A] * 1500 + [G], [A] * 3 + [G])])
+        task = make_task(discriminative=True, contains=[("generic", 1)])
+        result = mine(task, db, MiningOptions(embeddings="witness"))
+        assert result.complete
+        assert [pt.pattern.items for pt in result.patterns] == [
+            (A,) * k + (G,) for k in range(4, 1501)
+        ]
+        assert all(pt.discriminative == {"p"} for pt in result.patterns)
 
     def test_all_mode_stops_at_the_deadline(self):
         # A^30 alone has C(60, 30) ~ 1.2e17 embeddings.
