@@ -55,7 +55,8 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import chain
+from itertools import chain, compress, repeat
+from operator import is_
 from typing import Callable, Iterator, Sequence
 
 from .builder import CaseDatabase
@@ -180,10 +181,13 @@ class _Prepared:
     `order` from `bisect_left(lasts, start)`: `count` counts them for a
     set of supporters at once, and `locate` finds the first position of
     only the items still wanted.
+
+    It also holds what `_decide` reads of the task at every node: the
+    support threshold, whether the task is discriminative, and its
+    switch constraints.
     """
 
     __slots__ = (
-        "task",
         "patients",
         "pos_ids",
         "order",
@@ -199,7 +203,6 @@ class _Prepared:
     )
 
     def __init__(self, task: MiningTask, database: CaseDatabase, options: MiningOptions) -> None:
-        self.task = task
         self.patients = database.patients()
         self.items = database.items
         self.pos_ids = database.ids(database.positives)
@@ -417,7 +420,10 @@ class _Searcher:
             self.found.append((node.prefix, record))
         if len(node.prefix) >= prep.max_len:
             return None
-        return (node.child(*extension) for extension in self.extensions(node))
+        extensions = self.extensions(node)
+        if not extensions:
+            return None
+        return (node.child(*extension) for extension in extensions)
 
     def _lacking(self, node: _Node) -> int:
         """How many supporters' negative sequences lack the node's pattern."""
@@ -425,10 +431,11 @@ class _Searcher:
         return self._negative_frontier(node).count(None)
 
     def _negative_frontier(self, node: _Node) -> list[int | None]:
-        """The node's negative frontier, filling in the path down from the
-        nearest ancestor that has one.
+        """The node's negative frontier, filled in for it and its ancestors.
 
-        The walk is a loop, not a recursion, so no path is too deep.
+        The walk goes up to the nearest ancestor that has a frontier and
+        comes back down, in loops rather than recursion, so no path is too
+        deep.
         """
         path = []
         while node.negative is None:
@@ -442,10 +449,15 @@ class _Searcher:
             for (k, _), seq_idx in zip(node.occs, node.seqs):
                 at = frontier[k]
                 if at is not None:
-                    try:
-                        at = neg_ids[seq_idx].index(iid, at) + 1
-                    except ValueError:
+                    negative = neg_ids[seq_idx]
+                    # Most misses lack the item altogether; `in` finds that without raising.
+                    if iid not in negative:
                         at = None
+                    else:
+                        try:
+                            at = negative.index(iid, at) + 1
+                        except ValueError:
+                            at = None
                 ahead.append(at)
             node.negative = frontier = ahead
         return frontier
@@ -515,29 +527,28 @@ class _Searcher:
         negative frontier found no match.
         """
         prep = self.prep
-        patients = [prep.patients[seq_idx] for seq_idx in node.seqs]
+        patients = list(map(prep.patients.__getitem__, node.seqs))
         if self.options.embeddings == EMBEDDINGS_WITNESS:
             embeddings = dict(zip(patients, map(frozenset, zip(node.witnesses))))
         else:
             embeddings = {}
             enumerated = 0
             for patient, seq_idx in zip(patients, node.seqs):
-                found = embeddings[patient] = []
+                found = []
                 for embedding in iter_embeddings(node.prefix, prep.pos_ids[seq_idx]):
                     found.append(embedding)
                     enumerated += 1
                     if not enumerated % _DEADLINE_STRIDE and not self.spend():
                         return None
+                embeddings[patient] = frozenset(found)
         discr = None
         if prep.discriminative:
-            discr = frozenset(
-                patient for patient, at in zip(patients, node.negative) if at is None
-            )
-        return PatternTuple(
-            pattern=Pattern(tuple(prep.items[iid] for iid in node.prefix)),
-            supported=frozenset(patients),
-            embeddings=embeddings,
-            discriminative=discr,
+            discr = frozenset(compress(patients, map(is_, node.negative, repeat(None))))
+        return PatternTuple._frozen(
+            Pattern(tuple(map(prep.items.__getitem__, node.prefix))),
+            frozenset(patients),
+            embeddings,
+            discr,
         )
 
 

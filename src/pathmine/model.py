@@ -161,6 +161,26 @@ class PatternTuple:
             if not discr <= self.supported:
                 raise ValueError("discriminative supporters must be a subset of the support set")
 
+    @classmethod
+    def _frozen(
+        cls,
+        pattern: Pattern,
+        supported: frozenset,
+        embeddings: dict[str, frozenset[Embedding]],
+        discriminative: frozenset | None,
+    ) -> "PatternTuple":
+        """A record whose fields already are what __post_init__ makes and checks.
+
+        The engine builds every field frozen and consistent, so its
+        records are kept as they are, not copied and checked again.
+        """
+        record = object.__new__(cls)
+        object.__setattr__(record, "pattern", pattern)
+        object.__setattr__(record, "supported", supported)
+        object.__setattr__(record, "embeddings", embeddings)
+        object.__setattr__(record, "discriminative", discriminative)
+        return record
+
 
 def find_embeddings(
     pattern: Pattern, sequence: EventSequence, limit: int | None = None
