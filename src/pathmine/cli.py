@@ -86,7 +86,7 @@ def pattern_record(pt: PatternTuple) -> dict:
         "items": [item.values for item in pt.pattern.items],
         "positive_support": len(pt.supported),
         "discriminative_support": discr,
-        "embeddings": dict(zip(pt.embeddings, map(sorted, pt.embeddings.values()))),
+        "embeddings": {patient: sorted(embs) for patient, embs in pt.embeddings.items()},
     }
 
 

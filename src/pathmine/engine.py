@@ -55,8 +55,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import chain, compress, repeat
-from operator import is_
+from itertools import chain
 from typing import Callable, Iterator, Sequence
 
 from .builder import CaseDatabase
@@ -527,7 +526,7 @@ class _Searcher:
         negative frontier found no match.
         """
         prep = self.prep
-        patients = list(map(prep.patients.__getitem__, node.seqs))
+        patients = [prep.patients[seq_idx] for seq_idx in node.seqs]
         if self.options.embeddings == EMBEDDINGS_WITNESS:
             embeddings = dict(zip(patients, map(frozenset, zip(node.witnesses))))
         else:
@@ -543,9 +542,11 @@ class _Searcher:
                 embeddings[patient] = frozenset(found)
         discr = None
         if prep.discriminative:
-            discr = frozenset(compress(patients, map(is_, node.negative, repeat(None))))
+            discr = frozenset(
+                patient for patient, at in zip(patients, node.negative) if at is None
+            )
         return PatternTuple._frozen(
-            Pattern(tuple(map(prep.items.__getitem__, node.prefix))),
+            Pattern(tuple(prep.items[iid] for iid in node.prefix)),
             frozenset(patients),
             embeddings,
             discr,
