@@ -29,7 +29,7 @@ from operator import add, attrgetter, is_not, mod, mul
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .errors import UnknownCode
-from .ingest import DeliveryColumns, DiseaseColumns, RawDatabase
+from .ingest import DayCodes, RawDatabase
 from .knowledge import KnowledgeBase, Taxonomy
 from .model import NEGATIVE, POSITIVE, EventSequence, Item
 
@@ -183,7 +183,7 @@ class CaseDatabase:
         return iter(self.pairs)
 
 
-def find_index_event(diagnoses: DiseaseColumns, qualifies: Callable[[str], bool]) -> int | None:
+def find_index_event(diagnoses: DayCodes, qualifies: Callable[[str], bool]) -> int | None:
     """Earliest day with a qualifying diagnosis; None when none qualifies.
 
     `diagnoses` are one patient's, sorted by day as in
@@ -245,7 +245,7 @@ class CodeTable(dict):
         return iid
 
 
-_NO_DELIVERIES = DeliveryColumns((), (), ())
+_NO_DELIVERIES = DayCodes((), ())
 
 
 def _spans(positive: WindowSpec, negative: WindowSpec | None) -> list[tuple[int, int, int]]:
@@ -270,7 +270,7 @@ def _spans(positive: WindowSpec, negative: WindowSpec | None) -> list[tuple[int,
 
 
 def _sequences(
-    deliveries: DeliveryColumns, index_day: int, spans: list[tuple[int, int, int]], table: CodeTable
+    deliveries: DayCodes, index_day: int, spans: list[tuple[int, int, int]], table: CodeTable
 ) -> list[tuple[int, ...]]:
     """One patient's positive keys, then negative keys, each sorted.
 

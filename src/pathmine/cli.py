@@ -34,6 +34,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass
+from typing import Iterable, Iterator
 
 from .builder import build_database
 from .engine import MiningOptions, MiningResult, mine
@@ -90,13 +91,19 @@ def pattern_record(pt: PatternTuple) -> dict:
     }
 
 
-def render_patterns(patterns: tuple[PatternTuple, ...]) -> str:
-    """JSON Lines text for a whole result, one pattern per line."""
+def render_lines(patterns: Iterable[PatternTuple]) -> Iterator[str]:
+    """JSON Lines text, one line per pattern, each ending in a newline."""
     # One encoder for every record; the records hold no reference cycles.
     encode = json.JSONEncoder(
         sort_keys=True, separators=(",", ":"), check_circular=False
     ).encode
-    return "".join(encode(pattern_record(pt)) + "\n" for pt in patterns)
+    for pt in patterns:
+        yield encode(pattern_record(pt)) + "\n"
+
+
+def render_patterns(patterns: tuple[PatternTuple, ...]) -> str:
+    """JSON Lines text for a whole result, one pattern per line."""
+    return "".join(render_lines(patterns))
 
 
 def build_parser() -> _Parser:
@@ -204,7 +211,7 @@ def _mine(args: argparse.Namespace) -> int:
     result = mine(task, database, options)
     ends["mine"] = time.monotonic()
     with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(render_patterns(result.patterns))
+        handle.writelines(render_lines(result.patterns))
     ends["write"] = time.monotonic()
 
     wall_seconds, phases = _phase_seconds(started, ends)

@@ -11,22 +11,26 @@ All four inputs are UTF-8 CSV with a header row:
 Days are integer day numbers counted from the first event date, so no
 calendar handling happens here. Duplicate identical event rows are kept
 as distinct facts; loaders never deduplicate. Fact rows may come in any
-order: `RawDatabase` sorts them once.
+order: `RawDatabase` sorts them once and keeps each patient's facts as
+`DayCodes` columns.
 
-The two fact files are read in bulk: chunks of rows are transposed into
-columns and checked with whole-column calls (`map(int, ...)`, `min`,
-`all`). The row validators (`_checked_deliveries`, `_checked_diseases`)
-stay the one definition of a valid row: when any bulk check fails, the
-file is read again by the row validator, which raises the error of the
-first bad row with its line. Undecodable bytes and malformed CSV (such
-as an oversize field) are a `ParseError` for the file on either path.
+Each fact file's format is stated once, by its header and
+`_INT_FLOORS`. The two fact files are read in bulk: chunks of rows are
+transposed into columns and checked with whole-column calls
+(`map(int, ...)`, `min`, `all`). The one row validator,
+`_checked_rows`, applies the same rules cell by cell, left to right:
+when any bulk check fails, the file is read again by it, and it raises
+the error of the first bad cell of the first bad row with its line.
+Undecodable bytes and malformed CSV (such as an oversize field) are a
+`ParseError` for the file on either path. Quantities are checked but
+not kept: the query language never reads them.
 """
 
 from __future__ import annotations
 
 import csv
 from contextlib import contextmanager
-from itertools import chain, groupby, islice, repeat, starmap
+from itertools import groupby, islice, starmap
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -56,36 +60,38 @@ class DiseaseFact(NamedTuple):
     icd: str
 
 
-class DeliveryColumns(NamedTuple):
-    """One patient's deliveries as columns, sorted by day."""
-
-    days: tuple[int, ...]
-    codes: tuple[str, ...]
-    qtys: tuple[int, ...]
-
-
-class DiseaseColumns(NamedTuple):
-    """One patient's diagnoses as columns, sorted by day."""
+class DayCodes(NamedTuple):
+    """One patient's deliveries or diagnoses as columns, sorted by day."""
 
     days: tuple[int, ...]
     codes: tuple[str, ...]
 
 
-def _grouped(rows: list[tuple], columns: type) -> dict[str, tuple]:
-    """Rows sorted by patient, as one `columns` tuple per patient."""
+def _grouped(rows: list[tuple]) -> dict[str, DayCodes]:
+    """Rows sorted by patient, as one `DayCodes` per patient.
+
+    Only the day and code columns are built; a row's later fields are
+    dropped.
+    """
     return {
-        patient: columns._make(islice(zip(*run), 1, None))
+        patient: DayCodes._make(islice(zip(*run), 1, 3))
         for patient, run in groupby(rows, itemgetter(0))
     }
 
 
-def _flattened(groups: dict[str, tuple], fact: type) -> tuple:
-    """Per-patient columns back into one `fact` per row, in group order."""
-    return tuple(
-        chain.from_iterable(
-            map(fact, repeat(patient), *columns) for patient, columns in groups.items()
-        )
-    )
+def _check_facts(deliveries: list[tuple], diseases: list[tuple]) -> None:
+    """Reject negative days and quantities below 1, first sorted fact first."""
+    if deliveries and (
+        min(map(itemgetter(1), deliveries)) < 0 or min(map(itemgetter(3), deliveries)) < 1
+    ):
+        for _, day, _, qty in deliveries:
+            if day < 0:
+                raise NegativeDay(f"delivery on negative day {day}")
+            if qty < 1:
+                raise ValueError(f"delivery quantity must be >= 1, got {qty}")
+    negative = next(filter((0).__gt__, map(itemgetter(1), diseases)), None)
+    if negative is not None:
+        raise NegativeDay(f"diagnosis on negative day {negative}")
 
 
 class RawDatabase:
@@ -95,22 +101,14 @@ class RawDatabase:
     (patient, day, icd) rows, such as `DeliveryFact`s and `DiseaseFact`s,
     in any order. They are sorted once, stably, by (patient, day), so
     rows of one patient on one day keep their input order; duplicates
-    are kept.
+    are kept. Negative days and quantities below 1 are rejected, but
+    only days and codes are kept.
 
     `delivery_groups` and `disease_groups` map each patient, in
-    ascending id order, to its day-sorted columns; treat them as
-    read-only. The `deliveries` and `diseases` properties give the same
-    facts as flat (patient, day)-sorted tuples, built on first access.
+    ascending id order, to its `DayCodes`; treat them as read-only.
     """
 
-    __slots__ = (
-        "delivery_groups",
-        "disease_groups",
-        "delivery_count",
-        "disease_count",
-        "_deliveries",
-        "_diseases",
-    )
+    __slots__ = ("delivery_groups", "disease_groups", "delivery_count", "disease_count")
 
     def __init__(
         self, deliveries: Iterable[tuple] = (), diseases: Iterable[tuple] = ()
@@ -118,52 +116,14 @@ class RawDatabase:
         by_patient_day = itemgetter(0, 1)
         delivery_rows = sorted(deliveries, key=by_patient_day)
         disease_rows = sorted(diseases, key=by_patient_day)
+        _check_facts(delivery_rows, disease_rows)
         self.delivery_count = len(delivery_rows)
         self.disease_count = len(disease_rows)
-        self.delivery_groups: dict[str, DeliveryColumns] = _grouped(
-            delivery_rows, DeliveryColumns
-        )
-        self.disease_groups: dict[str, DiseaseColumns] = _grouped(disease_rows, DiseaseColumns)
-        _check_groups(self.delivery_groups, self.disease_groups)
-        self._deliveries: tuple[DeliveryFact, ...] | None = None
-        self._diseases: tuple[DiseaseFact, ...] | None = None
-
-    @property
-    def deliveries(self) -> tuple[DeliveryFact, ...]:
-        if self._deliveries is None:
-            self._deliveries = _flattened(self.delivery_groups, DeliveryFact)
-        return self._deliveries
-
-    @property
-    def diseases(self) -> tuple[DiseaseFact, ...]:
-        if self._diseases is None:
-            self._diseases = _flattened(self.disease_groups, DiseaseFact)
-        return self._diseases
+        self.delivery_groups = _grouped(delivery_rows)
+        self.disease_groups = _grouped(disease_rows)
 
     def patients(self) -> frozenset[str]:
         return frozenset(self.delivery_groups).union(self.disease_groups)
-
-
-def _check_groups(
-    deliveries: dict[str, DeliveryColumns], diseases: dict[str, DiseaseColumns]
-) -> None:
-    """Reject negative days and quantities below 1, first sorted fact first.
-
-    Each group's days are sorted, so its first day is its least.
-    """
-    if deliveries and (
-        min(group.days[0] for group in deliveries.values()) < 0
-        or min(min(group.qtys) for group in deliveries.values()) < 1
-    ):
-        for group in deliveries.values():
-            for day, qty in zip(group.days, group.qtys):
-                if day < 0:
-                    raise NegativeDay(f"delivery on negative day {day}")
-                if qty < 1:
-                    raise ValueError(f"delivery quantity must be >= 1, got {qty}")
-    for group in diseases.values():
-        if group.days[0] < 0:
-            raise NegativeDay(f"diagnosis on negative day {group.days[0]}")
 
 
 def undecodable(path: str) -> ParseError:
@@ -268,76 +228,57 @@ def _parse_int(text: str, what: str, path: str, line: int) -> int:
         raise ParseError(f"{what} must be an integer, got {text!r}", path=path, line=line) from None
 
 
-def _parse_day(text: str, path: str, line: int) -> int:
-    day = _parse_int(text, "day", path, line)
-    if day < 0:
-        raise NegativeDay(f"day must be >= 0, got {day}", path=path, line=line)
-    return day
-
-
 def _require(text: str, what: str, path: str, line: int) -> str:
     if not text:
         raise ParseError(f"{what} must not be empty", path=path, line=line)
     return text
 
 
-def _checked_deliveries(path: str) -> list[DeliveryFact]:
-    """The row validator for deliveries.csv: one fact per data row, in file order."""
-    facts = []
-    for line, (patient, day, cip, qty) in _rows(path, _DELIVERY_HEADER, True):
-        quantity = _parse_int(qty, "qty", path, line)
-        if quantity < 1:
-            raise ParseError(f"qty must be >= 1, got {quantity}", path=path, line=line)
-        facts.append(
-            DeliveryFact(
-                _require(patient, "patient", path, line),
-                _parse_day(day, path, line),
-                _require(cip, "cip", path, line).upper(),
-                quantity,
-            )
-        )
-    return facts
+def _checked_rows(path: str, header: tuple[str, ...]) -> list[tuple]:
+    """The row validator for a fact file: one row per data row, in file order.
+
+    Applies `_bulk_columns`'s rules to each cell, left to right, and
+    raises the first miss: a day below its floor is a `NegativeDay`.
+    """
+    rows = []
+    for line, cells in _rows(path, header, True):
+        row = []
+        for name, cell in zip(header, cells):
+            if name in _INT_FLOORS:
+                value, floor = _parse_int(cell, name, path, line), _INT_FLOORS[name]
+                if value < floor:
+                    error = NegativeDay if name == "day" else ParseError
+                    raise error(f"{name} must be >= {floor}, got {value}", path=path, line=line)
+            else:
+                value = _require(cell, name, path, line)
+                if name != "patient":
+                    value = value.upper()
+            row.append(value)
+        rows.append(tuple(row))
+    return rows
 
 
-def _checked_diseases(path: str) -> list[DiseaseFact]:
-    """The row validator for diseases.csv: one fact per data row, in file order."""
-    facts = []
-    for line, (patient, day, icd) in _rows(path, _DISEASE_HEADER, True):
-        facts.append(
-            DiseaseFact(
-                _require(patient, "patient", path, line),
-                _parse_day(day, path, line),
-                _require(icd, "icd", path, line).upper(),
-            )
-        )
-    return facts
-
-
-def _delivery_rows(path: str) -> Iterable[tuple]:
-    """(patient, day, cip, qty) per data row of deliveries.csv, in file order."""
-    columns = _bulk_columns(path, _DELIVERY_HEADER)
-    return _checked_deliveries(path) if columns is None else zip(*columns)
-
-
-def _disease_rows(path: str) -> Iterable[tuple]:
-    """(patient, day, icd) per data row of diseases.csv, in file order."""
-    columns = _bulk_columns(path, _DISEASE_HEADER)
-    return _checked_diseases(path) if columns is None else zip(*columns)
+def _fact_rows(path: str, header: tuple[str, ...]) -> Iterable[tuple]:
+    """One tuple of `header`'s fields per data row of a fact file, in file order."""
+    columns = _bulk_columns(path, header)
+    return _checked_rows(path, header) if columns is None else zip(*columns)
 
 
 def load_deliveries(path: str) -> tuple[DeliveryFact, ...]:
     """Parse deliveries.csv; one fact per data row, in file order."""
-    return tuple(starmap(DeliveryFact, _delivery_rows(path)))
+    return tuple(starmap(DeliveryFact, _fact_rows(path, _DELIVERY_HEADER)))
 
 
 def load_diseases(path: str) -> tuple[DiseaseFact, ...]:
     """Parse diseases.csv; one fact per data row, in file order."""
-    return tuple(starmap(DiseaseFact, _disease_rows(path)))
+    return tuple(starmap(DiseaseFact, _fact_rows(path, _DISEASE_HEADER)))
 
 
 def load_raw(deliveries_path: str, diseases_path: str) -> RawDatabase:
     """Both fact files, grouped by patient; builds no per-row fact object."""
-    return RawDatabase(_delivery_rows(deliveries_path), _disease_rows(diseases_path))
+    return RawDatabase(
+        _fact_rows(deliveries_path, _DELIVERY_HEADER), _fact_rows(diseases_path, _DISEASE_HEADER)
+    )
 
 
 def load_kb(attributes_path: str, taxonomy_path: str) -> KnowledgeBase:

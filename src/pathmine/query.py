@@ -39,8 +39,6 @@ from .errors import (
 from .knowledge import KnowledgeBase
 from .model import NEGATIVE, POSITIVE, AttributeValue
 
-QUERY_FILE_SUFFIX = ".pmq"
-
 #: Reifiable delivery attributes, in canonical order.
 ITEM_ATTRIBUTES = ("atc", "group", "generic")
 
@@ -57,8 +55,6 @@ class IndexEventClause:
 class EventClause:
     codes: tuple[str, ...]
     projection: tuple[str, ...]
-    source: str = "delivery"
-    filter_attribute: str = "atc"
 
 
 @dataclass(frozen=True)

@@ -265,12 +265,6 @@ class TestMineCommand:
         assert main(mine_args(cohort_dir, query_file, tmp_path / "p.jsonl")) == 0
         capsys.readouterr()
         assert made == []
-        raw = ingest.RawDatabase(
-            [("p2", 1, "X", 1), ("p1", 5, "Y", 1), ("p1", 2, "Z", 1)]
-        )
-        assert [(f.patient, f.day) for f in raw.deliveries] == [("p1", 2), ("p1", 5), ("p2", 1)]
-        assert all(isinstance(f, CountingFact) for f in raw.deliveries)
-        assert len(made) == 3
 
     def test_report_phases_add_up_to_wall_time(self, cohort_dir, query_file, tmp_path, capsys):
         assert main(mine_args(cohort_dir, query_file, tmp_path / "p.jsonl")) == 0

@@ -1,6 +1,7 @@
 """CSV loaders: field mapping, validation, round trips."""
 
 import csv
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -73,9 +74,17 @@ class TestLoadDeliveries:
         facts = load_deliveries(path)
         assert [(f.patient, f.day) for f in facts] == [("p2", 5), ("p1", 9), ("p1", 2), ("p1", 2)]
         raw = RawDatabase(facts, ())
-        assert [(f.patient, f.day, f.cip) for f in raw.deliveries] == [
-            ("p1", 2, "Y"), ("p1", 2, "X"), ("p1", 9, "X"), ("p2", 5, "X")
-        ]
+        assert list(raw.delivery_groups) == ["p1", "p2"]
+        assert raw.delivery_groups == {"p1": ((2, 2, 9), ("Y", "X", "X")), "p2": ((5,), ("X",))}
+
+    def test_cells_checked_left_to_right(self, tmp_path):
+        # The empty patient is reported, not the zero quantity to its right.
+        path = write(tmp_path / "d.csv", "patient,day,cip,qty\np1,1,X,1\n,2,X,0\n")
+        diseases = write(tmp_path / "i.csv", "patient,day,icd\np1,1,G40\n")
+        for load in (load_deliveries, lambda deliveries: load_raw(deliveries, diseases)):
+            with pytest.raises(ParseError, match=":3: patient must not be empty$") as err:
+                load(path)
+            assert (type(err.value), err.value.path, err.value.line) == (ParseError, path, 3)
 
     def test_duplicate_rows_kept(self, tmp_path):
         path = write(tmp_path / "d.csv", "patient,day,cip,qty\np1,1,X,1\np1,1,X,1\n")
@@ -87,9 +96,10 @@ class TestLoadDiseases:
         # The loader keeps file order; RawDatabase sorts, stably.
         path = write(tmp_path / "i.csv", "patient,day,icd\np2,5,G40\np1,9,G40\np1,2,G41\np1,2,G40\n")
         raw = RawDatabase((), load_diseases(path))
-        assert [(f.patient, f.day, f.icd) for f in raw.diseases] == [
-            ("p1", 2, "G41"), ("p1", 2, "G40"), ("p1", 9, "G40"), ("p2", 5, "G40")
-        ]
+        assert list(raw.disease_groups) == ["p1", "p2"]
+        assert raw.disease_groups == {
+            "p1": ((2, 2, 9), ("G41", "G40", "G40")), "p2": ((5,), ("G40",))
+        }
 
     def test_row_maps_to_fact(self, tmp_path):
         path = write(tmp_path / "i.csv", "patient,day,icd\np1,120,G403\n")
@@ -170,8 +180,9 @@ class TestRawDatabase:
                 DeliveryFact("p1", 8, "X", 1),
             )
         )
-        assert [f.patient for f in raw.deliveries] == ["p1", "p1", "p2"]
-        assert len(raw.deliveries) == 3
+        assert raw.delivery_groups == {"p1": ((8, 8), ("X", "X")), "p2": ((1,), ("X",))}
+        assert list(raw.delivery_groups) == ["p1", "p2"]
+        assert raw.delivery_count == 3
 
     def test_first_bad_fact_in_sorted_order_raises(self):
         with pytest.raises(ValueError, match="quantity must be >= 1, got 0"):
@@ -273,7 +284,7 @@ def fact_file_rows(draw, columns):
 
 
 class TestBulkAgreesWithRowValidator:
-    """The bulk loaders return what the row validators return, or raise the same error."""
+    """The bulk loaders return what the row validator returns, or raise the same error."""
 
     @staticmethod
     def outcome(load, path):
@@ -294,14 +305,15 @@ class TestBulkAgreesWithRowValidator:
     def test_deliveries(self, tmp_path_factory, rows):
         self.check(
             tmp_path_factory, "patient,day,cip,qty", rows, load_deliveries,
-            ingest._checked_deliveries,
+            partial(ingest._checked_rows, header=("patient", "day", "cip", "qty")),
         )
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(rows=fact_file_rows(("patient", "day", "code")))
     def test_diseases(self, tmp_path_factory, rows):
         self.check(
-            tmp_path_factory, "patient,day,icd", rows, load_diseases, ingest._checked_diseases
+            tmp_path_factory, "patient,day,icd", rows, load_diseases,
+            partial(ingest._checked_rows, header=("patient", "day", "icd")),
         )
 
 
@@ -317,7 +329,7 @@ class TestGroupedStore:
             diseases=(DiseaseFact("p3", 8, "G40"), DiseaseFact("p3", 2, "I10")),
         )
         assert list(raw.delivery_groups) == ["p1", "p2"]
-        assert raw.delivery_groups["p1"] == ((3, 3, 9), ("Y", "X", "X"), (1, 1, 2))
+        assert raw.delivery_groups["p1"] == ((3, 3, 9), ("Y", "X", "X"))
         assert raw.disease_groups == {"p3": ((2, 8), ("I10", "G40"))}
         assert (raw.delivery_count, raw.disease_count) == (4, 2)
 
@@ -330,8 +342,6 @@ class TestGroupedStore:
         facts = RawDatabase(load_deliveries(deliveries), load_diseases(diseases))
         assert raw.delivery_groups == facts.delivery_groups
         assert raw.disease_groups == facts.disease_groups
-        assert raw.deliveries == facts.deliveries
-        assert raw.diseases == facts.diseases
 
     def test_load_raw_reports_the_first_bad_row(self, tmp_path):
         deliveries = write(tmp_path / "d.csv", "patient,day,cip,qty\np1,2,X,1\np1,-2,X,1\n")
