@@ -217,13 +217,17 @@ class _Prepared:
             self.lasts.append(tuple(lasts))
         self.min_support = task.min_support
         self.discriminative = task.discriminative
-        self.switches = task.switch_constraints()
-        self.switch_values = [
-            [item.values[c.attr_index] for item in self.items] for c in self.switches
-        ]
+        self.switches = task.switches
+        # Each constraint resolves its attribute once, to a column of that
+        # attribute's value per item id.
+        def column(attribute: str) -> list:
+            at = task.schema.index(attribute)
+            return [item.values[at] for item in self.items]
+
+        self.switch_values = [column(c.attribute) for c in self.switches]
         self.contains_ids = [
-            frozenset(i for i, item in enumerate(self.items) if item.values[c.attr_index] == c.value)
-            for c in task.contains_constraints()
+            frozenset(i for i, value in enumerate(column(c.attribute)) if value == c.value)
+            for c in task.contains
         ]
         if options.max_len is not None:
             self.max_len = options.max_len
@@ -406,11 +410,10 @@ class _Searcher:
             partial(self._lacking, node),
         )
         if decision is Decision.PRUNE and self.options.prune:
-            # Children were checked before they were made, so only a root gets here.
-            if len(node.seqs) < prep.min_support:
-                self.counters["support_pruned"] += 1
-            else:
-                self.counters["switch_pruned"] += 1
+            # Children were checked before they were made, so only a root
+            # gets here, and only by the support bound: a root's switch
+            # counts are 0, which no bound (never below 0) overshoots.
+            self.counters["support_pruned"] += 1
             return None
         if decision is Decision.EMIT:
             record = self._emit(node)

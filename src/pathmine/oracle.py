@@ -4,9 +4,12 @@
 `count_switches` state what each constraint means, directly from its
 definition. `oracle_mine` enumerates every candidate pattern up to a
 length bound as a plain cartesian product over the positive-sequence
-alphabet and keeps the candidates these definitions accept. No
-projection, no pruning, no shared state with the engine's search:
-agreement between the two is evidence, not tautology.
+alphabet and keeps the candidates these definitions accept: support of
+at least `task.min_support`, every `task.contains` and `task.switches`
+constraint, and, when the task has a negative window, enough
+discriminative supporters. No projection, no pruning, no shared state
+with the engine's search: agreement between the two is evidence, not
+tautology.
 
 Items seen only in negative sequences are not enumerated; their
 patterns have zero positive support and can never reach a threshold
@@ -99,6 +102,9 @@ def oracle_mine(
             f"{count} candidate patterns exceed the oracle limit of {CANDIDATE_LIMIT}"
         )
     ordered_alphabet = sorted(alphabet, key=lambda item: item.sort_key())
+    # Each constraint's attribute, resolved once to its index in the schema.
+    contains = [(task.schema.index(c.attribute), c) for c in task.contains]
+    switches = [(task.schema.index(c.attribute), c) for c in task.switches]
 
     found = []
     for length in range(1, max_len + 1):
@@ -110,7 +116,7 @@ def oracle_mine(
                 if found_embs:
                     embeddings[pair.patient] = found_embs
             supported = frozenset(embeddings)
-            if not _satisfies(task, pattern, supported):
+            if len(supported) < task.min_support or not _satisfies(pattern, contains, switches):
                 continue
             discr = None
             if task.discriminative:
@@ -129,19 +135,20 @@ def oracle_mine(
     return tuple(found)
 
 
-def _satisfies(task: MiningTask, pattern: Pattern, supported: frozenset) -> bool:
-    """Every non-discriminative constraint, evaluated from first principles."""
-    if len(supported) < task.min_support:
-        return False
-    for constraint in task.contains_constraints():
-        if not any(item.values[constraint.attr_index] == constraint.value for item in pattern.items):
+def _satisfies(pattern: Pattern, contains: list, switches: list) -> bool:
+    """Every contains and switch constraint, evaluated from first principles.
+
+    Each constraint comes paired with its attribute's index in the schema.
+    """
+    for at, constraint in contains:
+        if not any(item.values[at] == constraint.value for item in pattern.items):
             return False
-    for constraint in task.switch_constraints():
-        switches = count_switches(pattern, constraint.attr_index)
-        if constraint.comparator == "==" and switches != constraint.value:
+    for at, constraint in switches:
+        count = count_switches(pattern, at)
+        if constraint.comparator == "==" and count != constraint.value:
             return False
-        if constraint.comparator == "<=" and switches > constraint.value:
+        if constraint.comparator == "<=" and count > constraint.value:
             return False
-        if constraint.comparator == ">=" and switches < constraint.value:
+        if constraint.comparator == ">=" and count < constraint.value:
             return False
     return True

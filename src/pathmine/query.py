@@ -1,4 +1,4 @@
-"""Mining query language: parser, pretty-printer, and compiler.
+"""Mining query language: parser and compiler.
 
 A query is a short text of `;`-terminated statements (`#` starts a
 comment) declaring what to mine:
@@ -14,11 +14,12 @@ comment) declaring what to mine:
     constraint contains_value(generic, 0);
     constraint switch_count(generic) == 1;
 
-`parse_query` builds the AST, `print_query` renders it back (parse of
-the printed form is identical to the original parse), and
-`compile_query` resolves it against a knowledge base into an executable
-MiningTask. What each constraint means is defined in `oracle`; how the
-search uses it is described in `engine`.
+`parse_query` builds the AST and `compile_query` resolves it against a
+knowledge base into an executable MiningTask. The AST's `ContainsValue`
+and `SwitchCount` are the constraints' only form, from the parser to the
+search; `constraint discriminative` is the negative window, not a
+constraint of its own. What each constraint means is defined in
+`oracle`; how the search uses it is described in `engine`.
 """
 
 from __future__ import annotations
@@ -65,14 +66,9 @@ class WindowClause:
 
 
 @dataclass(frozen=True)
-class Discriminative:
-    pass
-
-
-@dataclass(frozen=True)
 class ContainsValue:
     attribute: str
-    value: Union[str, int]
+    value: AttributeValue
 
 
 @dataclass(frozen=True)
@@ -81,8 +77,14 @@ class SwitchCount:
     comparator: str
     value: int
 
+    def __post_init__(self) -> None:
+        if self.comparator not in ("==", "<=", ">="):
+            raise ValueError(f"switch comparator must be ==, <= or >=, got {self.comparator!r}")
+        if self.value < 0:
+            raise ValueError(f"switch bound must be >= 0, got {self.value}")
 
-ConstraintClause = Union[Discriminative, ContainsValue, SwitchCount]
+
+Constraint = Union[ContainsValue, SwitchCount]
 
 
 @dataclass(frozen=True)
@@ -92,15 +94,15 @@ class QueryAst:
     positive_window: WindowClause
     negative_window: WindowClause | None
     min_support: int
-    constraints: tuple[ConstraintClause, ...] = ()
+    discriminative: bool = False
+    constraints: tuple[Constraint, ...] = ()
 
     def __post_init__(self) -> None:
         if self.min_support < 1:
             raise InvalidQuery(f"min_support must be >= 1, got {self.min_support}")
-        discriminative = any(isinstance(c, Discriminative) for c in self.constraints)
-        if discriminative and self.negative_window is None:
+        if self.discriminative and self.negative_window is None:
             raise MissingClause("constraint discriminative requires a negative window")
-        if self.negative_window is not None and not discriminative:
+        if self.negative_window is not None and not self.discriminative:
             raise InvalidQuery(
                 "a negative window is only meaningful with constraint discriminative"
             )
@@ -245,11 +247,8 @@ def _parse_projection(cur: _Cursor) -> tuple[str, ...]:
         names.append(cur.expect_ident())
 
 
-def _parse_constraint(cur: _Cursor) -> ConstraintClause:
-    head = cur.expect_word("discriminative", "contains_value", "switch_count")
-    if head.text == "discriminative":
-        return Discriminative()
-    if head.text == "contains_value":
+def _parse_constraint(cur: _Cursor, head: str) -> Constraint:
+    if head == "contains_value":
         cur.expect_punct("(")
         attribute = cur.expect_ident()
         cur.expect_punct(",")
@@ -272,7 +271,8 @@ def parse_query(text: str) -> QueryAst:
     event: EventClause | None = None
     windows: dict[str, WindowClause] = {}
     min_support: int | None = None
-    constraints: list[ConstraintClause] = []
+    discriminative = False
+    constraints: list[Constraint] = []
 
     while cur.peek().kind != "end":
         head = cur.next()
@@ -313,12 +313,13 @@ def parse_query(text: str) -> QueryAst:
                 raise DuplicateClause(f"second min_support clause at line {head.line}")
             min_support = value
         elif head.text == "constraint":
-            clause = _parse_constraint(cur)
-            if isinstance(clause, Discriminative) and any(
-                isinstance(c, Discriminative) for c in constraints
-            ):
+            kind = cur.expect_word("discriminative", "contains_value", "switch_count").text
+            if kind != "discriminative":
+                constraints.append(_parse_constraint(cur, kind))
+            elif discriminative:
                 raise DuplicateClause(f"second discriminative constraint at line {head.line}")
-            constraints.append(clause)
+            else:
+                discriminative = True
         else:
             raise cur.fail("a clause keyword", head)
         cur.expect_punct(";")
@@ -337,68 +338,24 @@ def parse_query(text: str) -> QueryAst:
         positive_window=windows[POSITIVE],
         negative_window=windows.get(NEGATIVE),
         min_support=min_support,
+        discriminative=discriminative,
         constraints=tuple(constraints),
     )
-
-
-# -------------------------------------------------------------- print
-
-
-def _print_bound(offset: int) -> str:
-    if offset == 0:
-        return "index"
-    return f"index+{offset}" if offset > 0 else f"index{offset}"
-
-
-def _print_constraint(clause: ConstraintClause) -> str:
-    if isinstance(clause, Discriminative):
-        return "discriminative"
-    if isinstance(clause, ContainsValue):
-        return f"contains_value({clause.attribute}, {clause.value})"
-    return f"switch_count({clause.attribute}) {clause.comparator} {clause.value}"
-
-
-def print_query(ast: QueryAst) -> str:
-    """Render an AST back to query text; reparsing yields the same AST."""
-    lines = [
-        f"index_event first diagnosis in {{{', '.join(ast.index_event.codes)}}};",
-        f"event delivery where atc in {{{', '.join(ast.event.codes)}}}",
-        f"      as ({', '.join(ast.event.projection)});",
-    ]
-    for window in (ast.positive_window, ast.negative_window):
-        if window is not None:
-            lines.append(
-                f"window {window.polarity} "
-                f"({_print_bound(window.lower)}, {_print_bound(window.upper)});"
-            )
-    lines.append(f"min_support {ast.min_support};")
-    lines.extend(f"constraint {_print_constraint(c)};" for c in ast.constraints)
-    return "\n".join(lines) + "\n"
 
 
 # ------------------------------------------------------------ compile
 
 
 @dataclass(frozen=True)
-class CompiledConstraint:
-    """One declared constraint.
-
-    `attr_index` is the attribute's position in the task schema, filled
-    for the attribute-driven kinds; their comparison values sit in
-    `value`. The discriminative constraint carries no value: its
-    threshold, like the support threshold, is `MiningTask.min_support`.
-    """
-
-    kind: str  # "discriminative" | "contains_value" | "switch_count"
-    attribute: str | None = None
-    attr_index: int | None = None
-    comparator: str | None = None
-    value: AttributeValue | None = None
-
-
-@dataclass(frozen=True)
 class MiningTask:
-    """Executable form of a query, resolved against a knowledge base."""
+    """Executable form of a query, resolved against a knowledge base.
+
+    `contains` and `switches` hold the query's constraints in declaration
+    order, each attribute checked against `schema` and each contains
+    value coerced to its attribute's domain. The task is discriminative
+    exactly when it has a negative window; that filter's threshold, like
+    the support threshold, is `min_support`.
+    """
 
     index_rule: IndexEventRule
     schema: tuple[str, ...]
@@ -406,7 +363,8 @@ class MiningTask:
     positive_window: WindowSpec
     negative_window: WindowSpec | None
     min_support: int
-    constraints: tuple[CompiledConstraint, ...] = ()
+    contains: tuple[ContainsValue, ...] = ()
+    switches: tuple[SwitchCount, ...] = ()
 
     def __post_init__(self) -> None:
         if self.min_support < 1:
@@ -416,13 +374,7 @@ class MiningTask:
 
     @property
     def discriminative(self) -> bool:
-        return any(c.kind == "discriminative" for c in self.constraints)
-
-    def contains_constraints(self) -> tuple[CompiledConstraint, ...]:
-        return tuple(c for c in self.constraints if c.kind == "contains_value")
-
-    def switch_constraints(self) -> tuple[CompiledConstraint, ...]:
-        return tuple(c for c in self.constraints if c.kind == "switch_count")
+        return self.negative_window is not None
 
 
 def _coerce_value(attribute: str, value: Union[str, int]) -> AttributeValue:
@@ -462,34 +414,17 @@ def compile_query(ast: QueryAst, kb: KnowledgeBase, exact_class_match: bool = Fa
     if len(set(schema)) != len(schema):
         raise InvalidQuery(f"projection lists an attribute twice: ({', '.join(schema)})")
 
-    def attr_index(name: str) -> int:
-        if name not in schema:
-            raise UnknownAttribute(f"attribute {name!r} is not in the item schema")
-        return schema.index(name)
-
-    compiled = []
+    # One pass in declaration order, so the first faulty clause is reported.
+    contains = []
+    switches = []
     for clause in ast.constraints:
-        if isinstance(clause, Discriminative):
-            compiled.append(CompiledConstraint(kind="discriminative"))
-        elif isinstance(clause, ContainsValue):
-            compiled.append(
-                CompiledConstraint(
-                    kind="contains_value",
-                    attribute=clause.attribute,
-                    attr_index=attr_index(clause.attribute),
-                    value=_coerce_value(clause.attribute, clause.value),
-                )
-            )
+        if clause.attribute not in schema:
+            raise UnknownAttribute(f"attribute {clause.attribute!r} is not in the item schema")
+        if isinstance(clause, ContainsValue):
+            value = _coerce_value(clause.attribute, clause.value)
+            contains.append(ContainsValue(clause.attribute, value))
         else:
-            compiled.append(
-                CompiledConstraint(
-                    kind="switch_count",
-                    attribute=clause.attribute,
-                    attr_index=attr_index(clause.attribute),
-                    comparator=clause.comparator,
-                    value=clause.value,
-                )
-            )
+            switches.append(clause)
 
     def window_spec(clause: WindowClause | None) -> WindowSpec | None:
         if clause is None:
@@ -508,5 +443,6 @@ def compile_query(ast: QueryAst, kb: KnowledgeBase, exact_class_match: bool = Fa
         positive_window=positive,
         negative_window=window_spec(ast.negative_window),
         min_support=ast.min_support,
-        constraints=tuple(compiled),
+        contains=tuple(contains),
+        switches=tuple(switches),
     )

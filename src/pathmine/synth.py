@@ -112,6 +112,12 @@ class CohortConfig:
             )
         if self.noise_items < 2:
             raise ValueError("noise roster needs at least 2 items")
+        # _poisson stops at the floor e^-mean_events, which must be a positive
+        # float: this rejects nan, negative means and those it underflows at.
+        if not (self.mean_events >= 0 and math.exp(-self.mean_events) > 0.0):
+            raise ValueError(
+                f"mean_events must be >= 0 with exp(-mean_events) > 0, got {self.mean_events}"
+            )
         if self.index_day_low < 181 or self.index_day_high < self.index_day_low:
             raise ValueError("index day range must lie within [181, ...] and be non-empty")
 
@@ -129,7 +135,7 @@ class Cohort:
 
 
 def _poisson(rng: random.Random, lam: float) -> int:
-    # Knuth's method; lambdas here stay small enough for the e^-lam floor.
+    # Knuth's method; CohortConfig keeps the floor e^-lam a positive float.
     limit = math.exp(-lam)
     k = 0
     p = 1.0

@@ -6,7 +6,7 @@ import random
 
 from pathmine.builder import CaseDatabase, CasePair, IndexEventRule, WindowSpec
 from pathmine.model import NEGATIVE, POSITIVE, EventSequence, Item
-from pathmine.query import CompiledConstraint, MiningTask
+from pathmine.query import ContainsValue, MiningTask, SwitchCount
 
 #: The study query exercised throughout the suite.
 STUDY_QUERY = """\
@@ -53,28 +53,6 @@ def make_task(
     contains: iterable of (attribute, value); switch: iterable of
     (attribute, comparator, value).
     """
-    constraints = []
-    if discriminative:
-        constraints.append(CompiledConstraint(kind="discriminative"))
-    for attribute, value in contains:
-        constraints.append(
-            CompiledConstraint(
-                kind="contains_value",
-                attribute=attribute,
-                attr_index=schema.index(attribute),
-                value=value,
-            )
-        )
-    for attribute, comparator, value in switch:
-        constraints.append(
-            CompiledConstraint(
-                kind="switch_count",
-                attribute=attribute,
-                attr_index=schema.index(attribute),
-                comparator=comparator,
-                value=value,
-            )
-        )
     return MiningTask(
         index_rule=IndexEventRule(frozenset({"G40", "G41"})),
         schema=schema,
@@ -82,7 +60,8 @@ def make_task(
         positive_window=WindowSpec(POSITIVE, -90, 0),
         negative_window=WindowSpec(NEGATIVE, -180, -90) if discriminative else None,
         min_support=f_min,
-        constraints=tuple(constraints),
+        contains=tuple(ContainsValue(attribute, value) for attribute, value in contains),
+        switches=tuple(SwitchCount(*bound) for bound in switch),
     )
 
 

@@ -410,6 +410,15 @@ class TestSynthCommand:
         )
         assert code == 1
 
+    def test_negative_mean_events_exits_one(self, tmp_path, capsys):
+        code = main(
+            ["synth", "--patients", "5", "--seed", "9", "--mean-events", "-1",
+             "--out-dir", str(tmp_path)]
+        )
+        assert code == 1
+        assert "mean_events" in capsys.readouterr().err
+        assert not (tmp_path / "deliveries.csv").exists()
+
     def test_no_plant_is_fine(self, tmp_path, capsys):
         code = main(["synth", "--patients", "5", "--seed", "9", "--out-dir", str(tmp_path)])
         assert code == 0

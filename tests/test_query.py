@@ -1,4 +1,4 @@
-"""Query language: grammar, round trip, compilation."""
+"""Query language: grammar, constraint forms, compilation."""
 
 import pytest
 
@@ -11,14 +11,7 @@ from pathmine.errors import (
     UnknownAttribute,
 )
 from pathmine.knowledge import CodeAttributes, KnowledgeBase, Taxonomy
-from pathmine.query import (
-    ContainsValue,
-    Discriminative,
-    SwitchCount,
-    compile_query,
-    parse_query,
-    print_query,
-)
+from pathmine.query import ContainsValue, SwitchCount, compile_query, parse_query
 
 from conftest import STUDY_QUERY
 
@@ -61,8 +54,8 @@ class TestParse:
         assert ast.event.projection == ("atc", "group", "generic")
         assert ast.positive_window.lower == -90 and ast.positive_window.upper == 0
         assert ast.negative_window.lower == -180 and ast.negative_window.upper == -90
+        assert ast.discriminative is True
         assert ast.constraints == (
-            Discriminative(),
             ContainsValue("generic", 1),
             ContainsValue("generic", 0),
             SwitchCount("generic", "==", 1),
@@ -130,33 +123,6 @@ class TestParse:
         assert ast.positive_window.upper == 0
 
 
-class TestPrintRoundTrip:
-    @pytest.mark.parametrize(
-        "text",
-        [
-            STUDY_QUERY,
-            MINIMAL,
-            MINIMAL + "constraint switch_count(atc) <= 2;\n",
-            MINIMAL + "constraint switch_count(group) >= 1;\nconstraint contains_value(atc, N03AG01);\n",
-        ],
-    )
-    def test_parse_print_parse_is_parse(self, text):
-        ast = parse_query(text)
-        assert parse_query(print_query(ast)) == ast
-
-    def test_printed_study_query_mentions_every_clause(self):
-        printed = print_query(parse_query(STUDY_QUERY))
-        for fragment in (
-            "index_event first diagnosis in {G40, G41};",
-            "window positive (index-90, index);",
-            "window negative (index-180, index-90);",
-            "min_support 20;",
-            "constraint discriminative;",
-            "constraint switch_count(generic) == 1;",
-        ):
-            assert fragment in printed
-
-
 class TestCompile:
     def test_study_class_filter(self):
         task = compile_query(parse_query(STUDY_QUERY), KB)
@@ -166,20 +132,23 @@ class TestCompile:
 
     def test_constraint_classification(self):
         task = compile_query(parse_query(STUDY_QUERY), KB)
-        # One compiled constraint per declared one; the threshold is min_support.
-        assert [c.kind for c in task.constraints] == [
-            "discriminative",
-            "contains_value",
-            "contains_value",
-            "switch_count",
-        ]
+        # One constraint per declared one; the discriminative threshold is min_support.
+        assert task.discriminative
+        assert task.contains == (ContainsValue("generic", 1), ContainsValue("generic", 0))
+        assert task.switches == (SwitchCount("generic", "==", 1),)
 
     def test_switch_comparator_classes(self):
         for comparator in ("==", "<=", ">="):
             text = MINIMAL + f"constraint switch_count(generic) {comparator} 1;\n"
             task = compile_query(parse_query(text), KB)
-            (switch,) = task.switch_constraints()
+            assert not task.discriminative and not task.contains
+            (switch,) = task.switches
             assert switch.comparator == comparator
+
+    @pytest.mark.parametrize("comparator, bound", [("<", 1), ("==", -1)])
+    def test_switch_count_rejects_what_the_grammar_cannot_say(self, comparator, bound):
+        with pytest.raises(ValueError):
+            SwitchCount("generic", comparator, bound)
 
     def test_taxonomy_descent_expands_filter(self):
         text = MINIMAL.replace("{N03AG01}", "{N03AX}")
@@ -209,6 +178,40 @@ class TestCompile:
         with pytest.raises(UnknownAttribute):
             compile_query(parse_query(text), KB)
 
+    @pytest.mark.parametrize(
+        "projection, constraints, error, message",
+        [
+            # One clause with both faults: the attribute is checked first.
+            (
+                "(atc, group)",
+                ["contains_value(generic, 2)"],
+                UnknownAttribute,
+                "attribute 'generic' is not in the item schema",
+            ),
+            # Two clauses with one fault each: the first declared wins.
+            (
+                "(group, generic)",
+                ["contains_value(generic, 2)", "switch_count(atc) <= 1"],
+                InvalidQuery,
+                "generic takes value 0 or 1, got 2",
+            ),
+            (
+                "(group, generic)",
+                ["switch_count(atc) <= 1", "contains_value(generic, 2)"],
+                UnknownAttribute,
+                "attribute 'atc' is not in the item schema",
+            ),
+        ],
+    )
+    def test_constraint_errors_keep_declaration_order(
+        self, projection, constraints, error, message
+    ):
+        text = MINIMAL.replace("(atc, group, generic)", projection)
+        text += "".join(f"constraint {c};\n" for c in constraints)
+        with pytest.raises(error) as err:
+            compile_query(parse_query(text), KB)
+        assert str(err.value) == message
+
     def test_duplicate_projection_rejected(self):
         with pytest.raises(InvalidQuery):
             compile_query(
@@ -223,7 +226,7 @@ class TestCompile:
     def test_group_constraint_value_becomes_string(self):
         text = MINIMAL + "constraint contains_value(group, 438);\n"
         task = compile_query(parse_query(text), KB)
-        (contains,) = task.contains_constraints()
+        (contains,) = task.contains
         assert contains.value == "438"
 
     def test_bad_window_offsets_rejected_at_compile(self):

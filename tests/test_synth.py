@@ -58,6 +58,14 @@ class TestPlantSpec:
             CohortConfig(patients=5, seed=1, plant=PlantSpec.parse(STUDY_PLANT))
 
 
+# The Poisson draw stops at e^-mean_events: nan never reaches it, and a mean
+# that is infinite or too large underflows it to 0.0.
+@pytest.mark.parametrize("mean_events", [float("nan"), float("inf"), -1.0, 1e6])
+def test_mean_events_without_a_positive_floor_rejected(mean_events):
+    with pytest.raises(ValueError, match="mean_events"):
+        CohortConfig(patients=5, seed=1, mean_events=mean_events)
+
+
 def small_cohort(seed=11, patients=60):
     return generate_cohort(
         CohortConfig(patients=patients, seed=seed, plant=PlantSpec.parse(STUDY_PLANT))
