@@ -151,9 +151,8 @@ class CaseDatabase:
         items, scale = self.items, repeat(len(self.items))
 
         def views(polarity: str, sequences: tuple) -> list[EventSequence]:
-            # The keys are in (day, id) order, which is (day, item) order.
             return [
-                EventSequence._presorted(
+                EventSequence(
                     (patient, polarity),
                     tuple((day, items[iid]) for day, iid in map(divmod, keys, scale)),
                 )

@@ -548,7 +548,7 @@ class _Searcher:
             discr = frozenset(
                 patient for patient, at in zip(patients, node.negative) if at is None
             )
-        return PatternTuple._frozen(
+        return PatternTuple(
             Pattern(tuple(prep.items[iid] for iid in node.prefix)),
             frozenset(patients),
             embeddings,

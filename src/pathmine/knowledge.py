@@ -14,6 +14,7 @@ way in.
 
 from __future__ import annotations
 
+import graphlib
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple
 
@@ -80,7 +81,9 @@ class Taxonomy:
 
     `ancestors` always contains the queried code itself; a code absent
     from the edge list is its own sole ancestor. Multiple parents are
-    allowed, cycles are not: a cycle raises CycleError at build time.
+    allowed, cycles are not: `from_edges` hands the edges to the standard
+    library's `graphlib`, and a cycle raises CycleError naming one cycle
+    child first, as in ``A -> B -> A``.
     """
 
     _parents: Mapping[str, frozenset[str]] = field(default_factory=dict)
@@ -91,36 +94,13 @@ class Taxonomy:
         for child, parent in edges:
             parents.setdefault(_norm(child), set()).add(_norm(parent))
         frozen = {child: frozenset(ps) for child, ps in parents.items()}
-        tax = cls(frozen)
-        tax._check_acyclic()
-        return tax
-
-    def _check_acyclic(self) -> None:
-        # Three-color DFS; gray means "on the current path".
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color: dict[str, int] = {}
-        for start in self._parents:
-            if color.get(start, WHITE) != WHITE:
-                continue
-            stack: list[tuple[str, Iterable[str]]] = [(start, iter(self._parents.get(start, ())))]
-            color[start] = GRAY
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    state = color.get(nxt, WHITE)
-                    if state == GRAY:
-                        path = [entry[0] for entry in stack]
-                        loop = path[path.index(nxt):] + [nxt]
-                        raise CycleError("taxonomy cycle: " + " -> ".join(loop))
-                    if state == WHITE:
-                        color[nxt] = GRAY
-                        stack.append((nxt, iter(self._parents.get(nxt, ()))))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = BLACK
-                    stack.pop()
+        try:
+            graphlib.TopologicalSorter(frozen).prepare()
+        except graphlib.CycleError as exc:
+            # graphlib lists the cycle parent first; name it child first.
+            loop = reversed(exc.args[1])
+            raise CycleError("taxonomy cycle: " + " -> ".join(loop)) from None
+        return cls(frozen)
 
     def ancestors(self, code: str) -> frozenset[str]:
         """Reflexive-transitive parent closure of `code`."""

@@ -11,7 +11,7 @@ All types here are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
 from typing import Iterator, Mapping, Sequence, Union
@@ -79,26 +79,14 @@ class EventSequence:
     reference oracle and callers that want items. The builder and the
     engine never make one: `CaseDatabase` keeps each sequence as sorted
     integer keys of day and item id, and its `pairs` builds these views
-    on demand, from keys already in order, so they are not sorted again.
+    on demand.
     """
 
     sequence_id: SequenceId
     events: tuple[tuple[int, Item], ...] = ()
 
     def __post_init__(self) -> None:
-        self._settle(tuple(sorted(self.events, key=lambda ev: (ev[0], ev[1]._key))))
-
-    @classmethod
-    def _presorted(
-        cls, sequence_id: SequenceId, events: tuple[tuple[int, Item], ...]
-    ) -> "EventSequence":
-        """A sequence over events already in (day, item) order, not sorted again."""
-        sequence = object.__new__(cls)
-        object.__setattr__(sequence, "sequence_id", sequence_id)
-        sequence._settle(events)
-        return sequence
-
-    def _settle(self, ordered: tuple[tuple[int, Item], ...]) -> None:
+        ordered = tuple(sorted(self.events, key=lambda ev: (ev[0], ev[1]._key)))
         # Sorted by day first, so the first event has the smallest day.
         if ordered and ordered[0][0] < 0:
             raise ValueError(f"negative day {ordered[0][0]} in sequence {self.sequence_id}")
@@ -134,52 +122,21 @@ class Pattern:
         return "Pattern<" + ", ".join(repr(it) for it in self.items) + ">"
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class PatternTuple:
     """One mining result: a pattern, its support set, and its embeddings.
 
-    `supported` must equal exactly the keys of `embeddings` holding a
-    non-empty embedding set. `discriminative`, when present, is the
-    subset of supporters whose paired negative sequence does not support
-    the pattern.
+    A plain record, stored as given. Its makers, the engine and the
+    oracle, keep it consistent: `supported` is exactly the set of keys
+    of `embeddings`, each holding a non-empty frozenset of embeddings,
+    and `discriminative`, when present, is the subset of supporters
+    whose paired negative sequence does not support the pattern.
     """
 
     pattern: Pattern
-    supported: frozenset
-    embeddings: Mapping = field(default_factory=dict)
-    discriminative: frozenset | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "supported", frozenset(self.supported))
-        cleaned = {key: frozenset(embs) for key, embs in dict(self.embeddings).items() if embs}
-        object.__setattr__(self, "embeddings", cleaned)
-        if self.supported != frozenset(cleaned):
-            raise ValueError("supported set must equal the keys with a non-empty embedding set")
-        if self.discriminative is not None:
-            discr = frozenset(self.discriminative)
-            object.__setattr__(self, "discriminative", discr)
-            if not discr <= self.supported:
-                raise ValueError("discriminative supporters must be a subset of the support set")
-
-    @classmethod
-    def _frozen(
-        cls,
-        pattern: Pattern,
-        supported: frozenset,
-        embeddings: dict[str, frozenset[Embedding]],
-        discriminative: frozenset | None,
-    ) -> "PatternTuple":
-        """A record whose fields already are what __post_init__ makes and checks.
-
-        The engine builds every field frozen and consistent, so its
-        records are kept as they are, not copied and checked again.
-        """
-        record = object.__new__(cls)
-        object.__setattr__(record, "pattern", pattern)
-        object.__setattr__(record, "supported", supported)
-        object.__setattr__(record, "embeddings", embeddings)
-        object.__setattr__(record, "discriminative", discriminative)
-        return record
+    supported: frozenset[str]
+    embeddings: Mapping[str, frozenset[Embedding]]
+    discriminative: frozenset[str] | None = None
 
 
 def find_embeddings(

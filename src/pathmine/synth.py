@@ -35,6 +35,14 @@ OTHER_ATTRS = DeliveryAttributes("N02BE01", "900", 0)
 
 INDEX_CODES = ("G400", "G401", "G403", "G410", "G411")
 
+#: Inclusive range of index days. Starting above 180 keeps every day of
+#: both windows, which reach back 179 days, non-negative.
+INDEX_DAYS = (220, 400)
+
+#: Days strictly inside the positive window (index-90, index). A plant
+#: puts its items on distinct days there, so it has at most this many.
+POSITIVE_DAYS = 89
+
 TAXONOMY_EDGES = (
     ("G400", "G40"),
     ("G401", "G40"),
@@ -67,6 +75,11 @@ class PlantSpec:
     def __post_init__(self) -> None:
         if not self.items:
             raise InvalidPlantSpec("a plant needs at least one item")
+        if len(self.items) > POSITIVE_DAYS:
+            raise InvalidPlantSpec(
+                f"a plant has at most {POSITIVE_DAYS} items, one per day of the "
+                f"positive window, got {len(self.items)}"
+            )
         if self.count < 0:
             raise InvalidPlantSpec(f"plant count must be >= 0, got {self.count}")
 
@@ -100,8 +113,6 @@ class CohortConfig:
     plant: PlantSpec | None = None
     mean_events: float = 6.0
     noise_items: int = 16
-    index_day_low: int = 220
-    index_day_high: int = 400
 
     def __post_init__(self) -> None:
         if self.patients < 1:
@@ -118,18 +129,20 @@ class CohortConfig:
             raise ValueError(
                 f"mean_events must be >= 0 with exp(-mean_events) > 0, got {self.mean_events}"
             )
-        if self.index_day_low < 181 or self.index_day_high < self.index_day_low:
-            raise ValueError("index day range must lie within [181, ...] and be non-empty")
 
 
 @dataclass(frozen=True)
 class Cohort:
-    """Everything generated: facts, KB rows, and the planted ground truth."""
+    """Everything generated: facts, KB rows, and the planted ground truth.
+
+    Each KB row is (cip, atc, group, generic, label), the columns of the
+    attributes file.
+    """
 
     config: CohortConfig
     deliveries: tuple[DeliveryFact, ...]
     diseases: tuple[DiseaseFact, ...]
-    attribute_rows: tuple[tuple[str, str, str, int, dict], ...]
+    attribute_rows: tuple[tuple[str, str, str, int, str], ...]
     taxonomy_edges: tuple[tuple[str, str], ...]
     planted_patients: tuple[str, ...]
 
@@ -174,13 +187,9 @@ def generate_cohort(config: CohortConfig) -> Cohort:
                 plant_codes[attrs] = f"PL{len(plant_codes)}"
             plant_cips.append(plant_codes[attrs])
 
-    rows = [(cip, attrs.atc, attrs.group, attrs.generic, {"label": "planted"})
-            for attrs, cip in plant_codes.items()]
-    rows.extend(
-        (cip, attrs.atc, attrs.group, attrs.generic, {"label": "noise"}) for cip, attrs in noise
-    )
-    rows.append(("OTC00", OTHER_ATTRS.atc, OTHER_ATTRS.group, OTHER_ATTRS.generic,
-                 {"label": "comedication"}))
+    rows = [(cip, *attrs, "planted") for attrs, cip in plant_codes.items()]
+    rows.extend((cip, *attrs, "noise") for cip, attrs in noise)
+    rows.append(("OTC00", *OTHER_ATTRS, "comedication"))
 
     planted_idx = set()
     if config.plant and config.plant.count:
@@ -192,7 +201,7 @@ def generate_cohort(config: CohortConfig) -> Cohort:
     planted_patients = []
     for idx in range(config.patients):
         patient = f"p{idx + 1:0{width}d}"
-        index_day = rng.randint(config.index_day_low, config.index_day_high)
+        index_day = rng.randint(*INDEX_DAYS)
         diseases.append(DiseaseFact(patient, index_day, rng.choice(INDEX_CODES)))
         if rng.random() < 0.30:
             diseases.append(
@@ -203,7 +212,7 @@ def generate_cohort(config: CohortConfig) -> Cohort:
 
         # Noise deliveries, both windows, strict bounds already respected.
         for win_lo, win_hi in (
-            (index_day - 89, index_day - 1),
+            (index_day - POSITIVE_DAYS, index_day - 1),
             (index_day - 179, index_day - 91),
         ):
             for _ in range(_poisson(rng, config.mean_events)):
@@ -217,7 +226,7 @@ def generate_cohort(config: CohortConfig) -> Cohort:
 
         if idx in planted_idx:
             planted_patients.append(patient)
-            days = sorted(rng.sample(range(index_day - 89, index_day), len(plant_cips)))
+            days = sorted(rng.sample(range(index_day - POSITIVE_DAYS, index_day), len(plant_cips)))
             for day, cip in zip(days, plant_cips):
                 deliveries.append(DeliveryFact(patient, day, cip, 1))
 
@@ -262,8 +271,7 @@ def write_cohort(cohort: Cohort, out_dir: str) -> dict[str, str]:
     with open(paths["kb"], "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(("cip", "atc", "group", "generic", "label"))
-        for cip, atc, group, generic, extras in cohort.attribute_rows:
-            writer.writerow((cip, atc, group, generic, extras.get("label", "")))
+        writer.writerows(cohort.attribute_rows)
     with open(paths["taxonomy"], "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(("child", "parent"))

@@ -102,7 +102,15 @@ def test_criterion_oracle_equivalence(mined_instances, verdict):
     for seed in SEEDS:
         task, database, engine_patterns = mined_instances[seed]
         expected = oracle_mine(task, database, max_len=ORACLE_MAX_LEN)
-        if engine_patterns != expected:
+        # PatternTuple stores its fields as given; the oracle's records must
+        # hold the invariants every record promises.
+        consistent = all(
+            pt.supported == frozenset(pt.embeddings)
+            and all(pt.embeddings.values())
+            and (pt.discriminative is None or pt.discriminative <= pt.supported)
+            for pt in expected
+        )
+        if engine_patterns != expected or not consistent:
             mismatches.append(seed)
     elapsed = time.perf_counter() - started
     verdict(

@@ -97,14 +97,15 @@ class TestTaxonomy:
         assert small.ancestors("a") <= grown.ancestors("a")
 
     def test_self_loop_detected(self):
-        with pytest.raises(CycleError):
+        with pytest.raises(CycleError) as err:
             Taxonomy.from_edges([("a", "a")])
+        assert str(err.value) == "taxonomy cycle: A -> A"
 
     def test_long_cycle_detected_and_reported(self):
         with pytest.raises(CycleError) as err:
             Taxonomy.from_edges([("a", "b"), ("b", "c"), ("c", "a")])
-        # The diagnostic names one full cycle.
-        assert "->" in str(err.value)
+        # The diagnostic names one full cycle, child before parent.
+        assert str(err.value) == "taxonomy cycle: A -> B -> C -> A"
 
     def test_diamond_is_not_a_cycle(self):
         tax = Taxonomy.from_edges([("d", "l"), ("d", "r"), ("l", "t"), ("r", "t")])

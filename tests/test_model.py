@@ -9,7 +9,6 @@ from pathmine.model import (
     EventSequence,
     Item,
     Pattern,
-    PatternTuple,
     find_embeddings,
 )
 from pathmine.oracle import supports
@@ -68,29 +67,6 @@ class TestPattern:
 
     def test_sort_key_lexicographic_within_length(self):
         assert Pattern((A, A)).sort_key() < Pattern((A, B)).sort_key()
-
-
-class TestPatternTuple:
-    def test_supported_must_match_embedding_keys(self):
-        with pytest.raises(ValueError):
-            PatternTuple(Pattern((A,)), frozenset({"p1"}), {"p2": frozenset({(1,)})})
-
-    def test_empty_embedding_sets_dropped(self):
-        pt = PatternTuple(
-            Pattern((A,)),
-            frozenset({"p1"}),
-            {"p1": frozenset({(1,)}), "p2": frozenset()},
-        )
-        assert set(pt.embeddings) == {"p1"}
-
-    def test_discriminative_must_be_subset(self):
-        with pytest.raises(ValueError):
-            PatternTuple(
-                Pattern((A,)),
-                frozenset({"p1"}),
-                {"p1": frozenset({(1,)})},
-                discriminative=frozenset({"p1", "p9"}),
-            )
 
 
 class TestFindEmbeddings:

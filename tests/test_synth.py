@@ -57,6 +57,19 @@ class TestPlantSpec:
         with pytest.raises(InvalidPlantSpec):
             CohortConfig(patients=5, seed=1, plant=PlantSpec.parse(STUDY_PLANT))
 
+    def test_plant_longer_than_the_positive_window_rejected(self):
+        # The positive window (index-90, index) holds 89 days, one per item.
+        with pytest.raises(InvalidPlantSpec, match="at most 89 items.*got 90"):
+            PlantSpec.parse("|".join(["N03AG01,438,1"] * 90) + "@1")
+
+    def test_plant_filling_the_positive_window_generates(self):
+        plant = PlantSpec.parse("|".join(["N03AG01,438,1"] * 89) + "@1")
+        cohort = generate_cohort(CohortConfig(patients=2, seed=1, plant=plant))
+        (patient,) = cohort.planted_patients
+        planted = [f for f in cohort.deliveries if f.patient == patient and f.cip == "PL0"]
+        assert len(planted) == 89
+        assert len({f.day for f in planted}) == 89
+
 
 # The Poisson draw stops at e^-mean_events: nan never reaches it, and a mean
 # that is infinite or too large underflows it to 0.0.
@@ -93,12 +106,12 @@ class TestGeneration:
         cohort = generate_cohort(CohortConfig(patients=10, seed=5, plant=plant))
         kb = knowledge_base(cohort)
         planted_code = next(
-            cip for cip, _, _, _, extras in cohort.attribute_rows if extras["label"] == "planted"
+            cip for cip, _, _, _, label in cohort.attribute_rows if label == "planted"
         )
         noise_triples = {
             (atc, group, generic)
-            for _, atc, group, generic, extras in cohort.attribute_rows
-            if extras["label"] == "noise"
+            for _, atc, group, generic, label in cohort.attribute_rows
+            if label == "noise"
         }
         assert ("N03AX14", "501", 1) not in noise_triples
         assert kb.attributes.attributes(planted_code) == ("N03AX14", "501", 1)
