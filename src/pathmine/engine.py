@@ -44,6 +44,14 @@ node/time budget, and results are canonically sorted by (length, item
 order), so repeated runs serialize identically. A budget cuts the walk
 short, so a budgeted run returns the patterns of a depth-first prefix of
 the full search; under a node budget that prefix is the same every run.
+
+Each emitted pattern is kept as one compact `PatternRecord` of ids and
+database indices that shares the node's lists; no item, patient id or
+set is looked up or built per pattern. All mode still enumerates and
+charges every embedding during the search but keeps none, so the
+search's memory does not grow with the number of embeddings; readers
+enumerate them again, one supporter at a time. `MiningResult.patterns`
+turns the records into `PatternTuple`s on first access.
 """
 
 from __future__ import annotations
@@ -52,15 +60,15 @@ import math
 import time
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
-from itertools import chain
-from typing import Callable, Iterator, Sequence
+from functools import cached_property, partial
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .builder import CaseDatabase
 from .errors import MissingNegativeWindow
-from .model import Embedding, Pattern, PatternTuple, iter_embeddings
+from .model import Embedding, Item, Pattern, PatternTuple, iter_embeddings
 from .query import MiningTask
 
 EMBEDDINGS_ALL = "all"
@@ -101,9 +109,33 @@ class MiningOptions:
             raise ValueError(f"max_seconds must be finite and >= 0, got {self.max_seconds}")
 
 
+class PatternRecord(NamedTuple):
+    """One emitted pattern, as item ids and database indices.
+
+    `seqs` are the supporters' indices in the database, ascending, which
+    is ascending patient order. `witnesses` holds each supporter's
+    leftmost embedding in witness mode and is None in all mode, where
+    the embeddings are enumerated again on demand. `discriminative`
+    lists the supporters whose negative sequence lacks the pattern, or
+    is None when the task is not discriminative.
+    """
+
+    prefix: tuple[int, ...]
+    seqs: list[int]
+    witnesses: list[Embedding] | None
+    discriminative: list[int] | None
+
+
 @dataclass(frozen=True)
 class MiningResult:
-    """Sorted patterns plus an explicit completeness flag.
+    """Sorted pattern records plus an explicit completeness flag.
+
+    `records` are in canonical output order, by (length, item order).
+    `items`, `patients` and `sequences` map a record's ids back: item
+    ids to items, database indices to patient ids and to positive
+    sequences of item ids. `patterns` is the same result as
+    `PatternTuple`s, built on first access; the CLI writes from the
+    records and never builds it.
 
     `complete` is False when a node or time budget ran out; the patterns
     found so far are still returned, never silently truncated.
@@ -115,11 +147,41 @@ class MiningResult:
     discriminative check ran.
     """
 
-    patterns: tuple[PatternTuple, ...]
+    records: tuple[PatternRecord, ...]
     complete: bool
     nodes_expanded: int
     elapsed_seconds: float
     counters: dict[str, int]
+    items: tuple[Item, ...] = field(repr=False, compare=False)
+    patients: tuple[str, ...] = field(repr=False, compare=False)
+    sequences: Sequence[tuple[int, ...]] = field(repr=False, compare=False)
+
+    def embeddings(self, record: PatternRecord) -> Iterator[Iterable[Embedding]]:
+        """Each supporter's embeddings of the record, in ascending order.
+
+        All mode enumerates them lazily, one supporter at a time.
+        """
+        if record.witnesses is not None:
+            return zip(record.witnesses)
+        return (iter_embeddings(record.prefix, self.sequences[s]) for s in record.seqs)
+
+    @cached_property
+    def patterns(self) -> tuple[PatternTuple, ...]:
+        items, patient = self.items, self.patients.__getitem__
+        return tuple(
+            PatternTuple(
+                Pattern(tuple(map(items.__getitem__, record.prefix))),
+                frozenset(map(patient, record.seqs)),
+                {
+                    patient(s): frozenset(found)
+                    for s, found in zip(record.seqs, self.embeddings(record))
+                },
+                None
+                if record.discriminative is None
+                else frozenset(map(patient, record.discriminative)),
+            )
+            for record in self.records
+        )
 
 
 def _overshoots(switch_counts: Sequence[int], switches: Sequence) -> bool:
@@ -362,7 +424,7 @@ class _Searcher:
         )
         self.spent = 0
         self.exhausted = False
-        self.found: list[tuple[tuple[int, ...], PatternTuple]] = []
+        self.found: list[PatternRecord] = []
         self.nodes = 0
         self.counters = dict.fromkeys(_COUNTERS, 0)
 
@@ -381,7 +443,7 @@ class _Searcher:
         """Search each root's subtree in turn; roots are the origin's extensions.
 
         Depth-first, with an explicit stack of child iterators. Appends
-        (interned pattern, record) pairs to `found` in visit order.
+        each emitted record to `found` in visit order.
         """
         roots = (origin.child(*root) for root in self.extensions(origin))
         stack: list[Iterator[_Node]] = [roots]
@@ -419,7 +481,7 @@ class _Searcher:
             record = self._emit(node)
             if record is None:
                 return None
-            self.found.append((node.prefix, record))
+            self.found.append(record)
         if len(node.prefix) >= prep.max_len:
             return None
         extensions = self.extensions(node)
@@ -519,41 +581,33 @@ class _Searcher:
             for iid in sorted(wanted)
         ]
 
-    def _emit(self, node: _Node) -> PatternTuple | None:
-        """The node's result record, or None if the budget ran out meanwhile.
+    def _emit(self, node: _Node) -> PatternRecord | None:
+        """The node's compact record, or None if the budget ran out meanwhile.
 
-        Witness mode reads each supporter's leftmost embedding off the
-        node. All mode enumerates the embeddings lazily and charges them
-        to the budget as it goes, since their number grows
-        combinatorially. The discriminative supporters are those whose
-        negative frontier found no match.
+        The record shares the node's prefix, supporter and witness
+        lists. Witness mode keeps each supporter's leftmost embedding,
+        read off the node. All mode enumerates the embeddings and charges
+        them to the budget as it goes, since their number grows
+        combinatorially, but keeps none of them: the record is kept
+        exactly when its enumeration finished within the budget, and its
+        readers enumerate again. The discriminative supporters are those
+        whose negative frontier found no match.
         """
         prep = self.prep
-        patients = [prep.patients[seq_idx] for seq_idx in node.seqs]
-        if self.options.embeddings == EMBEDDINGS_WITNESS:
-            embeddings = dict(zip(patients, map(frozenset, zip(node.witnesses))))
-        else:
-            embeddings = {}
-            enumerated = 0
-            for patient, seq_idx in zip(patients, node.seqs):
-                found = []
-                for embedding in iter_embeddings(node.prefix, prep.pos_ids[seq_idx]):
-                    found.append(embedding)
-                    enumerated += 1
-                    if not enumerated % _DEADLINE_STRIDE and not self.spend():
-                        return None
-                embeddings[patient] = frozenset(found)
+        witnesses = node.witnesses
+        if self.options.embeddings != EMBEDDINGS_WITNESS:
+            witnesses = None
+            embeddings = chain.from_iterable(
+                iter_embeddings(node.prefix, prep.pos_ids[seq_idx]) for seq_idx in node.seqs
+            )
+            # One unit per full stride, counted across all supporters.
+            while sum(1 for _ in islice(embeddings, _DEADLINE_STRIDE)) == _DEADLINE_STRIDE:
+                if not self.spend():
+                    return None
         discr = None
         if prep.discriminative:
-            discr = frozenset(
-                patient for patient, at in zip(patients, node.negative) if at is None
-            )
-        return PatternTuple(
-            Pattern(tuple(prep.items[iid] for iid in node.prefix)),
-            frozenset(patients),
-            embeddings,
-            discr,
-        )
+            discr = [seq_idx for seq_idx, at in zip(node.seqs, node.negative) if at is None]
+        return PatternRecord(node.prefix, node.seqs, witnesses, discr)
 
 
 def mine(
@@ -587,11 +641,14 @@ def mine(
     )
     found = searcher.found
     # Interned ids follow canonical item order, so this is Pattern.sort_key order.
-    found.sort(key=lambda pair: (len(pair[0]), pair[0]))
+    found.sort(key=lambda record: (len(record.prefix), record.prefix))
     return MiningResult(
-        patterns=tuple(record for _, record in found),
+        records=tuple(found),
         complete=not searcher.exhausted,
         nodes_expanded=searcher.nodes,
         elapsed_seconds=time.monotonic() - started,
         counters=searcher.counters,
+        items=prep.items,
+        patients=prep.patients,
+        sequences=prep.pos_ids,
     )

@@ -126,8 +126,8 @@ class Pattern:
 class PatternTuple:
     """One mining result: a pattern, its support set, and its embeddings.
 
-    A plain record, stored as given. Its makers, the engine and the
-    oracle, keep it consistent: `supported` is exactly the set of keys
+    A plain record, stored as given. Its makers, the engine's
+    `MiningResult.patterns` and the oracle, keep it consistent: `supported` is exactly the set of keys
     of `embeddings`, each holding a non-empty frozenset of embeddings,
     and `discriminative`, when present, is the subset of supporters
     whose paired negative sequence does not support the pattern.

@@ -371,10 +371,24 @@ class MiningTask:
             raise ValueError("min_support must be >= 1")
         if not self.schema:
             raise ValueError("item schema must not be empty")
+        # A hand-built task gets the checks compile_query makes.
+        for constraint in self.contains + self.switches:
+            _check_attribute(constraint.attribute, self.schema)
+        for constraint in self.contains:
+            value = _coerce_value(constraint.attribute, constraint.value)
+            if type(value) is not type(constraint.value) or value != constraint.value:
+                raise InvalidQuery(
+                    f"{constraint.attribute} value {constraint.value!r} must be given as {value!r}"
+                )
 
     @property
     def discriminative(self) -> bool:
         return self.negative_window is not None
+
+
+def _check_attribute(attribute: str, schema: tuple[str, ...]) -> None:
+    if attribute not in schema:
+        raise UnknownAttribute(f"attribute {attribute!r} is not in the item schema")
 
 
 def _coerce_value(attribute: str, value: Union[str, int]) -> AttributeValue:
@@ -418,8 +432,7 @@ def compile_query(ast: QueryAst, kb: KnowledgeBase, exact_class_match: bool = Fa
     contains = []
     switches = []
     for clause in ast.constraints:
-        if clause.attribute not in schema:
-            raise UnknownAttribute(f"attribute {clause.attribute!r} is not in the item schema")
+        _check_attribute(clause.attribute, schema)
         if isinstance(clause, ContainsValue):
             value = _coerce_value(clause.attribute, clause.value)
             contains.append(ContainsValue(clause.attribute, value))

@@ -12,9 +12,16 @@ import pytest
 from pathmine import ingest
 from pathmine.builder import build_database
 from pathmine.cli import main, render_patterns
-from pathmine.engine import MiningOptions, mine
+from pathmine.engine import MiningOptions, MiningResult, mine
 from pathmine.query import compile_query, parse_query
-from pathmine.synth import CohortConfig, PlantSpec, generate_cohort, knowledge_base, raw_database
+from pathmine.synth import (
+    CohortConfig,
+    PlantSpec,
+    generate_cohort,
+    knowledge_base,
+    raw_database,
+    write_cohort,
+)
 
 from conftest import STUDY_QUERY
 
@@ -335,6 +342,57 @@ constraint contains_value(generic, 1);
         assert result.counters == self.COUNTERS
         text = render_patterns(result.patterns)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class TestOneOutputFormat:
+    """The mine command writes the bytes `render_patterns` gives the same result."""
+
+    @pytest.fixture(scope="class")
+    def study(self, tmp_path_factory):
+        cohort = generate_cohort(
+            CohortConfig(
+                patients=80,
+                seed=2017,
+                plant=PlantSpec.parse(PLANT.replace("@9", "@8")),
+                mean_events=8.0,
+                noise_items=20,
+            )
+        )
+        out = tmp_path_factory.mktemp("pinned")
+        write_cohort(cohort, out)
+        query = out / "study.pmq"
+        query.write_text(TestRenderedOutputPinned.QUERY, encoding="utf-8")
+        kb = knowledge_base(cohort)
+        task = compile_query(parse_query(TestRenderedOutputPinned.QUERY), kb)
+        return out, query, task, build_database(raw_database(cohort), task, kb)
+
+    @pytest.mark.parametrize("budget", [None, 300])
+    @pytest.mark.parametrize("mode", ["witness", "all"])
+    def test_cli_bytes_equal_rendered_patterns(self, study, tmp_path, capsys, mode, budget):
+        data_dir, query, task, database = study
+        out = tmp_path / "p.jsonl"
+        extra = ["--embeddings", mode]
+        if budget is not None:
+            extra += ["--max-nodes", str(budget)]
+        result = mine(task, database, MiningOptions(embeddings=mode, max_nodes=budget))
+        assert main(mine_args(data_dir, query, out, extra)) == (0 if result.complete else 3)
+        report = json.loads(capsys.readouterr().out)
+        assert report["pattern_count"] == len(result.patterns)
+        # The full search visits 394 nodes, so the budget cuts it short.
+        assert result.complete is (budget is None)
+        assert out.read_text(encoding="utf-8") == render_patterns(result.patterns)
+
+    def test_mine_command_builds_no_pattern_tuple(self, study, tmp_path, capsys, monkeypatch):
+        def refuse(result):
+            raise AssertionError("the mine command read MiningResult.patterns")
+
+        monkeypatch.setattr(MiningResult, "patterns", property(refuse))
+        data_dir, query, _, _ = study
+        for mode in ("witness", "all"):
+            out = tmp_path / f"{mode}.jsonl"
+            assert main(mine_args(data_dir, query, out, ["--embeddings", mode])) == 0
+            assert out.stat().st_size
+        capsys.readouterr()
 
 
 class TestGarbageCollectorPolicy:

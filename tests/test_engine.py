@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -345,6 +346,23 @@ class TestLongSequences:
         # The pattern being emitted when the budget ran out is dropped.
         assert [len(pt.pattern) for pt in result.patterns] == [1, 2, 3]
         assert result.nodes_expanded == 4
+
+    def test_all_mode_memory_does_not_grow_with_the_budget(self):
+        # The search enumerates every embedding it charges but keeps none:
+        # 300 units stop inside A^4's C(60, 4) embeddings, 900 inside A^5's.
+        database = self.one_patient(60)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for max_nodes in (300, 900):
+                tracemalloc.reset_peak()
+                result = mine(make_task(), database, MiningOptions(embeddings="all", max_nodes=max_nodes))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                assert not result.complete
+        finally:
+            tracemalloc.stop()
+        assert [len(record.prefix) for record in result.records] == [1, 2, 3, 4]
+        assert peaks[1] <= 1.5 * peaks[0]
 
     def test_witness_mode_does_not_search_embeddings(self, monkeypatch):
         calls = []

@@ -13,7 +13,7 @@ from pathmine.errors import (
 from pathmine.knowledge import CodeAttributes, KnowledgeBase, Taxonomy
 from pathmine.query import ContainsValue, SwitchCount, compile_query, parse_query
 
-from conftest import STUDY_QUERY
+from conftest import STUDY_QUERY, make_task
 
 KB = KnowledgeBase(
     CodeAttributes.from_rows(
@@ -238,3 +238,33 @@ class TestCompile:
         first = compile_query(parse_query(STUDY_QUERY), KB)
         second = compile_query(parse_query(STUDY_QUERY), KB)
         assert first == second
+
+
+class TestHandBuiltTask:
+    """A task built without compile_query gets the same constraint checks."""
+
+    def test_constraint_attribute_outside_the_schema(self):
+        with pytest.raises(UnknownAttribute, match="'dose' is not in the item schema"):
+            make_task(contains=[("dose", 1)])
+        with pytest.raises(UnknownAttribute, match="'dose' is not in the item schema"):
+            make_task(switch=[("dose", "<=", 1)])
+
+    @pytest.mark.parametrize(
+        "attribute, value, message",
+        [
+            ("generic", "1", "generic takes value 0 or 1, got '1'"),
+            ("generic", 2, "generic takes value 0 or 1, got 2"),
+            ("atc", "n03ag01", "atc value 'n03ag01' must be given as 'N03AG01'"),
+            ("group", 438, "group value 438 must be given as '438'"),
+        ],
+    )
+    def test_contains_value_outside_its_domain(self, attribute, value, message):
+        with pytest.raises(InvalidQuery) as err:
+            make_task(contains=[(attribute, value)])
+        assert str(err.value) == message
+
+    def test_compiled_task_passes_the_checks(self):
+        task = compile_query(parse_query(STUDY_QUERY), KB)
+        assert make_task(contains=[(c.attribute, c.value) for c in task.contains]).contains == (
+            task.contains
+        )
