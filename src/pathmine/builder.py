@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 from .errors import UnknownCode
 from .ingest import DayCodes, RawDatabase
 from .knowledge import KnowledgeBase, Taxonomy
-from .model import NEGATIVE, POSITIVE, EventSequence, Item
+from .model import EventSequence, Item
 
 if TYPE_CHECKING:  # pragma: no cover
     from .query import MiningTask
@@ -42,16 +42,14 @@ class WindowSpec:
 
     A day d is inside iff index + lower_offset < d < index + upper_offset;
     both comparisons are strict. Offsets are non-positive: windows always
-    end at or before the index date.
+    end at or before the index date. Whether a window is the positive or
+    the negative one is named by the task field that holds it.
     """
 
-    polarity: str
     lower_offset: int
     upper_offset: int
 
     def __post_init__(self) -> None:
-        if self.polarity not in (POSITIVE, NEGATIVE):
-            raise ValueError(f"polarity must be positive or negative, got {self.polarity!r}")
         if not self.lower_offset < self.upper_offset <= 0:
             raise ValueError(
                 f"window offsets must satisfy lower < upper <= 0, "
@@ -115,7 +113,8 @@ class CaseDatabase:
     `CaseDatabase(pairs)` interns hand-built pairs, giving equal items
     one id; `build_database` hands over its tuples as they are. `pairs`
     is a view of `CasePair`s holding item `EventSequence`s, built on
-    first access.
+    first access; each pair's patient and slot say whose sequence it is
+    and from which window.
     """
 
     def __init__(self, pairs: Iterable[CasePair] = ()) -> None:
@@ -150,17 +149,14 @@ class CaseDatabase:
     def pairs(self) -> tuple[CasePair, ...]:
         items, scale = self.items, repeat(len(self.items))
 
-        def views(polarity: str, sequences: tuple) -> list[EventSequence]:
+        def views(sequences: tuple) -> list[EventSequence]:
             return [
-                EventSequence(
-                    (patient, polarity),
-                    tuple((day, items[iid]) for day, iid in map(divmod, keys, scale)),
-                )
-                for patient, keys in zip(self._patients, sequences)
+                EventSequence(tuple((day, items[iid]) for day, iid in map(divmod, keys, scale)))
+                for keys in sequences
             ]
 
-        positives = views(POSITIVE, self.positives)
-        negatives = repeat(None) if self.negatives is None else views(NEGATIVE, self.negatives)
+        positives = views(self.positives)
+        negatives = repeat(None) if self.negatives is None else views(self.negatives)
         return tuple(map(CasePair, self._patients, positives, negatives))
 
     def ids(self, sequences: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:

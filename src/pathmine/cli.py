@@ -5,8 +5,10 @@ Two subcommands:
 * ``mine`` runs the whole pipeline: load CSVs, parse and compile the
   query, build the case database, mine, write one JSON object per
   pattern to the output file (JSON Lines), and print a run report as
-  JSON on stdout. Each line is written straight from the search's
-  compact record; no `PatternTuple` is built.
+  JSON on stdout. It loads the facts with the library's own sequence,
+  `RawDatabase(load_deliveries(...), load_diseases(...))`. Each line
+  is written straight from the search's compact record; no
+  `PatternTuple` is built.
 * ``synth`` writes a synthetic cohort with a planted pattern, for demos
   and tests.
 
@@ -52,7 +54,7 @@ from typing import Iterable, Iterator, Sequence
 from .builder import build_database
 from .engine import MiningOptions, MiningResult, mine
 from .errors import InvalidPlantSpec, PathmineError, QueryError
-from .ingest import load_kb, load_raw, undecodable
+from .ingest import RawDatabase, load_deliveries, load_diseases, load_kb, undecodable
 from .model import Embedding, PatternTuple
 from .query import compile_query, parse_query
 from .synth import CohortConfig, PlantSpec, generate_cohort, write_cohort
@@ -280,7 +282,7 @@ def _mine(args: argparse.Namespace) -> int:
 
     kb = load_kb(args.kb, args.taxonomy)
     task = compile_query(ast, kb, exact_class_match=args.class_filter_exact)
-    raw = load_raw(args.deliveries, args.diseases)
+    raw = RawDatabase(load_deliveries(args.deliveries), load_diseases(args.diseases))
     patients_total = len(raw.patients())
     ends["load"] = time.monotonic()
     database = build_database(raw, task, kb, unknown_code=args.unknown_code)

@@ -10,9 +10,11 @@ All four inputs are UTF-8 CSV with a header row:
 
 Days are integer day numbers counted from the first event date, so no
 calendar handling happens here. Duplicate identical event rows are kept
-as distinct facts; loaders never deduplicate. Fact rows may come in any
-order: `RawDatabase` sorts them once and keeps each patient's facts as
-`DayCodes` columns.
+as distinct facts; loaders never deduplicate. `load_deliveries` and
+`load_diseases` return one plain tuple per data row, in file order, and
+`RawDatabase` sorts them once and keeps each patient's facts as
+`DayCodes` columns. The `mine` command loads through exactly these
+three calls.
 
 Each fact file's format is stated once, by its header and
 `_INT_FLOORS`. The two fact files are read in bulk: chunks of rows are
@@ -21,16 +23,18 @@ transposed into columns and checked with whole-column calls
 `_checked_rows`, applies the same rules cell by cell, left to right:
 when any bulk check fails, the file is read again by it, and it raises
 the error of the first bad cell of the first bad row with its line.
-Undecodable bytes and malformed CSV (such as an oversize field) are a
-`ParseError` for the file on either path. Quantities are checked but
-not kept: the query language never reads them.
+The taxonomy is read by the same validator, and the attributes file's
+cells are checked left to right too. Undecodable bytes and malformed
+CSV (such as an oversize field) are a `ParseError` for the file on
+either path. Quantities are checked but not kept: the query language
+never reads them.
 """
 
 from __future__ import annotations
 
 import csv
 from contextlib import contextmanager
-from itertools import groupby, islice, starmap
+from itertools import groupby, islice
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -45,19 +49,6 @@ _DISEASE_HEADER = ("patient", "day", "icd")
 
 #: The bulk reader's integer columns and the least value each admits.
 _INT_FLOORS = {"day": 0, "qty": 1}
-
-
-class DeliveryFact(NamedTuple):
-    patient: str
-    day: int
-    cip: str
-    qty: int
-
-
-class DiseaseFact(NamedTuple):
-    patient: str
-    day: int
-    icd: str
 
 
 class DayCodes(NamedTuple):
@@ -98,11 +89,13 @@ class RawDatabase:
     """Fact rows grouped by patient, each patient's sorted by day.
 
     `deliveries` takes (patient, day, cip, qty) rows and `diseases`
-    (patient, day, icd) rows, such as `DeliveryFact`s and `DiseaseFact`s,
-    in any order. They are sorted once, stably, by (patient, day), so
-    rows of one patient on one day keep their input order; duplicates
-    are kept. Negative days and quantities below 1 are rejected, but
-    only days and codes are kept.
+    (patient, day, icd) rows, such as `load_deliveries` and
+    `load_diseases` return, in any order. They are sorted once, stably,
+    by (patient, day), so rows of one patient on one day keep their
+    input order; duplicates are kept. Negative days and quantities below
+    1 are rejected, but only days and codes are kept. The loaders have
+    checked their rows already; the check here is for rows handed in
+    directly.
 
     `delivery_groups` and `disease_groups` map each patient, in
     ascending id order, to its `DayCodes`; treat them as read-only.
@@ -258,51 +251,41 @@ def _checked_rows(path: str, header: tuple[str, ...]) -> list[tuple]:
     return rows
 
 
-def _fact_rows(path: str, header: tuple[str, ...]) -> Iterable[tuple]:
+def _fact_rows(path: str, header: tuple[str, ...]) -> list[tuple]:
     """One tuple of `header`'s fields per data row of a fact file, in file order."""
     columns = _bulk_columns(path, header)
-    return _checked_rows(path, header) if columns is None else zip(*columns)
+    return _checked_rows(path, header) if columns is None else list(zip(*columns))
 
 
-def load_deliveries(path: str) -> tuple[DeliveryFact, ...]:
-    """Parse deliveries.csv; one fact per data row, in file order."""
-    return tuple(starmap(DeliveryFact, _fact_rows(path, _DELIVERY_HEADER)))
+def load_deliveries(path: str) -> list[tuple[str, int, str, int]]:
+    """Parse deliveries.csv: one (patient, day, cip, qty) per data row, in file order."""
+    return _fact_rows(path, _DELIVERY_HEADER)
 
 
-def load_diseases(path: str) -> tuple[DiseaseFact, ...]:
-    """Parse diseases.csv; one fact per data row, in file order."""
-    return tuple(starmap(DiseaseFact, _fact_rows(path, _DISEASE_HEADER)))
-
-
-def load_raw(deliveries_path: str, diseases_path: str) -> RawDatabase:
-    """Both fact files, grouped by patient; builds no per-row fact object."""
-    return RawDatabase(
-        _fact_rows(deliveries_path, _DELIVERY_HEADER), _fact_rows(diseases_path, _DISEASE_HEADER)
-    )
+def load_diseases(path: str) -> list[tuple[str, int, str]]:
+    """Parse diseases.csv: one (patient, day, icd) per data row, in file order."""
+    return _fact_rows(path, _DISEASE_HEADER)
 
 
 def load_kb(attributes_path: str, taxonomy_path: str) -> KnowledgeBase:
-    """Parse both KB files; validates code uniqueness and taxonomy acyclicity."""
+    """Parse both KB files; validates code uniqueness and taxonomy acyclicity.
+
+    An attributes row reports its leftmost bad cell, as a fact row does.
+    """
     attr_rows = []
     for line, cells in _rows(attributes_path, ("cip", "atc", "group", "generic"), False):
         cip, atc, group, generic = cells[:4]
-        flag = _parse_int(generic, "generic", attributes_path, line)
-        if flag not in (0, 1):
-            raise ParseError(f"generic must be 0 or 1, got {flag}", path=attributes_path, line=line)
-        attr_rows.append(
-            (
-                _require(cip, "cip", attributes_path, line),
-                _require(atc, "atc", attributes_path, line),
-                _require(group, "group", attributes_path, line),
-                flag,
-            )
+        # A tuple display evaluates left to right, so the leftmost miss raises.
+        row = (
+            _require(cip, "cip", attributes_path, line),
+            _require(atc, "atc", attributes_path, line),
+            _require(group, "group", attributes_path, line),
+            _parse_int(generic, "generic", attributes_path, line),
         )
-    edges = []
-    for line, (child, parent) in _rows(taxonomy_path, ("child", "parent"), True):
-        edges.append(
-            (
-                _require(child, "child", taxonomy_path, line),
-                _require(parent, "parent", taxonomy_path, line),
+        if row[3] not in (0, 1):
+            raise ParseError(
+                f"generic must be 0 or 1, got {row[3]}", path=attributes_path, line=line
             )
-        )
+        attr_rows.append(row)
+    edges = _checked_rows(taxonomy_path, ("child", "parent"))
     return KnowledgeBase(CodeAttributes.from_rows(attr_rows), Taxonomy.from_edges(edges))

@@ -18,12 +18,6 @@ from typing import Iterator, Mapping, Sequence, Union
 
 AttributeValue = Union[str, int]
 
-POSITIVE = "positive"
-NEGATIVE = "negative"
-
-#: (owner id, polarity) pair naming one sequence.
-SequenceId = tuple[str, str]
-
 #: Strictly increasing 1-based positions witnessing a pattern in a sequence.
 Embedding = tuple[int, ...]
 
@@ -69,7 +63,7 @@ class Item:
 
 @dataclass(frozen=True)
 class EventSequence:
-    """Canonically sorted, timestamped item list for one (owner, polarity).
+    """Canonically sorted, timestamped item list for one window of one patient.
 
     Events are sorted by (timestamp, item attribute tuple) on
     construction, so embeddings are deterministic regardless of input
@@ -79,17 +73,17 @@ class EventSequence:
     reference oracle and callers that want items. The builder and the
     engine never make one: `CaseDatabase` keeps each sequence as sorted
     integer keys of day and item id, and its `pairs` builds these views
-    on demand.
+    on demand. The sequence does not know whose it is or which window:
+    a `CasePair` names both by the slot that holds it.
     """
 
-    sequence_id: SequenceId
     events: tuple[tuple[int, Item], ...] = ()
 
     def __post_init__(self) -> None:
         ordered = tuple(sorted(self.events, key=lambda ev: (ev[0], ev[1]._key)))
         # Sorted by day first, so the first event has the smallest day.
         if ordered and ordered[0][0] < 0:
-            raise ValueError(f"negative day {ordered[0][0]} in sequence {self.sequence_id}")
+            raise ValueError(f"negative day {ordered[0][0]} in a sequence")
         object.__setattr__(self, "events", ordered)
 
     def items(self) -> tuple[Item, ...]:

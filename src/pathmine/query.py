@@ -15,9 +15,12 @@ comment) declaring what to mine:
     constraint switch_count(generic) == 1;
 
 `parse_query` builds the AST and `compile_query` resolves it against a
-knowledge base into an executable MiningTask. The AST's `ContainsValue`
-and `SwitchCount` are the constraints' only form, from the parser to the
-search; `constraint discriminative` is the negative window, not a
+knowledge base into an executable MiningTask. Each clause has one form
+from the parser to the search: the index event is the builder's
+`IndexEventRule`, each window its `WindowSpec` (checked where the
+statement is parsed, so a bad window is reported before any later
+clause), and the AST's `ContainsValue` and `SwitchCount` are the
+constraints. `constraint discriminative` is the negative window, not a
 constraint of its own. What each constraint means is defined in
 `oracle`; how the search uses it is described in `engine`.
 """
@@ -38,7 +41,7 @@ from .errors import (
     UnknownAttribute,
 )
 from .knowledge import KnowledgeBase
-from .model import NEGATIVE, POSITIVE, AttributeValue
+from .model import AttributeValue
 
 #: Reifiable delivery attributes, in canonical order.
 ITEM_ATTRIBUTES = ("atc", "group", "generic")
@@ -48,21 +51,9 @@ ITEM_ATTRIBUTES = ("atc", "group", "generic")
 
 
 @dataclass(frozen=True)
-class IndexEventClause:
-    codes: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class EventClause:
     codes: tuple[str, ...]
     projection: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class WindowClause:
-    polarity: str
-    lower: int
-    upper: int
 
 
 @dataclass(frozen=True)
@@ -89,10 +80,10 @@ Constraint = Union[ContainsValue, SwitchCount]
 
 @dataclass(frozen=True)
 class QueryAst:
-    index_event: IndexEventClause
+    index_event: IndexEventRule
     event: EventClause
-    positive_window: WindowClause
-    negative_window: WindowClause | None
+    positive_window: WindowSpec
+    negative_window: WindowSpec | None
     min_support: int
     discriminative: bool = False
     constraints: tuple[Constraint, ...] = ()
@@ -267,9 +258,9 @@ def _parse_constraint(cur: _Cursor, head: str) -> Constraint:
 def parse_query(text: str) -> QueryAst:
     """Parse query text into an AST; raises on syntax or clause errors."""
     cur = _Cursor(_tokenize(text))
-    index_event: IndexEventClause | None = None
+    index_event: IndexEventRule | None = None
     event: EventClause | None = None
-    windows: dict[str, WindowClause] = {}
+    windows: dict[str, WindowSpec] = {}
     min_support: int | None = None
     discriminative = False
     constraints: list[Constraint] = []
@@ -285,7 +276,7 @@ def parse_query(text: str) -> QueryAst:
             codes = _parse_code_set(cur)
             if index_event is not None:
                 raise DuplicateClause(f"second index_event clause at line {head.line}")
-            index_event = IndexEventClause(codes)
+            index_event = IndexEventRule(frozenset(codes))
         elif head.text == "event":
             cur.expect_word("delivery")
             cur.expect_word("where")
@@ -306,7 +297,10 @@ def parse_query(text: str) -> QueryAst:
             cur.expect_punct(")")
             if polarity in windows:
                 raise DuplicateClause(f"second {polarity} window clause at line {head.line}")
-            windows[polarity] = WindowClause(polarity, lower, upper)
+            try:
+                windows[polarity] = WindowSpec(lower, upper)
+            except ValueError as exc:
+                raise InvalidQuery(str(exc)) from None
         elif head.text == "min_support":
             value = cur.expect_int()
             if min_support is not None:
@@ -328,15 +322,15 @@ def parse_query(text: str) -> QueryAst:
         raise MissingClause("missing index_event clause")
     if event is None:
         raise MissingClause("missing event clause")
-    if POSITIVE not in windows:
+    if "positive" not in windows:
         raise MissingClause("missing positive window clause")
     if min_support is None:
         raise MissingClause("missing min_support clause")
     return QueryAst(
         index_event=index_event,
         event=event,
-        positive_window=windows[POSITIVE],
-        negative_window=windows.get(NEGATIVE),
+        positive_window=windows["positive"],
+        negative_window=windows.get("negative"),
         min_support=min_support,
         discriminative=discriminative,
         constraints=tuple(constraints),
@@ -438,23 +432,12 @@ def compile_query(ast: QueryAst, kb: KnowledgeBase, exact_class_match: bool = Fa
             contains.append(ContainsValue(clause.attribute, value))
         else:
             switches.append(clause)
-
-    def window_spec(clause: WindowClause | None) -> WindowSpec | None:
-        if clause is None:
-            return None
-        try:
-            return WindowSpec(clause.polarity, clause.lower, clause.upper)
-        except ValueError as exc:
-            raise InvalidQuery(str(exc)) from None
-
-    positive = window_spec(ast.positive_window)
-    assert positive is not None
     return MiningTask(
-        index_rule=IndexEventRule(frozenset(ast.index_event.codes)),
+        index_rule=ast.index_event,
         schema=schema,
         class_filter=expand_class_filter(ast.event.codes, kb, exact_class_match),
-        positive_window=positive,
-        negative_window=window_spec(ast.negative_window),
+        positive_window=ast.positive_window,
+        negative_window=ast.negative_window,
         min_support=ast.min_support,
         contains=tuple(contains),
         switches=tuple(switches),

@@ -22,9 +22,10 @@ import math
 import os
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import InvalidPlantSpec
-from .ingest import DeliveryFact, DiseaseFact, RawDatabase
+from .ingest import RawDatabase
 from .knowledge import CodeAttributes, DeliveryAttributes, KnowledgeBase, Taxonomy
 
 #: Therapeutic classes cycled through by the noise roster.
@@ -135,13 +136,15 @@ class CohortConfig:
 class Cohort:
     """Everything generated: facts, KB rows, and the planted ground truth.
 
-    Each KB row is (cip, atc, group, generic, label), the columns of the
+    The facts are the rows the loaders return, (patient, day, cip, qty)
+    and (patient, day, icd) tuples, sorted by (patient, day). Each KB
+    row is (cip, atc, group, generic, label), the columns of the
     attributes file.
     """
 
     config: CohortConfig
-    deliveries: tuple[DeliveryFact, ...]
-    diseases: tuple[DiseaseFact, ...]
+    deliveries: tuple[tuple[str, int, str, int], ...]
+    diseases: tuple[tuple[str, int, str], ...]
     attribute_rows: tuple[tuple[str, str, str, int, str], ...]
     taxonomy_edges: tuple[tuple[str, str], ...]
     planted_patients: tuple[str, ...]
@@ -196,19 +199,17 @@ def generate_cohort(config: CohortConfig) -> Cohort:
         planted_idx = set(rng.sample(range(config.patients), config.plant.count))
 
     width = len(str(config.patients))
-    deliveries: list[DeliveryFact] = []
-    diseases: list[DiseaseFact] = []
+    deliveries: list[tuple[str, int, str, int]] = []
+    diseases: list[tuple[str, int, str]] = []
     planted_patients = []
     for idx in range(config.patients):
         patient = f"p{idx + 1:0{width}d}"
         index_day = rng.randint(*INDEX_DAYS)
-        diseases.append(DiseaseFact(patient, index_day, rng.choice(INDEX_CODES)))
+        diseases.append((patient, index_day, rng.choice(INDEX_CODES)))
         if rng.random() < 0.30:
-            diseases.append(
-                DiseaseFact(patient, index_day + rng.randint(30, 120), rng.choice(INDEX_CODES))
-            )
+            diseases.append((patient, index_day + rng.randint(30, 120), rng.choice(INDEX_CODES)))
         if rng.random() < 0.50:
-            diseases.append(DiseaseFact(patient, rng.randint(0, index_day), "I10"))
+            diseases.append((patient, rng.randint(0, index_day), "I10"))
 
         # Noise deliveries, both windows, strict bounds already respected.
         for win_lo, win_hi in (
@@ -216,24 +217,21 @@ def generate_cohort(config: CohortConfig) -> Cohort:
             (index_day - 179, index_day - 91),
         ):
             for _ in range(_poisson(rng, config.mean_events)):
-                deliveries.append(
-                    DeliveryFact(patient, rng.randint(win_lo, win_hi), rng.choice(noise_cips), 1)
-                )
+                deliveries.append((patient, rng.randint(win_lo, win_hi), rng.choice(noise_cips), 1))
         for _ in range(_poisson(rng, 1.0)):
-            deliveries.append(
-                DeliveryFact(patient, rng.randint(index_day - 179, index_day - 1), "OTC00", 1)
-            )
+            deliveries.append((patient, rng.randint(index_day - 179, index_day - 1), "OTC00", 1))
 
         if idx in planted_idx:
             planted_patients.append(patient)
             days = sorted(rng.sample(range(index_day - POSITIVE_DAYS, index_day), len(plant_cips)))
             for day, cip in zip(days, plant_cips):
-                deliveries.append(DeliveryFact(patient, day, cip, 1))
+                deliveries.append((patient, day, cip, 1))
 
+    by_patient_day = itemgetter(0, 1)
     return Cohort(
         config=config,
-        deliveries=tuple(sorted(deliveries, key=lambda f: (f.patient, f.day))),
-        diseases=tuple(sorted(diseases, key=lambda f: (f.patient, f.day))),
+        deliveries=tuple(sorted(deliveries, key=by_patient_day)),
+        diseases=tuple(sorted(diseases, key=by_patient_day)),
         attribute_rows=tuple(rows),
         taxonomy_edges=TAXONOMY_EDGES,
         planted_patients=tuple(planted_patients),

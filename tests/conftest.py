@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from pathmine.builder import CaseDatabase, CasePair, IndexEventRule, WindowSpec
-from pathmine.model import NEGATIVE, POSITIVE, EventSequence, Item
+from pathmine.model import EventSequence, Item
 from pathmine.query import ContainsValue, MiningTask, SwitchCount
 
 #: The study query exercised throughout the suite.
@@ -33,11 +33,11 @@ ALPHABET = (
 )
 
 
-def make_seq(owner: str, polarity: str, items, days=None) -> EventSequence:
+def make_seq(items, days=None) -> EventSequence:
     items = tuple(items)
     if days is None:
         days = tuple(range(len(items)))
-    return EventSequence((owner, polarity), tuple(zip(days, items)))
+    return EventSequence(tuple(zip(days, items)))
 
 
 def make_task(
@@ -57,8 +57,8 @@ def make_task(
         index_rule=IndexEventRule(frozenset({"G40", "G41"})),
         schema=schema,
         class_filter=class_filter,
-        positive_window=WindowSpec(POSITIVE, -90, 0),
-        negative_window=WindowSpec(NEGATIVE, -180, -90) if discriminative else None,
+        positive_window=WindowSpec(-90, 0),
+        negative_window=WindowSpec(-180, -90) if discriminative else None,
         min_support=f_min,
         contains=tuple(ContainsValue(attribute, value) for attribute, value in contains),
         switches=tuple(SwitchCount(*bound) for bound in switch),
@@ -83,14 +83,12 @@ def random_instance(seed: int):
 
     pairs = []
     for i in range(rng.randint(1, 8)):
-        def one(polarity):
+        def one():
             length = rng.randint(0, 6)
             days = sorted(rng.sample(range(100), length))
-            return make_seq(f"p{i}", polarity, (rng.choice(alphabet) for _ in range(length)), days)
+            return make_seq((rng.choice(alphabet) for _ in range(length)), days)
 
-        pairs.append(
-            CasePair(f"p{i}", one(POSITIVE), one(NEGATIVE) if discriminative else None)
-        )
+        pairs.append(CasePair(f"p{i}", one(), one() if discriminative else None))
     task = make_task(
         f_min=f_min, discriminative=discriminative, contains=contains, switch=switch
     )

@@ -13,9 +13,9 @@ import pytest
 from pathmine.builder import CaseDatabase, CasePair, build_database
 from pathmine.cli import main
 from pathmine.engine import MiningOptions, mine
-from pathmine.ingest import DeliveryFact, DiseaseFact, RawDatabase
+from pathmine.ingest import RawDatabase
 from pathmine.knowledge import CodeAttributes, KnowledgeBase, Taxonomy
-from pathmine.model import NEGATIVE, POSITIVE, Item, Pattern
+from pathmine.model import Item, Pattern
 from pathmine.oracle import count_switches, discriminative_support, oracle_mine, positive_support
 from pathmine.query import compile_query, parse_query
 from pathmine.synth import CohortConfig, PlantSpec, generate_cohort, knowledge_base, raw_database
@@ -202,8 +202,8 @@ def test_criterion_semantics_spot_checks(verdict):
     pattern = Pattern((a,))
     database = CaseDatabase(
         (
-            CasePair("p1", make_seq("p1", POSITIVE, [a]), make_seq("p1", NEGATIVE, [])),
-            CasePair("p2", make_seq("p2", POSITIVE, [a]), make_seq("p2", NEGATIVE, [a])),
+            CasePair("p1", make_seq([a]), make_seq([])),
+            CasePair("p2", make_seq([a]), make_seq([a])),
         )
     )
     discr_ok = (
@@ -212,8 +212,8 @@ def test_criterion_semantics_spot_checks(verdict):
     )
 
     # Windows (index-90, index) and (index-180, index-90) around index day 200.
-    deliveries = [DeliveryFact("p1", day, "C", 1) for day in (20, 109, 110, 111, 200)]
-    raw = RawDatabase(deliveries, [DiseaseFact("p1", 200, "G40")])
+    deliveries = [("p1", day, "C", 1) for day in (20, 109, 110, 111, 200)]
+    raw = RawDatabase(deliveries, [("p1", 200, "G40")])
     kb = KnowledgeBase(CodeAttributes.from_rows([("C", *a.values)]), Taxonomy())
     (pair,) = build_database(raw, make_task(discriminative=True), kb).pairs
     boundary_ok = (

@@ -16,9 +16,9 @@ from pathmine.builder import (
     find_index_event,
 )
 from pathmine.errors import UnknownCode
-from pathmine.ingest import DeliveryFact, DiseaseFact, RawDatabase
+from pathmine.ingest import RawDatabase
 from pathmine.knowledge import CodeAttributes, KnowledgeBase, Taxonomy
-from pathmine.model import NEGATIVE, POSITIVE, EventSequence, Item
+from pathmine.model import EventSequence, Item
 from pathmine.query import compile_query, parse_query
 from pathmine.synth import CohortConfig, PlantSpec, generate_cohort, knowledge_base, raw_database
 
@@ -39,7 +39,7 @@ KB = KnowledgeBase(
 )
 
 
-WINDOWS = (WindowSpec(POSITIVE, -90, 0), WindowSpec(NEGATIVE, -180, -90))
+WINDOWS = (WindowSpec(-90, 0), WindowSpec(-180, -90))
 
 
 def case_pair(*deliveries, windows=WINDOWS):
@@ -50,7 +50,7 @@ def case_pair(*deliveries, windows=WINDOWS):
         positive_window=positive,
         negative_window=negative,
     )
-    raw = RawDatabase(deliveries, (DiseaseFact("p", 200, "G403"),))
+    raw = RawDatabase(deliveries, (("p", 200, "G403"),))
     (pair,) = build_database(raw, task, KB).pairs
     return pair
 
@@ -69,11 +69,9 @@ class TestWindowSpec:
 
     def test_offsets_validated(self):
         with pytest.raises(ValueError):
-            WindowSpec(POSITIVE, 0, 0)
+            WindowSpec(0, 0)
         with pytest.raises(ValueError):
-            WindowSpec(POSITIVE, -10, 5)
-        with pytest.raises(ValueError):
-            WindowSpec("sideways", -10, 0)
+            WindowSpec(-10, 5)
 
     def test_rule_needs_codes(self):
         with pytest.raises(ValueError):
@@ -87,54 +85,50 @@ def index_event(facts):
 
 class TestFindIndexEvent:
     def test_earliest_qualifying_day(self):
-        facts = [DiseaseFact("p", 100, "G403"), DiseaseFact("p", 50, "G410")]
+        facts = [("p", 100, "G403"), ("p", 50, "G410")]
         assert index_event(facts) == 50
 
     def test_ancestor_membership_via_taxonomy(self):
-        assert index_event([DiseaseFact("p", 9, "G403")]) == 9
+        assert index_event([("p", 9, "G403")]) == 9
 
     def test_no_qualifying_diagnosis(self):
-        assert index_event([DiseaseFact("p", 5, "I10")]) is None
+        assert index_event([("p", 5, "I10")]) is None
 
     def test_same_day_tie_is_single_index(self):
-        facts = [DiseaseFact("p", 50, "G403"), DiseaseFact("p", 50, "G410")]
+        facts = [("p", 50, "G403"), ("p", 50, "G410")]
         assert index_event(facts) == 50
 
     def test_permutation_invariant(self):
-        facts = [
-            DiseaseFact("p", 80, "G403"),
-            DiseaseFact("p", 30, "I10"),
-            DiseaseFact("p", 60, "G410"),
-        ]
+        facts = [("p", 80, "G403"), ("p", 30, "I10"), ("p", 60, "G410")]
         days = {index_event(list(perm)) for perm in (facts, facts[::-1])}
         assert days == {60}
 
 
 class TestBuildCasePair:
     def test_boundary_day_in_neither_window(self):
-        pair = case_pair(DeliveryFact("p", 110, "GEN", 1))
+        pair = case_pair(("p", 110, "GEN", 1))
         assert len(pair.positive) == 0
         assert len(pair.negative) == 0
 
     def test_generic_delivery_lands_positive(self):
-        pair = case_pair(DeliveryFact("p", 199, "GEN", 1))
+        pair = case_pair(("p", 199, "GEN", 1))
         assert pair.positive.items() == (Item(("N03AG01", "438", 1)),)
         assert len(pair.negative) == 0
 
     def test_control_window_delivery_lands_negative(self):
-        pair = case_pair(DeliveryFact("p", 60, "BRA", 1))
+        pair = case_pair(("p", 60, "BRA", 1))
         assert pair.negative.items() == (Item(("N03AX14", "1023", 0)),)
 
     def test_unfiltered_class_absent_from_both(self):
-        pair = case_pair(DeliveryFact("p", 190, "OTC", 1), DeliveryFact("p", 60, "OTC", 1))
+        pair = case_pair(("p", 190, "OTC", 1), ("p", 60, "OTC", 1))
         assert len(pair.positive) == 0 and len(pair.negative) == 0
 
     def test_no_negative_window_gives_none(self):
-        pair = case_pair(DeliveryFact("p", 199, "GEN", 1), windows=(WINDOWS[0], None))
+        pair = case_pair(("p", 199, "GEN", 1), windows=(WINDOWS[0], None))
         assert pair.negative is None
 
     def test_windows_partition_deliveries(self):
-        facts = [DeliveryFact("p", day, "GEN", 1) for day in range(10, 200, 7)]
+        facts = [("p", day, "GEN", 1) for day in range(10, 200, 7)]
         pair = case_pair(*facts)
         pos_days = {day for day, _ in pair.positive}
         neg_days = {day for day, _ in pair.negative}
@@ -146,15 +140,15 @@ class TestBuildCasePair:
         "positive, negative, positive_days, negative_days",
         [
             # Days 111-199 and 81-169: positive wins the shared 111-169.
-            (WindowSpec(POSITIVE, -90, 0), WindowSpec(NEGATIVE, -120, -30), [150, 190], [100]),
+            (WindowSpec(-90, 0), WindowSpec(-120, -30), [150, 190], [100]),
             # The control window's days 21-199 hold the whole positive window.
-            (WindowSpec(POSITIVE, -90, -30), WindowSpec(NEGATIVE, -180, 0), [150], [50, 75, 100, 190]),
+            (WindowSpec(-90, -30), WindowSpec(-180, 0), [150], [50, 75, 100, 190]),
         ],
     )
     def test_overlapping_windows_give_shared_days_to_positive(
         self, positive, negative, positive_days, negative_days
     ):
-        facts = [DeliveryFact("p", day, "GEN", 1) for day in (50, 75, 100, 150, 190)]
+        facts = [("p", day, "GEN", 1) for day in (50, 75, 100, 150, 190)]
         pair = case_pair(*facts, windows=(positive, negative))
         assert [day for day, _ in pair.positive] == positive_days
         assert [day for day, _ in pair.negative] == negative_days
@@ -178,13 +172,13 @@ class TestUnknownCodePolicy:
         task = make_task(discriminative=True, class_filter=None)
         # Day 10 is before the control window (20, 110) of index day 200.
         raw = RawDatabase(
-            deliveries=(DeliveryFact("p1", 10, "NOPE", 1), DeliveryFact("p1", 150, "GEN", 1)),
-            diseases=(DiseaseFact("p1", 200, "G403"),),
+            deliveries=(("p1", 10, "NOPE", 1), ("p1", 150, "GEN", 1)),
+            diseases=(("p1", 200, "G403"),),
         )
         assert len(build_database(raw, task, KB).pairs[0].positive) == 1
         inside = RawDatabase(
-            deliveries=(DeliveryFact("p1", 150, "NOPE", 1),),
-            diseases=(DiseaseFact("p1", 200, "G403"),),
+            deliveries=(("p1", 150, "NOPE", 1),),
+            diseases=(("p1", 200, "G403"),),
         )
         with pytest.raises(UnknownCode):
             build_database(inside, task, KB)
@@ -200,8 +194,8 @@ class TestUnknownCodePolicy:
         # The positive window's code comes first in the input, the control
         # window's first in day order; deliveries are mapped in day order.
         raw = RawDatabase(
-            deliveries=(DeliveryFact("p1", 150, "LATER", 1), DeliveryFact("p1", 60, "EARLIER", 1)),
-            diseases=(DiseaseFact("p1", 200, "G403"),),
+            deliveries=(("p1", 150, "LATER", 1), ("p1", 60, "EARLIER", 1)),
+            diseases=(("p1", 200, "G403"),),
         )
         with pytest.raises(UnknownCode, match="EARLIER"):
             build_database(raw, task, KB)
@@ -211,12 +205,12 @@ class TestUnknownCodePolicy:
         # window's later part comes after the positive window in day order.
         task = replace(
             make_task(discriminative=True, class_filter=None),
-            positive_window=WindowSpec(POSITIVE, -90, -30),
-            negative_window=WindowSpec(NEGATIVE, -180, 0),
+            positive_window=WindowSpec(-90, -30),
+            negative_window=WindowSpec(-180, 0),
         )
         raw = RawDatabase(
-            deliveries=(DeliveryFact("p1", 190, "LATER", 1), DeliveryFact("p1", 150, "EARLIER", 1)),
-            diseases=(DiseaseFact("p1", 200, "G403"),),
+            deliveries=(("p1", 190, "LATER", 1), ("p1", 150, "EARLIER", 1)),
+            diseases=(("p1", 200, "G403"),),
         )
         with pytest.raises(UnknownCode, match="EARLIER"):
             build_database(raw, task, KB)
@@ -226,14 +220,14 @@ class TestBuildDatabase:
     def raw(self):
         return RawDatabase(
             deliveries=(
-                DeliveryFact("p1", 199, "GEN", 1),
-                DeliveryFact("p2", 150, "BRA", 1),
-                DeliveryFact("p3", 10, "GEN", 1),
+                ("p1", 199, "GEN", 1),
+                ("p2", 150, "BRA", 1),
+                ("p3", 10, "GEN", 1),
             ),
             diseases=(
-                DiseaseFact("p1", 200, "G403"),
-                DiseaseFact("p2", 200, "G410"),
-                DiseaseFact("p3", 5, "I10"),
+                ("p1", 200, "G403"),
+                ("p2", 200, "G410"),
+                ("p3", 5, "I10"),
             ),
         )
 
@@ -244,7 +238,7 @@ class TestBuildDatabase:
     def test_empty_window_pair_retained(self):
         raw = RawDatabase(
             deliveries=(),
-            diseases=(DiseaseFact("p1", 200, "G403"),),
+            diseases=(("p1", 200, "G403"),),
         )
         db = build_database(raw, make_task(), KB)
         assert len(db) == 1
@@ -252,8 +246,8 @@ class TestBuildDatabase:
 
     def test_index_at_day_zero_gives_empty_windows(self):
         raw = RawDatabase(
-            deliveries=(DeliveryFact("p1", 0, "GEN", 1),),
-            diseases=(DiseaseFact("p1", 0, "G403"),),
+            deliveries=(("p1", 0, "GEN", 1),),
+            diseases=(("p1", 0, "G403"),),
         )
         db = build_database(raw, make_task(discriminative=True), KB)
         assert len(db.pairs[0].positive) == 0
@@ -303,13 +297,8 @@ class TestBuildDatabase:
     def test_hand_built_pairs_share_one_id_per_item(self):
         db = CaseDatabase(
             (
-                CasePair("p2", EventSequence(("p2", POSITIVE), ((3, Item(("B", "1", 0))),))),
-                CasePair(
-                    "p1",
-                    EventSequence(
-                        ("p1", POSITIVE), ((5, Item(("B", "1", 0))), (5, Item(("A", "1", 1))))
-                    ),
-                ),
+                CasePair("p2", EventSequence(((3, Item(("B", "1", 0))),))),
+                CasePair("p1", EventSequence(((5, Item(("B", "1", 0))), (5, Item(("A", "1", 1)))))),
             )
         )
         assert db.items == (Item(("A", "1", 1)), Item(("B", "1", 0)))
@@ -320,18 +309,12 @@ class TestBuildDatabase:
         assert db.negatives is None and not db.has_negatives
 
     def test_mixed_shapes_rejected(self):
-        seq = EventSequence(("p1", POSITIVE))
-        neg = EventSequence(("p2", NEGATIVE))
+        seq = EventSequence()
         with pytest.raises(ValueError):
-            CaseDatabase(
-                (
-                    CasePair("p1", seq, None),
-                    CasePair("p2", EventSequence(("p2", POSITIVE)), neg),
-                )
-            )
+            CaseDatabase((CasePair("p1", seq, None), CasePair("p2", seq, seq)))
 
     def test_duplicate_patients_rejected(self):
-        seq = EventSequence(("p1", POSITIVE))
+        seq = EventSequence()
         with pytest.raises(ValueError):
             CaseDatabase((CasePair("p1", seq), CasePair("p1", seq)))
 
@@ -350,15 +333,15 @@ class TestSharedItems:
     )
     RAW = RawDatabase(
         deliveries=(
-            DeliveryFact("p1", 150, "GEN", 1),
-            DeliveryFact("p1", 199, "GEN", 1),
-            DeliveryFact("p1", 60, "BRA", 1),
-            DeliveryFact("p2", 180, "GE2", 1),
-            DeliveryFact("p2", 190, "BRA", 1),
-            DeliveryFact("p2", 70, "GEN", 1),
-            DeliveryFact("p2", 5, "BRA", 1),
+            ("p1", 150, "GEN", 1),
+            ("p1", 199, "GEN", 1),
+            ("p1", 60, "BRA", 1),
+            ("p2", 180, "GE2", 1),
+            ("p2", 190, "BRA", 1),
+            ("p2", 70, "GEN", 1),
+            ("p2", 5, "BRA", 1),
         ),
-        diseases=(DiseaseFact("p1", 200, "G403"), DiseaseFact("p2", 200, "G410")),
+        diseases=(("p1", 200, "G403"), ("p2", 200, "G410")),
     )
     TASK = make_task(discriminative=True, class_filter=None)
 

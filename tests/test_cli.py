@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from pathmine import ingest
+from pathmine import cli, ingest
 from pathmine.builder import build_database
 from pathmine.cli import main, render_patterns
 from pathmine.engine import MiningOptions, MiningResult, mine
@@ -256,22 +256,22 @@ class TestMineCommand:
         assert outputs[0] == outputs[1]
         assert reports[0] == reports[1]
 
-    def test_mine_builds_no_delivery_fact(
+    def test_mine_loads_through_the_library_loaders(
         self, cohort_dir, query_file, tmp_path, capsys, monkeypatch
     ):
-        made = []
+        calls = Counter()
+        for name in ("load_deliveries", "load_diseases"):
+            loader = getattr(ingest, name)
+            assert getattr(cli, name) is loader
 
-        class CountingFact(ingest.DeliveryFact):
-            __slots__ = ()
+            def counted(path, loader=loader, name=name):
+                calls[name] += 1
+                return loader(path)
 
-            def __new__(cls, *fields):
-                made.append(fields)
-                return super().__new__(cls, *fields)
-
-        monkeypatch.setattr(ingest, "DeliveryFact", CountingFact)
+            monkeypatch.setattr(cli, name, counted)
         assert main(mine_args(cohort_dir, query_file, tmp_path / "p.jsonl")) == 0
         capsys.readouterr()
-        assert made == []
+        assert calls == {"load_deliveries": 1, "load_diseases": 1}
 
     def test_report_phases_add_up_to_wall_time(self, cohort_dir, query_file, tmp_path, capsys):
         assert main(mine_args(cohort_dir, query_file, tmp_path / "p.jsonl")) == 0

@@ -13,7 +13,7 @@ import pathmine.model
 from pathmine.builder import CaseDatabase, CasePair
 from pathmine.engine import Decision, MiningOptions, _Prepared, _decide, mine
 from pathmine.errors import MissingNegativeWindow
-from pathmine.model import NEGATIVE, POSITIVE, Item, Pattern
+from pathmine.model import Item, Pattern
 from pathmine.oracle import count_switches, discriminative_support, oracle_mine, positive_support
 
 from conftest import ALPHABET, make_seq, make_task, random_instance
@@ -27,9 +27,9 @@ def tiny_db():
     # s1: <a, b>, s2: <a>, s3: <b>
     return CaseDatabase(
         (
-            CasePair("s1", make_seq("s1", POSITIVE, [A, B])),
-            CasePair("s2", make_seq("s2", POSITIVE, [A])),
-            CasePair("s3", make_seq("s3", POSITIVE, [B])),
+            CasePair("s1", make_seq([A, B])),
+            CasePair("s2", make_seq([A])),
+            CasePair("s3", make_seq([B])),
         )
     )
 
@@ -38,7 +38,7 @@ def paired_db(rows):
     """rows: (patient, positive items, negative items)."""
     return CaseDatabase(
         tuple(
-            CasePair(p, make_seq(p, POSITIVE, pos), make_seq(p, NEGATIVE, neg))
+            CasePair(p, make_seq(pos), make_seq(neg))
             for p, pos, neg in rows
         )
     )
@@ -65,19 +65,19 @@ class TestMine:
         assert keys == sorted(keys)
 
     def test_embeddings_all_mode(self):
-        db = CaseDatabase((CasePair("p", make_seq("p", POSITIVE, [A, A, B])),))
+        db = CaseDatabase((CasePair("p", make_seq([A, A, B])),))
         result = mine(make_task(), db, MiningOptions(embeddings="all"))
         by_pattern = {pt.pattern.items: pt for pt in result.patterns}
         assert by_pattern[(A, B)].embeddings["p"] == {(1, 3), (2, 3)}
 
     def test_embeddings_witness_mode_is_leftmost(self):
-        db = CaseDatabase((CasePair("p", make_seq("p", POSITIVE, [A, A, B])),))
+        db = CaseDatabase((CasePair("p", make_seq([A, A, B])),))
         result = mine(make_task(), db, MiningOptions(embeddings="witness"))
         by_pattern = {pt.pattern.items: pt for pt in result.patterns}
         assert by_pattern[(A, B)].embeddings["p"] == {(1, 3)}
 
     def test_max_len_caps_pattern_length(self):
-        db = CaseDatabase((CasePair("p", make_seq("p", POSITIVE, [A, B, A, B])),))
+        db = CaseDatabase((CasePair("p", make_seq([A, B, A, B])),))
         result = mine(make_task(), db, MiningOptions(max_len=2))
         assert max(len(pt.pattern) for pt in result.patterns) == 2
 
@@ -213,7 +213,7 @@ class TestCheckConstraints:
 
 class TestSwitchPruning:
     def test_overshooting_children_are_never_visited(self):
-        db = CaseDatabase((CasePair("p", make_seq("p", POSITIVE, [GEN, BRA, GEN, BRA])),))
+        db = CaseDatabase((CasePair("p", make_seq([GEN, BRA, GEN, BRA])),))
         task = make_task(switch=[("generic", "<=", 0)])
         pruned = mine(task, db, MiningOptions(prune=True))
         unpruned = mine(task, db, MiningOptions(prune=False))
@@ -228,7 +228,7 @@ class TestBudgets:
         rng_items = [ALPHABET[i % 4] for i in range(24)]
         return CaseDatabase(
             tuple(
-                CasePair(f"p{i}", make_seq(f"p{i}", POSITIVE, rng_items[i:] + rng_items[:i]))
+                CasePair(f"p{i}", make_seq(rng_items[i:] + rng_items[:i]))
                 for i in range(8)
             )
         )
@@ -301,7 +301,7 @@ class TestDeterminism:
 
 class TestLongSequences:
     def one_patient(self, length):
-        return CaseDatabase((CasePair("p", make_seq("p", POSITIVE, [A] * length)),))
+        return CaseDatabase((CasePair("p", make_seq([A] * length)),))
 
     def test_witness_mode_on_long_sequence(self):
         # One pattern per length, far deeper than the recursion limit.
@@ -382,8 +382,8 @@ class TestLongSequences:
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         db = CaseDatabase(
             (
-                CasePair("p1", make_seq("p1", POSITIVE, [A, B, A, B])),
-                CasePair("p2", make_seq("p2", POSITIVE, [B, A, A])),
+                CasePair("p1", make_seq([A, B, A, B])),
+                CasePair("p2", make_seq([B, A, A])),
             )
         )
         result = mine(make_task(), db, MiningOptions(embeddings="witness"))
@@ -405,7 +405,7 @@ class TestLastOccurrenceIndex:
     def prepared(sequences):
         db = CaseDatabase(
             tuple(
-                CasePair(f"p{i}", make_seq(f"p{i}", POSITIVE, [ALPHABET[k] for k in seq]))
+                CasePair(f"p{i}", make_seq([ALPHABET[k] for k in seq]))
                 for i, seq in enumerate(sequences)
             )
         )
@@ -462,9 +462,8 @@ class TestInterning:
         """The sequence with a fresh, equal Item object for every event."""
         if seq is None:
             return None
-        owner, polarity = seq.sequence_id
         days = [day for day, _ in seq]
-        return make_seq(owner, polarity, [Item(tuple(item.values)) for _, item in seq], days)
+        return make_seq([Item(tuple(item.values)) for _, item in seq], days)
 
     @pytest.mark.parametrize("seed", range(16))
     def test_equal_items_built_apart_mine_like_shared_ones(self, seed):
@@ -536,8 +535,8 @@ def oracle_edge_instances(draw):
         tuple(
             CasePair(
                 p,
-                make_seq(p, POSITIVE, pos),
-                None if neg is None else make_seq(p, NEGATIVE, neg),
+                make_seq(pos),
+                None if neg is None else make_seq(neg),
             )
             for p, pos, neg in rows
         )

@@ -9,15 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from pathmine import ingest
 from pathmine.errors import CycleError, DuplicateCode, NegativeDay, ParseError
-from pathmine.ingest import (
-    DeliveryFact,
-    DiseaseFact,
-    RawDatabase,
-    load_deliveries,
-    load_diseases,
-    load_kb,
-    load_raw,
-)
+from pathmine.ingest import RawDatabase, load_deliveries, load_diseases, load_kb
 
 
 def write(path, text):
@@ -28,7 +20,9 @@ def write(path, text):
 class TestLoadDeliveries:
     def test_row_maps_to_fact(self, tmp_path):
         path = write(tmp_path / "d.csv", "patient,day,cip,qty\np1,37,3400935955838,1\n")
-        assert load_deliveries(path) == (DeliveryFact("p1", 37, "3400935955838", 1),)
+        rows = load_deliveries(path)
+        assert rows == [("p1", 37, "3400935955838", 1)]
+        assert type(rows[0]) is tuple
 
     def test_negative_day(self, tmp_path):
         path = write(tmp_path / "d.csv", "patient,day,cip,qty\np1,-3,X,1\n")
@@ -38,7 +32,7 @@ class TestLoadDeliveries:
 
     def test_header_only_gives_empty(self, tmp_path):
         path = write(tmp_path / "d.csv", "patient,day,cip,qty\n")
-        assert load_deliveries(path) == ()
+        assert load_deliveries(path) == []
 
     def test_missing_header(self, tmp_path):
         with pytest.raises(ParseError):
@@ -72,7 +66,7 @@ class TestLoadDeliveries:
             "patient,day,cip,qty\np2,5,X,1\np1,9,X,1\np1,2,Y,1\np1,2,X,1\n",
         )
         facts = load_deliveries(path)
-        assert [(f.patient, f.day) for f in facts] == [("p2", 5), ("p1", 9), ("p1", 2), ("p1", 2)]
+        assert [row[:2] for row in facts] == [("p2", 5), ("p1", 9), ("p1", 2), ("p1", 2)]
         raw = RawDatabase(facts, ())
         assert list(raw.delivery_groups) == ["p1", "p2"]
         assert raw.delivery_groups == {"p1": ((2, 2, 9), ("Y", "X", "X")), "p2": ((5,), ("X",))}
@@ -80,11 +74,9 @@ class TestLoadDeliveries:
     def test_cells_checked_left_to_right(self, tmp_path):
         # The empty patient is reported, not the zero quantity to its right.
         path = write(tmp_path / "d.csv", "patient,day,cip,qty\np1,1,X,1\n,2,X,0\n")
-        diseases = write(tmp_path / "i.csv", "patient,day,icd\np1,1,G40\n")
-        for load in (load_deliveries, lambda deliveries: load_raw(deliveries, diseases)):
-            with pytest.raises(ParseError, match=":3: patient must not be empty$") as err:
-                load(path)
-            assert (type(err.value), err.value.path, err.value.line) == (ParseError, path, 3)
+        with pytest.raises(ParseError, match=":3: patient must not be empty$") as err:
+            load_deliveries(path)
+        assert (type(err.value), err.value.path, err.value.line) == (ParseError, path, 3)
 
     def test_duplicate_rows_kept(self, tmp_path):
         path = write(tmp_path / "d.csv", "patient,day,cip,qty\np1,1,X,1\np1,1,X,1\n")
@@ -103,11 +95,13 @@ class TestLoadDiseases:
 
     def test_row_maps_to_fact(self, tmp_path):
         path = write(tmp_path / "i.csv", "patient,day,icd\np1,120,G403\n")
-        assert load_diseases(path) == (DiseaseFact("p1", 120, "G403"),)
+        rows = load_diseases(path)
+        assert rows == [("p1", 120, "G403")]
+        assert type(rows[0]) is tuple
 
     def test_codes_uppercased(self, tmp_path):
         path = write(tmp_path / "i.csv", "patient,day,icd\np1,120,g403\n")
-        assert load_diseases(path)[0].icd == "G403"
+        assert load_diseases(path)[0][2] == "G403"
 
     def test_duplicate_rows_are_distinct_facts(self, tmp_path):
         path = write(tmp_path / "i.csv", "patient,day,icd\np1,120,G403\np1,120,G403\n")
@@ -170,14 +164,44 @@ class TestLoadKb:
         with pytest.raises(ParseError):
             load_kb(self.kb_file(tmp_path, "C1,A,1,3\n"), self.tax_file(tmp_path))
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (",N03AG01,438,x", "cip must not be empty"),
+            ("C1,,438,x", "atc must not be empty"),
+            ("C1,A, ,2", "group must not be empty"),
+            ("C1,A,1,x", "generic must be an integer, got 'x'"),
+            ("C1,A,1,2", "generic must be 0 or 1, got 2"),
+        ],
+    )
+    def test_attribute_row_reports_its_leftmost_bad_cell(self, tmp_path, row, message):
+        path = self.kb_file(tmp_path, f"C0,A,1,0\n{row}\n")
+        with pytest.raises(ParseError) as err:
+            load_kb(path, self.tax_file(tmp_path))
+        assert str(err.value) == f"{path}:3: {message}"
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (",", "child must not be empty"),
+            (" ,G40", "child must not be empty"),
+            ("G403,", "parent must not be empty"),
+        ],
+    )
+    def test_taxonomy_row_reports_its_leftmost_bad_cell(self, tmp_path, row, message):
+        path = self.tax_file(tmp_path, f"G410,G41\n{row}\n")
+        with pytest.raises(ParseError) as err:
+            load_kb(self.kb_file(tmp_path, "C1,A,1,0\n"), path)
+        assert str(err.value) == f"{path}:3: {message}"
+
 
 class TestRawDatabase:
     def test_sorts_and_keeps_duplicates(self):
         raw = RawDatabase(
             deliveries=(
-                DeliveryFact("p2", 1, "X", 1),
-                DeliveryFact("p1", 8, "X", 1),
-                DeliveryFact("p1", 8, "X", 1),
+                ("p2", 1, "X", 1),
+                ("p1", 8, "X", 1),
+                ("p1", 8, "X", 1),
             )
         )
         assert raw.delivery_groups == {"p1": ((8, 8), ("X", "X")), "p2": ((1,), ("X",))}
@@ -186,16 +210,16 @@ class TestRawDatabase:
 
     def test_first_bad_fact_in_sorted_order_raises(self):
         with pytest.raises(ValueError, match="quantity must be >= 1, got 0"):
-            RawDatabase(deliveries=(DeliveryFact("p2", -1, "X", 1), DeliveryFact("p1", 3, "X", 0)))
+            RawDatabase(deliveries=(("p2", -1, "X", 1), ("p1", 3, "X", 0)))
         with pytest.raises(NegativeDay, match="delivery on negative day -1"):
-            RawDatabase(deliveries=(DeliveryFact("p1", 3, "X", 0), DeliveryFact("p1", -1, "X", 1)))
+            RawDatabase(deliveries=(("p1", 3, "X", 0), ("p1", -1, "X", 1)))
         with pytest.raises(NegativeDay, match="diagnosis on negative day -4"):
-            RawDatabase(diseases=(DiseaseFact("p2", -9, "G40"), DiseaseFact("p1", -4, "G40")))
+            RawDatabase(diseases=(("p2", -9, "G40"), ("p1", -4, "G40")))
 
     def test_patients_union(self):
         raw = RawDatabase(
-            deliveries=(DeliveryFact("p1", 1, "X", 1),),
-            diseases=(DiseaseFact("p2", 1, "G40"),),
+            deliveries=(("p1", 1, "X", 1),),
+            diseases=(("p2", 1, "G40"),),
         )
         assert raw.patients() == {"p1", "p2"}
 
@@ -321,31 +345,21 @@ class TestGroupedStore:
     def test_groups_hold_day_sorted_columns(self):
         raw = RawDatabase(
             deliveries=(
-                DeliveryFact("p2", 4, "Z", 1),
-                DeliveryFact("p1", 9, "X", 2),
-                DeliveryFact("p1", 3, "Y", 1),
-                DeliveryFact("p1", 3, "X", 1),
+                ("p2", 4, "Z", 1),
+                ("p1", 9, "X", 2),
+                ("p1", 3, "Y", 1),
+                ("p1", 3, "X", 1),
             ),
-            diseases=(DiseaseFact("p3", 8, "G40"), DiseaseFact("p3", 2, "I10")),
+            diseases=(("p3", 8, "G40"), ("p3", 2, "I10")),
         )
         assert list(raw.delivery_groups) == ["p1", "p2"]
         assert raw.delivery_groups["p1"] == ((3, 3, 9), ("Y", "X", "X"))
         assert raw.disease_groups == {"p3": ((2, 8), ("I10", "G40"))}
         assert (raw.delivery_count, raw.disease_count) == (4, 2)
 
-    def test_load_raw_matches_the_fact_loaders(self, tmp_path):
-        deliveries = write(
-            tmp_path / "d.csv", "patient,day,cip,qty\np2,5,x,1\n p1 ,9,X,1\np1,2,Y,3\np1,2,X,1\n"
-        )
-        diseases = write(tmp_path / "i.csv", "patient,day,icd\np2,5,g40\np1,9,G40\np1,2,G41\n")
-        raw = load_raw(deliveries, diseases)
-        facts = RawDatabase(load_deliveries(deliveries), load_diseases(diseases))
-        assert raw.delivery_groups == facts.delivery_groups
-        assert raw.disease_groups == facts.disease_groups
-
-    def test_load_raw_reports_the_first_bad_row(self, tmp_path):
+    def test_load_sequence_reports_the_first_bad_row(self, tmp_path):
         deliveries = write(tmp_path / "d.csv", "patient,day,cip,qty\np1,2,X,1\np1,-2,X,1\n")
         diseases = write(tmp_path / "i.csv", "patient,day,icd\np1,2,G40\n")
         with pytest.raises(NegativeDay) as err:
-            load_raw(deliveries, diseases)
+            RawDatabase(load_deliveries(deliveries), load_diseases(diseases))
         assert (err.value.path, err.value.line) == (deliveries, 3)

@@ -4,8 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pathmine.model import (
-    NEGATIVE,
-    POSITIVE,
     EventSequence,
     Item,
     Pattern,
@@ -43,21 +41,21 @@ class TestItem:
 
 class TestEventSequence:
     def test_events_sorted_by_day_then_item(self):
-        seq = EventSequence(("p1", POSITIVE), ((5, B), (3, A), (5, A)))
+        seq = EventSequence(((5, B), (3, A), (5, A)))
         assert seq.events == ((3, A), (5, A), (5, B))
 
     def test_negative_day_rejected(self):
         with pytest.raises(ValueError):
-            EventSequence(("p1", POSITIVE), ((-1, A),))
+            EventSequence(((-1, A),))
 
     def test_empty_sequence(self):
-        seq = EventSequence(("p1", NEGATIVE))
+        seq = EventSequence()
         assert len(seq) == 0
         assert seq.items() == ()
 
     def test_construction_order_irrelevant(self):
-        forward = EventSequence(("p", POSITIVE), ((1, A), (2, B)))
-        backward = EventSequence(("p", POSITIVE), ((2, B), (1, A)))
+        forward = EventSequence(((1, A), (2, B)))
+        backward = EventSequence(((2, B), (1, A)))
         assert forward == backward
 
 
@@ -71,40 +69,40 @@ class TestPattern:
 
 class TestFindEmbeddings:
     def test_single_item(self):
-        seq = make_seq("p", POSITIVE, [A, B, A])
+        seq = make_seq([A, B, A])
         assert find_embeddings(Pattern((A,)), seq) == {(1,), (3,)}
 
     def test_pair_enumerates_all(self):
-        seq = make_seq("p", POSITIVE, [A, A, B])
+        seq = make_seq([A, A, B])
         assert find_embeddings(Pattern((A, B)), seq) == {(1, 3), (2, 3)}
 
     def test_absent_pattern(self):
-        seq = make_seq("p", POSITIVE, [A, A])
+        seq = make_seq([A, A])
         assert find_embeddings(Pattern((B,)), seq) == frozenset()
 
     def test_empty_pattern_has_one_empty_embedding(self):
-        seq = make_seq("p", POSITIVE, [A])
+        seq = make_seq([A])
         assert find_embeddings(Pattern(), seq) == {()}
-        assert find_embeddings(Pattern(), make_seq("p", POSITIVE, [])) == {()}
+        assert find_embeddings(Pattern(), make_seq([])) == {()}
 
     def test_limit_one_returns_leftmost(self):
-        seq = make_seq("p", POSITIVE, [A, A, B, B])
+        seq = make_seq([A, A, B, B])
         assert find_embeddings(Pattern((A, B)), seq, limit=1) == {(1, 3)}
 
     def test_limit_must_be_positive(self):
         with pytest.raises(ValueError):
-            find_embeddings(Pattern((A,)), make_seq("p", POSITIVE, [A]), limit=0)
+            find_embeddings(Pattern((A,)), make_seq([A]), limit=0)
 
     def test_same_day_events_matched_by_position(self):
         # Two events on one day are distinct positions after canonical sort.
-        seq = EventSequence(("p", POSITIVE), ((7, A), (7, B)))
+        seq = EventSequence(((7, A), (7, B)))
         assert find_embeddings(Pattern((A, B)), seq) == {(1, 2)}
 
     def test_long_pattern_needs_no_recursion(self):
         # Deeper than the interpreter's recursion limit; distinct items
         # leave exactly one embedding: every position, in order.
         items = [Item(("X", str(i), i % 2)) for i in range(5000)]
-        seq = make_seq("p", POSITIVE, items)
+        seq = make_seq(items)
         only = {tuple(range(1, 5001))}
         assert find_embeddings(Pattern(tuple(items)), seq, limit=1) == only
         assert find_embeddings(Pattern(tuple(items)), seq, limit=None) == only
@@ -117,14 +115,14 @@ patterns_st = st.lists(items_st, min_size=1, max_size=3)
 
 @given(sequences_st, patterns_st)
 def test_supports_agrees_with_find_embeddings(seq_items, pattern_items):
-    seq = make_seq("p", POSITIVE, seq_items)
+    seq = make_seq(seq_items)
     pattern = Pattern(tuple(pattern_items))
     assert supports(pattern, seq) == bool(find_embeddings(pattern, seq))
 
 
 @given(sequences_st, patterns_st)
 def test_embeddings_strictly_increasing_and_in_range(seq_items, pattern_items):
-    seq = make_seq("p", POSITIVE, seq_items)
+    seq = make_seq(seq_items)
     pattern = Pattern(tuple(pattern_items))
     for emb in find_embeddings(pattern, seq):
         assert len(emb) == len(pattern)
@@ -136,12 +134,12 @@ def test_embeddings_strictly_increasing_and_in_range(seq_items, pattern_items):
 
 @given(sequences_st)
 def test_every_sequence_supports_the_empty_pattern(seq_items):
-    assert supports(Pattern(), make_seq("p", POSITIVE, seq_items))
+    assert supports(Pattern(), make_seq(seq_items))
 
 
 @given(sequences_st, patterns_st, st.integers(min_value=1, max_value=4))
 def test_limit_keeps_the_leftmost_embeddings(seq_items, pattern_items, limit):
-    seq = make_seq("p", POSITIVE, seq_items)
+    seq = make_seq(seq_items)
     pattern = Pattern(tuple(pattern_items))
     every = sorted(find_embeddings(pattern, seq))
     assert find_embeddings(pattern, seq, limit=limit) == frozenset(every[:limit])

@@ -4,7 +4,7 @@ import pytest
 
 from pathmine.builder import CaseDatabase, CasePair
 from pathmine.errors import TooLarge
-from pathmine.model import POSITIVE, Item, Pattern
+from pathmine.model import Item, Pattern
 from pathmine.oracle import _candidate_count, oracle_mine
 
 from conftest import make_seq, make_task
@@ -20,19 +20,19 @@ class TestGuard:
 
     def test_alphabet_four_length_six_permitted(self):
         items = [Item(("A", str(i), i % 2)) for i in range(4)]
-        db = CaseDatabase((CasePair("p", make_seq("p", POSITIVE, items)),))
+        db = CaseDatabase((CasePair("p", make_seq(items)),))
         oracle_mine(make_task(), db, max_len=6)  # must not raise
 
     def test_too_large_refused(self):
         items = [Item(("A", str(i), i % 2)) for i in range(10)]
-        db = CaseDatabase((CasePair("p", make_seq("p", POSITIVE, items)),))
+        db = CaseDatabase((CasePair("p", make_seq(items)),))
         with pytest.raises(TooLarge):
             oracle_mine(make_task(), db, max_len=7)
 
 
 class TestEnumeration:
     def test_single_item_alphabet_by_hand(self):
-        db = CaseDatabase((CasePair("p", make_seq("p", POSITIVE, [A, A])),))
+        db = CaseDatabase((CasePair("p", make_seq([A, A])),))
         found = oracle_mine(make_task(), db, max_len=2)
         assert [pt.pattern.items for pt in found] == [(A,), (A, A)]
         assert found[0].embeddings["p"] == {(1,), (2,)}
@@ -41,15 +41,15 @@ class TestEnumeration:
     def test_respects_min_support(self):
         db = CaseDatabase(
             (
-                CasePair("p1", make_seq("p1", POSITIVE, [A])),
-                CasePair("p2", make_seq("p2", POSITIVE, [])),
+                CasePair("p1", make_seq([A])),
+                CasePair("p2", make_seq([])),
             )
         )
         assert oracle_mine(make_task(f_min=2), db, max_len=2) == ()
 
     def test_canonical_order(self):
         items = [Item(("A", str(i), 0)) for i in range(3)]
-        db = CaseDatabase((CasePair("p", make_seq("p", POSITIVE, items * 2)),))
+        db = CaseDatabase((CasePair("p", make_seq(items * 2)),))
         found = oracle_mine(make_task(), db, max_len=3)
         keys = [pt.pattern.sort_key() for pt in found]
         assert keys == sorted(keys)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from pathmine.builder import IndexEventRule, WindowSpec
 from pathmine.errors import (
     DuplicateClause,
     EmptyClassFilter,
@@ -49,11 +50,11 @@ class TestParse:
     def test_study_query_parses(self):
         ast = parse_query(STUDY_QUERY)
         assert ast.min_support == 20
-        assert ast.index_event.codes == ("G40", "G41")
+        assert ast.index_event == IndexEventRule(frozenset({"G40", "G41"}))
         assert ast.event.codes == ("N03AX09", "N03AX14", "N03AX11", "N03AG01", "N03AF01")
         assert ast.event.projection == ("atc", "group", "generic")
-        assert ast.positive_window.lower == -90 and ast.positive_window.upper == 0
-        assert ast.negative_window.lower == -180 and ast.negative_window.upper == -90
+        assert ast.positive_window == WindowSpec(-90, 0)
+        assert ast.negative_window == WindowSpec(-180, -90)
         assert ast.discriminative is True
         assert ast.constraints == (
             ContainsValue("generic", 1),
@@ -118,9 +119,17 @@ class TestParse:
             parse_query(MINIMAL + "window negative (index-180, index-90);\n")
 
     def test_positive_bound_offset(self):
-        # The grammar admits "index+N"; compilation rejects it later.
+        # The grammar admits "index+N"; the window check rejects N > 0.
         ast = parse_query(MINIMAL.replace("(index-90, index)", "(index-90, index+0)"))
-        assert ast.positive_window.upper == 0
+        assert ast.positive_window.upper_offset == 0
+
+    def test_bad_window_reported_at_its_statement(self):
+        # Before the missing min_support clause, and before the missing ';'.
+        text = "\n".join(line for line in MINIMAL.splitlines() if "min_support" not in line)
+        for bad in (text, MINIMAL.replace("index);", "index)")):
+            with pytest.raises(InvalidQuery) as err:
+                parse_query(bad.replace("(index-90, index)", "(index-90, index+5)"))
+            assert str(err.value) == "window offsets must satisfy lower < upper <= 0, got (-90, 5)"
 
 
 class TestCompile:
