@@ -270,7 +270,8 @@ def _mine(args: argparse.Namespace) -> int:
         max_seconds=args.max_seconds,
     )
     try:
-        with open(args.query, encoding="utf-8") as handle:
+        # A leading byte-order mark is skipped, as in the CSV inputs.
+        with open(args.query, encoding="utf-8-sig") as handle:
             query_text = handle.read()
     except OSError as exc:
         print(f"error: cannot read query: {exc}", file=sys.stderr)

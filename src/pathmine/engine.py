@@ -10,8 +10,8 @@ indexed once by the last occurrence of each distinct item, so a
 supporter's candidates are the tail of that order whose last position
 is at or after its frontier: one bisection finds it, and one C-level
 count over all tails gives every candidate's support. Only the items
-that clear the support bound and the switch pre-check are then
-located, each at its first position after the frontier, so the cost of
+that clear the support bound and stay inside every switch interval are
+then located, each at its first position after the frontier, so the cost of
 the many infrequent candidates stops at the count.
 
 The chain of tails along the search path is itself the leftmost
@@ -35,9 +35,11 @@ Each kind of constraint steers the search its own way:
   sequence lacks the pattern) is checked last and lazily, since
   negative matching is the expensive part and prunes nothing.
 
-`_decide` and `_overshoots` are the engine's one statement of these
-rules; the reference definitions they are tested against live in
-`pathmine.oracle`.
+`_Prepared` resolves each switch bound once, to the interval of counts
+it admits: a count past the interval's top is an overshoot, and
+`_emittable` is the one test for emission. Together they are the
+engine's one statement of these rules; the reference definitions they
+are tested against live in `pathmine.oracle`.
 
 One searcher walks the roots in canonical item order under one
 node/time budget, and results are canonically sorted by (length, item
@@ -61,7 +63,6 @@ import time
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property, partial
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -79,12 +80,6 @@ _DEADLINE_STRIDE = 1024
 
 #: The search's counters, as MiningResult.counters names them.
 _COUNTERS = ("support_pruned", "switch_pruned", "negative_checks")
-
-
-class Decision(Enum):
-    EMIT = "emit"
-    EXTEND_ONLY = "extend_only"
-    PRUNE = "prune"
 
 
 @dataclass(frozen=True)
@@ -184,49 +179,25 @@ class MiningResult:
         )
 
 
-def _overshoots(switch_counts: Sequence[int], switches: Sequence) -> bool:
-    """True once a switch count is past an `==` or `<=` bound.
-
-    Counts never decrease under extension, so the overshoot is final and
-    the whole subtree can go.
-    """
-    for count, constraint in zip(switch_counts, switches):
-        if constraint.comparator in ("==", "<=") and count > constraint.value:
-            return True
-    return False
-
-
-def _decide(
-    support_count: int,
+def _emittable(
+    support: int,
     switch_counts: Sequence[int],
     contains_flags: Sequence[bool],
     prep: "_Prepared",
     discr_count: Callable[[], int],
-) -> Decision:
-    """The engine's one definition of constraint semantics.
+) -> bool:
+    """The engine's one definition of when a node's pattern is emitted.
 
-    Prune when no extension can recover (support bound, overshot switch
-    bound); emit when every monotone constraint and output filter holds;
-    extend otherwise. The discriminative count is only requested when
+    The support bound, every contains constraint and every switch
+    interval must hold. The discriminative count is only requested when
     everything else already passed.
     """
-    if support_count < prep.min_support:
-        return Decision.PRUNE
-    switches = prep.switches
-    if _overshoots(switch_counts, switches):
-        return Decision.PRUNE
-    emittable = all(contains_flags)
-    if emittable:
-        for count, constraint in zip(switch_counts, switches):
-            if constraint.comparator == "==" and count != constraint.value:
-                emittable = False
-                break
-            if constraint.comparator == ">=" and count < constraint.value:
-                emittable = False
-                break
-    if emittable and prep.discriminative and discr_count() < prep.min_support:
-        emittable = False
-    return Decision.EMIT if emittable else Decision.EXTEND_ONLY
+    return (
+        support >= prep.min_support
+        and all(contains_flags)
+        and all(lo <= count <= hi for count, (lo, hi) in zip(switch_counts, prep.switch_bounds))
+        and not (prep.discriminative and discr_count() < prep.min_support)
+    )
 
 
 class _Prepared:
@@ -243,29 +214,27 @@ class _Prepared:
     set of supporters at once, and `locate` finds the first position of
     only the items still wanted.
 
-    It also holds what `_decide` reads of the task at every node: the
-    support threshold, whether the task is discriminative, and its
-    switch constraints.
+    It also holds what the search reads of the task at every node: the
+    support threshold, whether the task is discriminative, and each
+    switch constraint's closed interval of admitted counts, `(lo, hi)`.
+    Counts never decrease under extension, so a count above `hi` is
+    final and the whole subtree can go.
     """
 
     __slots__ = (
-        "patients",
         "pos_ids",
         "order",
         "lasts",
         "neg_ids",
-        "items",
         "min_support",
         "discriminative",
-        "switches",
+        "switch_bounds",
         "switch_values",
         "contains_ids",
         "max_len",
     )
 
     def __init__(self, task: MiningTask, database: CaseDatabase, options: MiningOptions) -> None:
-        self.patients = database.patients()
-        self.items = database.items
         self.pos_ids = database.ids(database.positives)
         self.neg_ids = None
         if database.negatives is not None:
@@ -279,14 +248,17 @@ class _Prepared:
             self.lasts.append(tuple(lasts))
         self.min_support = task.min_support
         self.discriminative = task.discriminative
-        self.switches = task.switches
+        self.switch_bounds = [
+            {"==": (c.value, c.value), "<=": (0, c.value), ">=": (c.value, math.inf)}[c.comparator]
+            for c in task.switches
+        ]
         # Each constraint resolves its attribute once, to a column of that
         # attribute's value per item id.
         def column(attribute: str) -> list:
             at = task.schema.index(attribute)
-            return [item.values[at] for item in self.items]
+            return [item.values[at] for item in database.items]
 
-        self.switch_values = [column(c.attribute) for c in self.switches]
+        self.switch_values = [column(c.attribute) for c in task.switches]
         self.contains_ids = [
             frozenset(i for i, value in enumerate(column(c.attribute)) if value == c.value)
             for c in task.contains
@@ -380,31 +352,6 @@ class _Node:
         self.occs = occs
         self.negative = negative
 
-    def child(
-        self,
-        iid: int,
-        occs: list[tuple[int, int]],
-        switch_counts: tuple[int, ...],
-        contains_flags: tuple[bool, ...],
-    ) -> "_Node":
-        """The node for prefix + iid; occs are (supporter index here, position)."""
-        seqs = self.seqs
-        witnesses = self.witnesses
-        return _Node(
-            self.prefix + (iid,),
-            [seqs[k] for k, _ in occs],
-            [witnesses[k] + (pos + 1,) for k, pos in occs],
-            switch_counts,
-            contains_flags,
-            self,
-            occs,
-        )
-
-
-#: One extension of a node: item id, (supporter index, position) pairs,
-#: and the child's switch counts and contains flags.
-_Extension = tuple[int, list[tuple[int, int]], tuple[int, ...], tuple[bool, ...]]
-
 
 class _Searcher:
     """The depth-first search, under one node/time budget.
@@ -440,13 +387,12 @@ class _Searcher:
         return not self.exhausted
 
     def run(self, origin: _Node) -> None:
-        """Search each root's subtree in turn; roots are the origin's extensions.
+        """Search each root's subtree in turn; roots are the origin's children.
 
         Depth-first, with an explicit stack of child iterators. Appends
         each emitted record to `found` in visit order.
         """
-        roots = (origin.child(*root) for root in self.extensions(origin))
-        stack: list[Iterator[_Node]] = [roots]
+        stack: list[Iterator[_Node]] = [self.children(origin)]
         while stack:
             node = next(stack[-1], None)
             if node is None:
@@ -459,35 +405,31 @@ class _Searcher:
                 stack.append(children)
 
     def _visit(self, node: _Node) -> Iterator[_Node] | None:
-        """Spend, classify and emit one node; return its children to visit."""
+        """Spend, test and emit one node; return its children to visit."""
         if not self.spend():
             return None
         self.nodes += 1
         prep = self.prep
-        decision = _decide(
+        if self.options.prune and len(node.seqs) < prep.min_support:
+            # Children were checked before they were made, so only a root
+            # gets here, and only by the support bound: a root's switch
+            # counts are 0, which no interval (never below 0) overshoots.
+            self.counters["support_pruned"] += 1
+            return None
+        if _emittable(
             len(node.seqs),
             node.switch_counts,
             node.contains_flags,
             prep,
             partial(self._lacking, node),
-        )
-        if decision is Decision.PRUNE and self.options.prune:
-            # Children were checked before they were made, so only a root
-            # gets here, and only by the support bound: a root's switch
-            # counts are 0, which no bound (never below 0) overshoots.
-            self.counters["support_pruned"] += 1
-            return None
-        if decision is Decision.EMIT:
+        ):
             record = self._emit(node)
             if record is None:
                 return None
             self.found.append(record)
         if len(node.prefix) >= prep.max_len:
             return None
-        extensions = self.extensions(node)
-        if not extensions:
-            return None
-        return (node.child(*extension) for extension in extensions)
+        return self.children(node)
 
     def _lacking(self, node: _Node) -> int:
         """How many supporters' negative sequences lack the node's pattern."""
@@ -526,13 +468,14 @@ class _Searcher:
             node.negative = frontier = ahead
         return frontier
 
-    def extensions(self, node: _Node) -> list[_Extension]:
-        """The node's extensions in ascending item order, minus those pruned up front.
+    def children(self, node: _Node) -> Iterator[_Node]:
+        """The node's children in ascending item order, minus those pruned up front.
 
-        Every candidate is counted; only those that clear the support
-        bound and the switch pre-check are located. The origin's
-        extensions, the roots, are all located, so that each root is
-        visited and classified like any other node.
+        Every candidate is counted, and those that clear the support
+        bound and the switch intervals are located, when this is called;
+        only the nodes are built lazily, as the walk reaches them. The
+        origin's children, the roots, are all located, so that each root
+        is visited and tested like any other node.
         """
         prep = self.prep
         seqs = node.seqs
@@ -550,7 +493,7 @@ class _Searcher:
             if max(counts.values(), default=0) < min_support:
                 # A leaf: no candidate clears the bound, so none is looked at.
                 self.counters["support_pruned"] += len(counts)
-                return []
+                return iter(())
             candidates = [iid for iid, supporters in counts.items() if supporters >= min_support]
             self.counters["support_pruned"] += len(counts) - len(candidates)
         else:
@@ -561,25 +504,29 @@ class _Searcher:
                 count + (last is not None and values[last] != values[iid])
                 for count, values in zip(node.switch_counts, prep.switch_values)
             )
-            if bounded and _overshoots(switch_counts, prep.switches):
+            if bounded and any(
+                count > hi for count, (_, hi) in zip(switch_counts, prep.switch_bounds)
+            ):
                 self.counters["switch_pruned"] += 1
                 continue
             switched[iid] = switch_counts
         wanted: dict[int, list[tuple[int, int]]] = {iid: [] for iid in switched}
         if wanted:
             prep.locate(seqs, starts, tails, wanted)
-        return [
-            (
-                iid,
-                wanted[iid],
+        witnesses = node.witnesses
+        flags = tuple(zip(node.contains_flags, prep.contains_ids))
+        return (
+            _Node(
+                node.prefix + (iid,),
+                [seqs[k] for k, _ in occs],
+                [witnesses[k] + (pos + 1,) for k, pos in occs],
                 switched[iid],
-                tuple(
-                    flag or iid in sat
-                    for flag, sat in zip(node.contains_flags, prep.contains_ids)
-                ),
+                tuple(flag or iid in sat for flag, sat in flags),
+                node,
+                occs,
             )
-            for iid in sorted(wanted)
-        ]
+            for iid, occs in sorted(wanted.items())
+        )
 
     def _emit(self, node: _Node) -> PatternRecord | None:
         """The node's compact record, or None if the budget ran out meanwhile.
@@ -634,7 +581,7 @@ def mine(
             (),
             list(range(count)),
             [()] * count,
-            (0,) * len(prep.switches),
+            (0,) * len(prep.switch_bounds),
             (False,) * len(prep.contains_ids),
             negative=None if prep.neg_ids is None else [0] * count,
         )
@@ -648,7 +595,7 @@ def mine(
         nodes_expanded=searcher.nodes,
         elapsed_seconds=time.monotonic() - started,
         counters=searcher.counters,
-        items=prep.items,
-        patients=prep.patients,
+        items=database.items,
+        patients=database.patients(),
         sequences=prep.pos_ids,
     )

@@ -141,12 +141,13 @@ def _csv_reader(path: str, expected: Sequence[str], exact: bool):
     """A csv reader past the validated header row, and the header's width.
 
     With exact=False the header may carry extra columns beyond
-    `expected`. Undecodable bytes and csv errors, raised here or in the
-    `with` body, become a ParseError for `path`.
+    `expected`. A leading UTF-8 byte-order mark is skipped. Undecodable
+    bytes and csv errors, raised here or in the `with` body, become a
+    ParseError for `path`.
     """
     reader = None
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             try:
                 header = next(reader)

@@ -220,7 +220,9 @@ def _parse_bound(cur: _Cursor) -> int:
 def _parse_value(cur: _Cursor) -> Union[str, int]:
     token = cur.next()
     if token.kind == "int":
-        return int(token.text)
+        # A code such as group 0438 keeps its digits; int() would drop the zero.
+        value = int(token.text)
+        return value if str(value) == token.text else token.text
     if token.kind == "word":
         return token.text
     raise cur.fail("a value", token)

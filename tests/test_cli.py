@@ -256,6 +256,25 @@ class TestMineCommand:
         assert outputs[0] == outputs[1]
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize(
+        "name", ["deliveries.csv", "diseases.csv", "kb_attributes.csv", "taxonomy.csv", "query"]
+    )
+    def test_leading_byte_order_mark_is_skipped(
+        self, cohort_dir, query_file, tmp_path, capsys, name
+    ):
+        marked = tmp_path / "marked"
+        shutil.copytree(cohort_dir, marked)
+        marked_query = tmp_path / "marked.pmq"
+        shutil.copy(query_file, marked_query)
+        target = marked_query if name == "query" else marked / name
+        target.write_bytes(b"\xef\xbb\xbf" + target.read_bytes())
+        plain, bom = tmp_path / "plain.jsonl", tmp_path / "bom.jsonl"
+        assert main(mine_args(cohort_dir, query_file, plain)) == 0
+        assert main(mine_args(marked, marked_query, bom)) == 0
+        assert "error" not in capsys.readouterr().err
+        assert bom.read_bytes() == plain.read_bytes()
+        assert plain.stat().st_size > 0
+
     def test_mine_loads_through_the_library_loaders(
         self, cohort_dir, query_file, tmp_path, capsys, monkeypatch
     ):

@@ -1,4 +1,4 @@
-"""Mining engine: search, supports, switch counts, decisions, budgets."""
+"""Mining engine: search, supports, switch counts, emission, budgets."""
 
 import random
 import time
@@ -11,10 +11,17 @@ import pathmine.engine
 import pathmine.model
 
 from pathmine.builder import CaseDatabase, CasePair
-from pathmine.engine import Decision, MiningOptions, _Prepared, _decide, mine
+from pathmine.engine import MiningOptions, _Prepared, _emittable, mine
 from pathmine.errors import MissingNegativeWindow
 from pathmine.model import Item, Pattern
-from pathmine.oracle import count_switches, discriminative_support, oracle_mine, positive_support
+from pathmine.oracle import (
+    _satisfies,
+    count_switches,
+    discriminative_support,
+    oracle_mine,
+    positive_support,
+)
+from pathmine.query import SwitchCount
 
 from conftest import ALPHABET, make_seq, make_task, random_instance
 
@@ -152,44 +159,48 @@ class TestCountSwitches:
 
 
 class TestCheckConstraints:
-    """The engine's one constraint definition, `_decide`, on hand-made node states."""
+    """The engine's one emission test, `_emittable`, on hand-made node states.
+
+    A node that is not emitted may still be extended; which subtrees are
+    pruned is pinned by `TestSwitchPruning` and `TestCounters`.
+    """
 
     @staticmethod
-    def decide(task, support, switch_counts=(), contains=(), discr_count=None):
+    def emittable(task, support, switch_counts=(), contains=(), discr_count=None):
         def unexpected():
             raise AssertionError("the discriminative count was not needed")
 
         prep = _Prepared(task, CaseDatabase(), MiningOptions())
-        return _decide(support, switch_counts, contains, prep, discr_count or unexpected)
+        return _emittable(support, switch_counts, contains, prep, discr_count or unexpected)
 
     def test_support_below_threshold_prunes(self):
         task = make_task(f_min=20)
-        assert self.decide(task, 19) is Decision.PRUNE
+        assert self.emittable(task, 19) is False
 
     def test_switch_overshoot_prunes(self):
         # The pattern <GEN, BRA, GEN> switches twice.
         task = make_task(switch=[("generic", "==", 1)])
-        assert self.decide(task, 1, switch_counts=(2,)) is Decision.PRUNE
+        assert self.emittable(task, 1, switch_counts=(2,)) is False
 
     def test_switch_upper_bound_overshoot_prunes(self):
         task = make_task(switch=[("generic", "<=", 1)])
-        assert self.decide(task, 1, switch_counts=(2,)) is Decision.PRUNE
+        assert self.emittable(task, 1, switch_counts=(2,)) is False
 
     def test_switch_lower_bound_never_prunes(self):
         task = make_task(switch=[("generic", ">=", 1)])
-        assert self.decide(task, 1, switch_counts=(2,)) is Decision.EMIT
+        assert self.emittable(task, 1, switch_counts=(2,)) is True
 
     def test_switch_undershoot_extends(self):
         task = make_task(switch=[("generic", "==", 1)])
-        assert self.decide(task, 1, switch_counts=(0,)) is Decision.EXTEND_ONLY
+        assert self.emittable(task, 1, switch_counts=(0,)) is False
 
     def test_satisfied_node_emits(self):
         task = make_task(switch=[("generic", "==", 1)], contains=[("generic", 1)])
-        assert self.decide(task, 1, switch_counts=(1,), contains=(True,)) is Decision.EMIT
+        assert self.emittable(task, 1, switch_counts=(1,), contains=(True,)) is True
 
     def test_unsatisfied_monotone_extends(self):
         task = make_task(contains=[("generic", 0)])
-        assert self.decide(task, 1, contains=(False,)) is Decision.EXTEND_ONLY
+        assert self.emittable(task, 1, contains=(False,)) is False
 
     def test_discriminative_filter_with_database(self):
         task = make_task(discriminative=True)
@@ -199,28 +210,63 @@ class TestCheckConstraints:
             return len(discriminative_support(Pattern((GEN,)), db))
 
         # Only p1 is discriminative; threshold 1 is still met.
-        assert self.decide(task, 2, discr_count=discr_count) is Decision.EMIT
+        assert self.emittable(task, 2, discr_count=discr_count) is True
         strict = make_task(discriminative=True, f_min=2)
-        assert self.decide(strict, 2, discr_count=discr_count) is Decision.EXTEND_ONLY
+        assert self.emittable(strict, 2, discr_count=discr_count) is False
 
     def test_discriminative_count_requested_last(self):
         # Pruned or not yet emittable nodes never ask for the negative matching.
         task = make_task(f_min=2, discriminative=True, contains=[("generic", 0)])
-        assert self.decide(task, 1, contains=(True,)) is Decision.PRUNE
-        assert self.decide(task, 2, contains=(False,)) is Decision.EXTEND_ONLY
-        assert self.decide(task, 2, contains=(True,), discr_count=lambda: 2) is Decision.EMIT
+        assert self.emittable(task, 1, contains=(True,)) is False
+        assert self.emittable(task, 2, contains=(False,)) is False
+        assert self.emittable(task, 2, contains=(True,), discr_count=lambda: 2) is True
+
+
+class TestSwitchIntervals:
+    """Each switch bound's interval against the oracle's definition."""
+
+    #: The largest bound value tried; counts go to TOP + 2.
+    TOP = 3
+
+    @staticmethod
+    def switching(count):
+        """A pattern whose generic flag switches exactly `count` times."""
+        return Pattern(tuple((GEN, BRA)[k % 2] for k in range(count + 1)))
+
+    @pytest.mark.parametrize("comparator", ["==", "<=", ">="])
+    @pytest.mark.parametrize("value", range(TOP + 1))
+    def test_interval_matches_the_oracle(self, comparator, value):
+        constraint = ("generic", comparator, value)
+        ((lo, hi),) = _Prepared(
+            make_task(switch=[constraint]), CaseDatabase(), MiningOptions()
+        ).switch_bounds
+        counts = range(self.TOP + 3)
+        satisfied = [
+            _satisfies(self.switching(count), [], [(2, SwitchCount(*constraint))])
+            for count in counts
+        ]
+        for count in counts:
+            assert count_switches(self.switching(count), 2) == count
+            assert (lo <= count <= hi) is satisfied[count]
+            # Past the top, no larger count satisfies the bound again.
+            assert (count > hi) is not any(satisfied[count:])
 
 
 class TestSwitchPruning:
     def test_overshooting_children_are_never_visited(self):
         db = CaseDatabase((CasePair("p", make_seq([GEN, BRA, GEN, BRA])),))
-        task = make_task(switch=[("generic", "<=", 0)])
-        pruned = mine(task, db, MiningOptions(prune=True))
-        unpruned = mine(task, db, MiningOptions(prune=False))
-        assert pruned.patterns == unpruned.patterns
-        assert {pt.pattern.items for pt in pruned.patterns} == {(GEN,), (BRA,), (GEN, GEN), (BRA, BRA)}
-        # Only the two roots and the two switch-free pairs are expanded.
-        assert pruned.nodes_expanded == 4 < unpruned.nodes_expanded
+        # `== 0` overshoots exactly where `<= 0` does.
+        for comparator in ("<=", "=="):
+            task = make_task(switch=[("generic", comparator, 0)])
+            pruned = mine(task, db, MiningOptions(prune=True))
+            unpruned = mine(task, db, MiningOptions(prune=False))
+            assert pruned.patterns == unpruned.patterns
+            found = {pt.pattern.items for pt in pruned.patterns}
+            assert found == {(GEN,), (BRA,), (GEN, GEN), (BRA, BRA)}
+            # Only the two roots and the two switch-free pairs are expanded;
+            # <GEN, BRA>, <GEN, GEN, BRA> and <BRA, GEN> are dropped unvisited.
+            assert pruned.nodes_expanded == 4 < unpruned.nodes_expanded
+            assert pruned.counters["switch_pruned"] == 3
 
 
 class TestBudgets:

@@ -238,6 +238,22 @@ class TestCompile:
         (contains,) = task.contains
         assert contains.value == "438"
 
+    def test_group_constraint_value_keeps_its_leading_zero(self):
+        kb = KnowledgeBase(
+            CodeAttributes.from_rows(
+                [("C1", "N03AG01", "0438", 1), ("C2", "N03AG01", "438", 0)]
+            ),
+            Taxonomy.from_edges([]),
+        )
+        text = MINIMAL + "constraint contains_value(group, 0438);\n"
+        ast = parse_query(text)
+        assert ast.constraints == (ContainsValue("group", "0438"),)
+        (contains,) = compile_query(ast, kb).contains
+        assert contains.value == "0438"
+        # A flag written with a leading zero is not silently read as 0 or 1.
+        with pytest.raises(InvalidQuery, match="generic takes value 0 or 1, got '01'"):
+            compile_query(parse_query(MINIMAL + "constraint contains_value(generic, 01);\n"), kb)
+
     def test_bad_window_offsets_rejected_at_compile(self):
         text = MINIMAL.replace("(index-90, index)", "(index-90, index+5)")
         with pytest.raises(InvalidQuery):
