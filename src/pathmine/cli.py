@@ -270,8 +270,8 @@ def _mine(args: argparse.Namespace) -> int:
         max_seconds=args.max_seconds,
     )
     try:
-        # A leading byte-order mark is skipped, as in the CSV inputs.
-        with open(args.query, encoding="utf-8-sig") as handle:
+        # parse_query drops a leading byte-order mark, as the CSV readers do.
+        with open(args.query, encoding="utf-8") as handle:
             query_text = handle.read()
     except OSError as exc:
         print(f"error: cannot read query: {exc}", file=sys.stderr)

@@ -84,6 +84,17 @@ _COUNTERS = ("support_pruned", "switch_pruned", "negative_checks")
 
 @dataclass(frozen=True)
 class MiningOptions:
+    """How `mine` searches and what it keeps of each pattern.
+
+    The library's default is all mode: every embedding of each pattern
+    in each supporter, whose number can grow combinatorially with the
+    sequence. `pathmine mine` defaults to witness mode, the leftmost
+    embedding only. `max_nodes` and `max_seconds` bound all mode too:
+    its enumeration never explores a partial match that cannot
+    complete, so the budget is charged within bounded work. With no
+    budget, all mode runs as long as its output is large.
+    """
+
     embeddings: str = EMBEDDINGS_ALL
     max_len: int | None = None
     prune: bool = True

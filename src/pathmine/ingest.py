@@ -11,15 +11,17 @@ All four inputs are UTF-8 CSV with a header row:
 Days are integer day numbers counted from the first event date, so no
 calendar handling happens here. Duplicate identical event rows are kept
 as distinct facts; loaders never deduplicate. `load_deliveries` and
-`load_diseases` return one plain tuple per data row, in file order, and
-`RawDatabase` sorts them once and keeps each patient's facts as
-`DayCodes` columns. The `mine` command loads through exactly these
-three calls.
+`load_diseases` return one plain tuple per data row, in file order.
+`RawDatabase` sorts them stably by patient, then each patient's run
+stably by day, and keeps each patient's facts as `DayCodes` columns;
+neither sort builds a key tuple per row. The `mine` command loads
+through exactly these three calls.
 
 Each fact file's format is stated once, by its header and
 `_INT_FLOORS`. The two fact files are read in bulk: chunks of rows are
-transposed into columns and checked with whole-column calls
-(`map(int, ...)`, `min`, `all`). The one row validator,
+transposed into columns, checked with whole-column calls
+(`map(int, ...)`, `min`, `all`) and zipped back into rows, so the
+file's columns never exist beside its rows. The one row validator,
 `_checked_rows`, applies the same rules cell by cell, left to right:
 when any bulk check fails, the file is read again by it, and it raises
 the error of the first bad cell of the first bad row with its line.
@@ -59,30 +61,37 @@ class DayCodes(NamedTuple):
 
 
 def _grouped(rows: list[tuple]) -> dict[str, DayCodes]:
-    """Rows sorted by patient, as one `DayCodes` per patient.
+    """Rows sorted by patient, as one `DayCodes` per patient, stably sorted by day.
 
     Only the day and code columns are built; a row's later fields are
     dropped.
     """
+    by_day = itemgetter(1)
     return {
-        patient: DayCodes._make(islice(zip(*run), 1, 3))
+        patient: DayCodes._make(islice(zip(*sorted(run, key=by_day)), 1, 3))
         for patient, run in groupby(rows, itemgetter(0))
     }
 
 
 def _check_facts(deliveries: list[tuple], diseases: list[tuple]) -> None:
-    """Reject negative days and quantities below 1, first sorted fact first."""
+    """Reject negative days and quantities below 1, first in (patient, day) order.
+
+    The rows come sorted by patient only. A column's `min` finds whether
+    any value is bad; only then are the rows sorted by (patient, day) to
+    find the first bad fact.
+    """
+    by_patient_day = itemgetter(0, 1)
     if deliveries and (
         min(map(itemgetter(1), deliveries)) < 0 or min(map(itemgetter(3), deliveries)) < 1
     ):
-        for _, day, _, qty in deliveries:
+        for _, day, _, qty in sorted(deliveries, key=by_patient_day):
             if day < 0:
                 raise NegativeDay(f"delivery on negative day {day}")
             if qty < 1:
                 raise ValueError(f"delivery quantity must be >= 1, got {qty}")
-    negative = next(filter((0).__gt__, map(itemgetter(1), diseases)), None)
-    if negative is not None:
-        raise NegativeDay(f"diagnosis on negative day {negative}")
+    if diseases and min(map(itemgetter(1), diseases)) < 0:
+        days = map(itemgetter(1), sorted(diseases, key=by_patient_day))
+        raise NegativeDay(f"diagnosis on negative day {next(filter((0).__gt__, days))}")
 
 
 class RawDatabase:
@@ -90,12 +99,13 @@ class RawDatabase:
 
     `deliveries` takes (patient, day, cip, qty) rows and `diseases`
     (patient, day, icd) rows, such as `load_deliveries` and
-    `load_diseases` return, in any order. They are sorted once, stably,
-    by (patient, day), so rows of one patient on one day keep their
-    input order; duplicates are kept. Negative days and quantities below
-    1 are rejected, but only days and codes are kept. The loaders have
-    checked their rows already; the check here is for rows handed in
-    directly.
+    `load_diseases` return, in any order. They are sorted stably by
+    patient, then each patient's rows stably by day, so rows of one
+    patient on one day keep their input order; duplicates are kept.
+    Neither sort builds a key tuple per row. Negative days and
+    quantities below 1 are rejected, but only days and codes are kept.
+    The loaders have checked their rows already; the check here is for
+    rows handed in directly.
 
     `delivery_groups` and `disease_groups` map each patient, in
     ascending id order, to its `DayCodes`; treat them as read-only.
@@ -106,9 +116,10 @@ class RawDatabase:
     def __init__(
         self, deliveries: Iterable[tuple] = (), diseases: Iterable[tuple] = ()
     ) -> None:
-        by_patient_day = itemgetter(0, 1)
-        delivery_rows = sorted(deliveries, key=by_patient_day)
-        disease_rows = sorted(diseases, key=by_patient_day)
+        # The key is the interned patient id itself, so no tuple is made per row.
+        by_patient = itemgetter(0)
+        delivery_rows = sorted(deliveries, key=by_patient)
+        disease_rows = sorted(diseases, key=by_patient)
         _check_facts(delivery_rows, disease_rows)
         self.delivery_count = len(delivery_rows)
         self.disease_count = len(disease_rows)
@@ -182,37 +193,46 @@ def _rows(path: str, expected: Sequence[str], exact: bool) -> Iterator[tuple[int
             yield reader.line_num, [cell.strip() for cell in cells]
 
 
-def _bulk_columns(path: str, header: tuple[str, ...]) -> list[list] | None:
-    """A fact file's columns in file order, or None if a row needs the row validator.
+def _bulk_column(name: str, cells: tuple[str, ...], pool: dict[str, str]) -> list | None:
+    """One column of a chunk, checked, or None if a row needs the row validator.
 
     Integer columns (`_INT_FLOORS`) must parse and reach their floor.
     Every other column is stripped and must not be empty; columns after
-    the patient's are codes and upper-cased. Text values are interned,
-    so each distinct patient id or code is one string object.
+    the patient's are codes and upper-cased. Text values are interned
+    through `pool`, so each distinct patient id or code is one string
+    object.
     """
-    columns: list[list] = [[] for _ in header]
+    if name in _INT_FLOORS:
+        try:
+            values = list(map(int, cells))
+        except ValueError:
+            return None
+        return values if min(values) >= _INT_FLOORS[name] else None
+    values = list(map(str.strip, cells))
+    if name != "patient":
+        values = list(map(str.upper, values))
+    return list(map(pool.setdefault, values, values)) if all(values) else None
+
+
+def _bulk_rows(path: str, header: tuple[str, ...]) -> list[tuple] | None:
+    """A fact file's rows in file order, or None if a row needs the row validator.
+
+    Each chunk's columns are checked by `_bulk_column`, then zipped into
+    rows.
+    """
+    rows: list[tuple] = []
     pool: dict[str, str] = {}
     with _csv_reader(path, header, True) as (reader, width):
         while chunk := list(islice(reader, _CHUNK_ROWS)):
             if not all(map(width.__eq__, map(len, chunk))):
                 return None
-            for name, column, cells in zip(header, columns, zip(*chunk)):
-                if name in _INT_FLOORS:
-                    try:
-                        values = list(map(int, cells))
-                    except ValueError:
-                        return None
-                    if min(values) < _INT_FLOORS[name]:
-                        return None
-                    column += values
-                else:
-                    values = list(map(str.strip, cells))
-                    if name != "patient":
-                        values = list(map(str.upper, values))
-                    if not all(values):
-                        return None
-                    column += map(pool.setdefault, values, values)
-    return columns
+            columns = [_bulk_column(name, cells, pool) for name, cells in zip(header, zip(*chunk))]
+            if None in columns:
+                return None
+            rows += zip(*columns)
+            # Free this chunk's cells before the next chunk is read.
+            del chunk, columns
+    return rows
 
 
 def _parse_int(text: str, what: str, path: str, line: int) -> int:
@@ -231,7 +251,7 @@ def _require(text: str, what: str, path: str, line: int) -> str:
 def _checked_rows(path: str, header: tuple[str, ...]) -> list[tuple]:
     """The row validator for a fact file: one row per data row, in file order.
 
-    Applies `_bulk_columns`'s rules to each cell, left to right, and
+    Applies `_bulk_column`'s rules to each cell, left to right, and
     raises the first miss: a day below its floor is a `NegativeDay`.
     """
     rows = []
@@ -254,8 +274,8 @@ def _checked_rows(path: str, header: tuple[str, ...]) -> list[tuple]:
 
 def _fact_rows(path: str, header: tuple[str, ...]) -> list[tuple]:
     """One tuple of `header`'s fields per data row of a fact file, in file order."""
-    columns = _bulk_columns(path, header)
-    return _checked_rows(path, header) if columns is None else list(zip(*columns))
+    rows = _bulk_rows(path, header)
+    return _checked_rows(path, header) if rows is None else rows
 
 
 def load_deliveries(path: str) -> list[tuple[str, int, str, int]]:

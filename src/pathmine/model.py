@@ -153,23 +153,34 @@ def iter_embeddings(wanted: Sequence, haystack: Sequence) -> Iterator[Embedding]
 
     Works on any sequences whose elements compare with ==, such as items
     or interned item ids. The depth-first walk keeps its choices on an
-    explicit stack, so pattern length is not bounded by recursion, and
-    it never tries a position that leaves too few events for the rest
-    of the pattern.
+    explicit stack, so pattern length is not bounded by recursion. Each
+    depth stops at its position in the rightmost embedding, matched
+    greedily from the right: any position up to it lets the rest of the
+    pattern match, so every partial match completes, and the work
+    between two embeddings is bounded by pattern times haystack length.
     """
     need = len(wanted)
     total = len(haystack)
     if not need:
         yield ()
         return
-    if need > total:
-        return
+    # stops[d] is one past the 0-based position of wanted[d] in the
+    # rightmost embedding; backward[i] is haystack[total - 1 - i].
+    backward = haystack[::-1]
+    stops = [0] * need
+    stop = total + 1
+    for depth in range(need - 1, -1, -1):
+        try:
+            stop = total - backward.index(wanted[depth], total - stop + 1)
+        except ValueError:
+            return
+        stops[depth] = stop
     chosen: list[int] = []  # 1-based positions of the pattern prefix
     start = 0  # 0-based position where the next item's search begins
     while True:
         depth = len(chosen)
         try:
-            pos = haystack.index(wanted[depth], start, total - need + depth + 1)
+            pos = haystack.index(wanted[depth], start, stops[depth])
         except ValueError:
             if not chosen:
                 return

@@ -258,8 +258,12 @@ def _parse_constraint(cur: _Cursor, head: str) -> Constraint:
 
 
 def parse_query(text: str) -> QueryAst:
-    """Parse query text into an AST; raises on syntax or clause errors."""
-    cur = _Cursor(_tokenize(text))
+    """Parse query text into an AST; raises on syntax or clause errors.
+
+    One leading UTF-8 byte-order mark is dropped, as the CSV readers
+    drop it, so a query file read as plain UTF-8 parses as written.
+    """
+    cur = _Cursor(_tokenize(text.removeprefix("\ufeff")))
     index_event: IndexEventRule | None = None
     event: EventClause | None = None
     windows: dict[str, WindowSpec] = {}

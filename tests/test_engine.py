@@ -393,6 +393,17 @@ class TestLongSequences:
         assert [len(pt.pattern) for pt in result.patterns] == [1, 2, 3]
         assert result.nodes_expanded == 4
 
+    def test_all_mode_dead_ends_stay_under_the_deadline(self):
+        # Only patterns holding the brand item are emitted. Each GEN^k BRA has
+        # one embedding, but a walk that lets its GENs run past BRA tries
+        # C(36, k) dead-end partial matches before finding that out.
+        db = CaseDatabase((CasePair("p", make_seq([GEN] * 6 + [BRA] + [GEN] * 30)),))
+        task = make_task(contains=[("generic", 0)])
+        started = time.monotonic()
+        result = mine(task, db, MiningOptions(embeddings="all", max_seconds=0.2))
+        assert time.monotonic() - started < 1.0
+        assert not result.complete
+
     def test_all_mode_memory_does_not_grow_with_the_budget(self):
         # The search enumerates every embedding it charges but keeps none:
         # 300 units stop inside A^4's C(60, 4) embeddings, 900 inside A^5's.

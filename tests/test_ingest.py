@@ -2,6 +2,7 @@
 
 import csv
 from functools import partial
+from operator import itemgetter
 from unittest import mock
 
 import pytest
@@ -215,6 +216,19 @@ class TestRawDatabase:
             RawDatabase(deliveries=(("p1", 3, "X", 0), ("p1", -1, "X", 1)))
         with pytest.raises(NegativeDay, match="diagnosis on negative day -4"):
             RawDatabase(diseases=(("p2", -9, "G40"), ("p1", -4, "G40")))
+        # One patient's bad days in unsorted input order: the earliest is reported.
+        with pytest.raises(NegativeDay, match="delivery on negative day -7"):
+            RawDatabase(
+                deliveries=(
+                    ("p1", -3, "X", 1), ("p1", 4, "X", 0), ("p1", -7, "Y", 1), ("p1", -5, "X", 1)
+                )
+            )
+        with pytest.raises(NegativeDay, match="diagnosis on negative day -7"):
+            RawDatabase(
+                diseases=(
+                    ("p1", -3, "G40"), ("p1", 2, "I10"), ("p1", -7, "G41"), ("p1", -5, "G40")
+                )
+            )
 
     def test_patients_union(self):
         raw = RawDatabase(
@@ -341,7 +355,34 @@ class TestBulkAgreesWithRowValidator:
         )
 
 
+def reference_groups(rows):
+    """Day and code columns per patient, read off one stable (patient, day) sort."""
+    groups = {}
+    for patient, day, code, *_ in sorted(rows, key=itemgetter(0, 1)):
+        days, codes = groups.setdefault(patient, ([], []))
+        days.append(day)
+        codes.append(code)
+    return [(patient, (tuple(days), tuple(codes))) for patient, (days, codes) in groups.items()]
+
+
+# Few patients, days and codes, so that most rows tie on (patient, day) with another.
+TIED_ROWS = st.lists(
+    st.tuples(st.sampled_from(["p1", "p2", "p3"]), st.integers(0, 3), st.sampled_from("ABCD")),
+    max_size=40,
+)
+
+
 class TestGroupedStore:
+    @settings(derandomize=True, max_examples=150)
+    @given(data=st.data(), rows=TIED_ROWS)
+    def test_groups_equal_one_stable_sort_by_patient_and_day(self, data, rows):
+        # Tied rows differ in code, so their input order shows in the groups.
+        deliveries = data.draw(st.permutations([(*row, 1) for row in rows]))
+        diseases = data.draw(st.permutations(rows))
+        raw = RawDatabase(deliveries, diseases)
+        assert list(raw.delivery_groups.items()) == reference_groups(deliveries)
+        assert list(raw.disease_groups.items()) == reference_groups(diseases)
+
     def test_groups_hold_day_sorted_columns(self):
         raw = RawDatabase(
             deliveries=(

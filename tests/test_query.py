@@ -66,6 +66,11 @@ class TestParse:
         ast = parse_query("# leading comment\n" + MINIMAL + "\n# trailing\n")
         assert ast.min_support == 1
 
+    def test_one_leading_byte_order_mark_dropped(self):
+        assert parse_query("\ufeff" + STUDY_QUERY) == parse_query(STUDY_QUERY)
+        with pytest.raises(QuerySyntaxError):
+            parse_query("\ufeff\ufeff" + STUDY_QUERY)
+
     def test_statement_may_span_lines(self):
         ast = parse_query(MINIMAL.replace("as (atc, group, generic);", "\n  as (atc,\n group, generic);"))
         assert ast.event.projection == ("atc", "group", "generic")
