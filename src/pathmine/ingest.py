@@ -18,33 +18,35 @@ neither sort builds a key tuple per row. The `mine` command loads
 through exactly these three calls.
 
 Each fact file's format is stated once, by its header and
-`_INT_FLOORS`. The two fact files are read in bulk: chunks of rows are
-transposed into columns, checked with whole-column calls
-(`map(int, ...)`, `min`, `all`) and zipped back into rows, so the
-file's columns never exist beside its rows. The one row validator,
-`_checked_rows`, applies the same rules cell by cell, left to right:
-when any bulk check fails, the file is read again by it, and it raises
-the error of the first bad cell of the first bad row with its line.
-The taxonomy is read by the same validator, and the attributes file's
-cells are checked left to right too. Undecodable bytes and malformed
-CSV (such as an oversize field) are a `ParseError` for the file on
-either path. Quantities are checked but not kept: the query language
-never reads them.
+`_INT_FLOORS`, and its rules once, by the row validator
+`_checked_rows`, which reads the file cell by cell with `csv`. Plain
+CSV, such as `synth` writes, is read in bulk instead (`_bulk_rows`):
+blocks of whole lines are split into cells by one C call, and each
+column's rule runs once per distinct cell text (`_Column`), so a file
+of many rows over few patients, days and codes costs few Python calls.
+A file the bulk reader cannot vouch for, such as one holding a quote
+character or NUL, a blank line or a bad cell, is read again by the
+validator: the same rows, or the error of the first bad cell of the
+first bad row with its line, several times more slowly. The taxonomy
+is read by the same validator, and the attributes file's cells are
+checked left to right too. Undecodable bytes and malformed CSV (such as
+an oversize field) are a `ParseError` for the file on either path.
+Quantities are checked but not kept: the query language never reads
+them.
 """
 
 from __future__ import annotations
 
 import csv
-from contextlib import contextmanager
 from itertools import groupby, islice
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .errors import NegativeDay, ParseError
 from .knowledge import CodeAttributes, KnowledgeBase, Taxonomy
 
-#: Data rows per bulk chunk; bounds the transient row and cell lists.
-_CHUNK_ROWS = 1 << 14
+#: Characters per bulk block; bounds the transient cell lists.
+_BLOCK_CHARS = 1 << 15
 
 _DELIVERY_HEADER = ("patient", "day", "cip", "qty")
 _DISEASE_HEADER = ("patient", "day", "icd")
@@ -147,14 +149,13 @@ def undecodable(path: str) -> ParseError:
     return ParseError("not UTF-8", path=path)
 
 
-@contextmanager
-def _csv_reader(path: str, expected: Sequence[str], exact: bool):
-    """A csv reader past the validated header row, and the header's width.
+def _rows(path: str, expected: Sequence[str], exact: bool) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line, stripped cells) per data row after validating the header.
 
     With exact=False the header may carry extra columns beyond
-    `expected`. A leading UTF-8 byte-order mark is skipped. Undecodable
-    bytes and csv errors, raised here or in the `with` body, become a
-    ParseError for `path`.
+    `expected`. Each row is checked against the header width. A leading
+    UTF-8 byte-order mark is skipped. Undecodable bytes and csv errors
+    become a ParseError for `path`.
     """
     reader = None
     try:
@@ -171,7 +172,15 @@ def _csv_reader(path: str, expected: Sequence[str], exact: bool):
                 raise ParseError(
                     f"expected header {','.join(want)}, got {','.join(names)}", path=path, line=1
                 )
-            yield reader, len(names)
+            width = len(names)
+            for cells in reader:
+                if len(cells) != width:
+                    raise ParseError(
+                        f"expected {width} columns, got {len(cells)}",
+                        path=path,
+                        line=reader.line_num,
+                    )
+                yield reader.line_num, [cell.strip() for cell in cells]
     except UnicodeDecodeError:
         raise undecodable(path) from None
     except csv.Error as exc:
@@ -179,59 +188,107 @@ def _csv_reader(path: str, expected: Sequence[str], exact: bool):
         raise ParseError(f"malformed CSV: {exc}", path=path, line=line) from None
 
 
-def _rows(path: str, expected: Sequence[str], exact: bool) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line, cells) per data row after validating the header.
-
-    Each row is checked against the header width.
-    """
-    with _csv_reader(path, expected, exact) as (reader, width):
-        for cells in reader:
-            if len(cells) != width:
-                raise ParseError(
-                    f"expected {width} columns, got {len(cells)}", path=path, line=reader.line_num
-                )
-            yield reader.line_num, [cell.strip() for cell in cells]
+class _Refused(Exception):
+    """A cell text that only the row validator may judge."""
 
 
-def _bulk_column(name: str, cells: tuple[str, ...], pool: dict[str, str]) -> list | None:
-    """One column of a chunk, checked, or None if a row needs the row validator.
+class _Column(dict):
+    """One fact-file column's checked values, keyed by raw cell text.
 
-    Integer columns (`_INT_FLOORS`) must parse and reach their floor.
-    Every other column is stripped and must not be empty; columns after
-    the patient's are codes and upper-cased. Text values are interned
+    `__missing__` applies `_checked_rows`' rule for the column to each
+    distinct text once, so a file of many rows over few patients, days
+    and codes is checked in few Python calls. Text values are interned
     through `pool`, so each distinct patient id or code is one string
-    object.
+    object, and equal day texts share one int. A text the rule rejects,
+    or one the split in `_bulk_rows` cannot vouch for, raises
+    `_Refused`.
     """
-    if name in _INT_FLOORS:
-        try:
-            values = list(map(int, cells))
-        except ValueError:
-            return None
-        return values if min(values) >= _INT_FLOORS[name] else None
-    values = list(map(str.strip, cells))
-    if name != "patient":
-        values = list(map(str.upper, values))
-    return list(map(pool.setdefault, values, values)) if all(values) else None
+
+    __slots__ = ("name", "first", "pool", "limit")
+
+    def __init__(self, name: str, first: bool, pool: dict[str, str], limit: int) -> None:
+        super().__init__()
+        self.name, self.first, self.pool, self.limit = name, first, pool, limit
+
+    def __missing__(self, text: str) -> int | str:
+        # Only a row's first cell carries the newline; no other cell holds one.
+        if text.startswith("\n") != self.first:
+            raise _Refused
+        cell = text[1:] if self.first else text
+        # csv would unquote, or on some versions reject NUL: the validator decides.
+        if len(cell) > self.limit or '"' in cell or "\0" in cell:
+            raise _Refused
+        cell = cell.strip()
+        if self.name in _INT_FLOORS:
+            try:
+                value = int(cell)
+            except ValueError:
+                raise _Refused from None
+            if value < _INT_FLOORS[self.name]:
+                raise _Refused
+        else:
+            if not cell:
+                raise _Refused
+            if self.name != "patient":
+                cell = cell.upper()
+            value = self.pool.setdefault(cell, cell)
+        self[text] = value
+        return value
+
+
+def _line_blocks(handle: TextIO, longest: int) -> Iterator[str]:
+    """The rest of `handle` as blocks of whole lines, each without its last newline.
+
+    Blocks are cut after the last newline of `_BLOCK_CHARS` characters
+    read; the rest is carried into the next block. Carried text longer
+    than `longest` holds a line no valid row can fill and is refused.
+    """
+    carry = ""
+    while data := handle.read(_BLOCK_CHARS):
+        text = carry + data
+        cut = text.rfind("\n")
+        if cut < 0:
+            if len(text) > longest:
+                raise _Refused
+            carry = text
+        else:
+            yield text[:cut]
+            carry = text[cut + 1 :]
+    if carry:
+        yield carry
 
 
 def _bulk_rows(path: str, header: tuple[str, ...]) -> list[tuple] | None:
     """A fact file's rows in file order, or None if a row needs the row validator.
 
-    Each chunk's columns are checked by `_bulk_column`, then zipped into
-    rows.
+    The file is read with universal newlines, so its lines end where
+    csv's do. Each block is split into cells by one C call, leaving a
+    newline at the start of each row's first cell; column k is every
+    `width`-th cell from k. The rows are aligned, each with `width`
+    cells, exactly when the cell count is a multiple of `width`, every
+    first-column text carries the newline and no other text does, which
+    the `_Column` lookups check. A header that is not exactly `header`
+    after stripping, undecodable bytes and any refused cell give None.
     """
-    rows: list[tuple] = []
+    width = len(header)
+    limit = csv.field_size_limit()
     pool: dict[str, str] = {}
-    with _csv_reader(path, header, True) as (reader, width):
-        while chunk := list(islice(reader, _CHUNK_ROWS)):
-            if not all(map(width.__eq__, map(len, chunk))):
+    columns = [_Column(name, k == 0, pool, limit) for k, name in enumerate(header)]
+    rows: list[tuple] = []
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            names = handle.readline().rstrip("\n").split(",")
+            if [name.strip() for name in names] != list(header):
                 return None
-            columns = [_bulk_column(name, cells, pool) for name, cells in zip(header, zip(*chunk))]
-            if None in columns:
-                return None
-            rows += zip(*columns)
-            # Free this chunk's cells before the next chunk is read.
-            del chunk, columns
+            for block in _line_blocks(handle, width * (limit + 1)):
+                cells = ("\n" + block).replace("\n", ",\n").split(",")[1:]
+                if len(cells) % width:
+                    return None
+                rows += zip(
+                    *[map(column.__getitem__, cells[k::width]) for k, column in enumerate(columns)]
+                )
+    except (UnicodeDecodeError, _Refused):
+        return None
     return rows
 
 
@@ -251,8 +308,11 @@ def _require(text: str, what: str, path: str, line: int) -> str:
 def _checked_rows(path: str, header: tuple[str, ...]) -> list[tuple]:
     """The row validator for a fact file: one row per data row, in file order.
 
-    Applies `_bulk_column`'s rules to each cell, left to right, and
-    raises the first miss: a day below its floor is a `NegativeDay`.
+    Each cell is stripped; integer columns (`_INT_FLOORS`) must parse
+    and reach their floor, every other cell must not be empty, and
+    columns after the patient's are codes and upper-cased. Cells are
+    checked left to right and the first miss raises: a day below its
+    floor is a `NegativeDay`.
     """
     rows = []
     for line, cells in _rows(path, header, True):

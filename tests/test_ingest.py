@@ -1,12 +1,13 @@
 """CSV loaders: field mapping, validation, round trips."""
 
 import csv
+import io
 from functools import partial
 from operator import itemgetter
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pathmine import ingest
 from pathmine.errors import CycleError, DuplicateCode, NegativeDay, ParseError
@@ -289,7 +290,9 @@ class TestUnreadableInput:
 
     @pytest.mark.parametrize("kind", VALID_FILES)
     def test_field_over_the_csv_limit(self, tmp_path, kind):
-        paths = self.files_with_bad_third_line(tmp_path, kind, b"p1," + b"9" * 200_000 + b"\n")
+        # A valid row but for the length of its first cell.
+        line = VALID_FILES[kind].encode("utf-8").splitlines(keepends=True)[2]
+        paths = self.files_with_bad_third_line(tmp_path, kind, b"x" * 200_000 + line)
         with pytest.raises(ParseError) as err:
             load_one(kind, paths)
         assert (err.value.path, err.value.line) == (paths[kind], 3)
@@ -297,28 +300,42 @@ class TestUnreadableInput:
 
 
 #: Per column kind, cells the row validator accepts and cells it rejects
-#: or normalises (padding, lower case).
+#: or normalises (padding, lower case, quotes); a NUL is a csv error on
+#: some Python versions and a plain character on others.
 CELLS = {
-    "patient": (["p1", "p2", "p10"], [" p1 ", "", "\tp2"]),
-    "day": (["0", "7", "31", "365"], ["-3", "soon", "", " 12 ", "+4", "1.5"]),
-    "code": (["C1", "G40", "X9"], ["c1", " g40 ", ""]),
-    "qty": (["1", "2", "30"], ["0", "-1", "x", " 3"]),
+    "patient": (["p1", "p2", "10"], [" p1 ", "", "\tp2", '"p1"', '"p,1"', '"p\n1"', "p\x001"]),
+    "day": (["0", "7", "31", "365"], ["-3", "soon", "", " 12 ", "+4", "1.5", '"7"']),
+    "code": (["C1", "G40", "X9"], ["c1", " g40 ", "", '"C1"', "C\x00"]),
+    "qty": (["1", "2", "30"], ["0", "-1", "x", " 3", '"2"']),
 }
 
 
 @st.composite
-def fact_file_rows(draw, columns):
-    """Data rows; about half carry one fault: an odd cell or a wrong width."""
-    rows = []
+def fact_file_text(draw, header, columns):
+    """A whole fact file; about half its rows carry one fault.
+
+    A fault is an odd cell, a wrong width or a blank line (so a file may
+    end in one). Line ends are LF, CRLF or a lone CR, drawn per line;
+    the last line may have none. The header may be padded, and the file
+    may start with a byte-order mark.
+    """
+    names = header.split(",")
+    if draw(st.booleans()):
+        names = [f" {name} " for name in names]
+    lines = [",".join(names)]
     for _ in range(draw(st.integers(0, 7))):
-        fault = draw(st.sampled_from([None] * 5 + ["width", *columns]))
+        fault = draw(st.sampled_from([None] * 5 + ["width", "blank", *columns]))
         cells = [
             draw(st.sampled_from(CELLS[column][column == fault])) for column in columns
         ]
         if fault == "width":
             cells = cells[:-1] if draw(st.booleans()) else cells + ["extra"]
-        rows.append(",".join(cells))
-    return rows
+        lines.append("" if fault == "blank" else ",".join(cells))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + "".join(map(str.__add__, lines, ends))
 
 
 class TestBulkAgreesWithRowValidator:
@@ -331,28 +348,70 @@ class TestBulkAgreesWithRowValidator:
         except ParseError as exc:
             return type(exc), exc.line, str(exc)
 
-    def check(self, tmp_path_factory, header, rows, bulk, by_row):
+    def check(self, tmp_path_factory, text, block, bulk, by_row):
         path = tmp_path_factory.mktemp("agree") / "facts.csv"
-        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
-        # Two-row chunks, so that faults also fall in later chunks.
-        with mock.patch.object(ingest, "_CHUNK_ROWS", 2):
+        path.write_bytes(text.encode("utf-8"))
+        # Blocks of a few characters, so that rows straddle blocks and
+        # many rows are longer than one block.
+        with mock.patch.object(ingest, "_BLOCK_CHARS", block):
             assert self.outcome(bulk, str(path)) == self.outcome(by_row, str(path))
 
-    @settings(derandomize=True, deadline=None, max_examples=150)
-    @given(rows=fact_file_rows(("patient", "day", "code", "qty")))
-    def test_deliveries(self, tmp_path_factory, rows):
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        text=fact_file_text("patient,day,cip,qty", ("patient", "day", "code", "qty")),
+        block=st.integers(1, 40),
+    )
+    def test_deliveries(self, tmp_path_factory, text, block):
         self.check(
-            tmp_path_factory, "patient,day,cip,qty", rows, load_deliveries,
+            tmp_path_factory, text, block, load_deliveries,
             partial(ingest._checked_rows, header=("patient", "day", "cip", "qty")),
         )
 
-    @settings(derandomize=True, deadline=None, max_examples=150)
-    @given(rows=fact_file_rows(("patient", "day", "code")))
-    def test_diseases(self, tmp_path_factory, rows):
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        text=fact_file_text("patient,day,icd", ("patient", "day", "code")),
+        block=st.integers(1, 40),
+    )
+    # A long row then a short one: the cell count is whole rows, but the
+    # second row's cells are shifted into the wrong columns.
+    @example(text="patient,day,icd\np1,1,G40,extra\n10,7\n", block=64)
+    def test_diseases(self, tmp_path_factory, text, block):
         self.check(
-            tmp_path_factory, "patient,day,icd", rows, load_diseases,
+            tmp_path_factory, text, block, load_diseases,
             partial(ingest._checked_rows, header=("patient", "day", "icd")),
         )
+
+
+class TestBulkPath:
+    """Plain CSV never reaches the row validator."""
+
+    @pytest.mark.parametrize("bom", ["", "\ufeff"])
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_plain_files_load_without_the_row_validator(self, tmp_path, end, bom):
+        deliveries = tmp_path / "d.csv"
+        deliveries.write_bytes(
+            (bom + end.join([
+                " patient ,day, cip,qty ", "p1,1000,x1,1", " p1 ,1000, X1 , 2", "p2,7,c2,1"
+            ]) + end).encode("utf-8")
+        )
+        diseases = tmp_path / "i.csv"
+        diseases.write_bytes(
+            (bom + end.join(["patient, day ,icd", "p1,1000,g40", "p2, 3,i10 "])).encode("utf-8")
+        )
+        with mock.patch.object(ingest, "_checked_rows", side_effect=AssertionError("slow path")):
+            rows = load_deliveries(str(deliveries))
+            assert rows == [("p1", 1000, "X1", 1), ("p1", 1000, "X1", 2), ("p2", 7, "C2", 1)]
+            assert load_diseases(str(diseases)) == [("p1", 1000, "G40"), ("p2", 3, "I10")]
+        # Equal texts share one object: the day's int as well as the strings.
+        assert rows[0][1] is rows[1][1]
+        assert rows[0][0] is rows[1][0] and rows[0][2] is rows[1][2]
+
+    def test_a_line_longer_than_any_valid_row_is_refused_before_its_end(self):
+        with mock.patch.object(ingest, "_BLOCK_CHARS", 4):
+            blocks = ingest._line_blocks(io.StringIO("a,b\n" + "x" * 50), longest=20)
+            assert next(blocks) == "a,b"
+            with pytest.raises(ingest._Refused):
+                next(blocks)
 
 
 def reference_groups(rows):
