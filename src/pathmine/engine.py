@@ -8,11 +8,18 @@ occurring after those tails, so the enumeration is complete.
 Candidates are generated in two phases. Each positive sequence is
 indexed once by the last occurrence of each distinct item, so a
 supporter's candidates are the tail of that order whose last position
-is at or after its frontier: one bisection finds it, and one C-level
-count over all tails gives every candidate's support. Only the items
-that clear the support bound and stay inside every switch interval are
-then located, each at its first position after the frontier, so the cost of
-the many infrequent candidates stops at the count.
+is at or after its frontier: one bisection finds it. Where the tails
+are long, the node first asks whether it is a leaf. Each tail is also a
+bit mask of item ids, and a bit-sliced count over the masks says
+exactly whether any candidate clears the support bound, at a cost per
+supporter rather than per tail item (SPAM's vertical bitmaps, Ayres et
+al., KDD 2002, with O'Neil and Quass's bit-sliced arithmetic, SIGMOD
+1997). Short tails, and long tails that are not a leaf's, get one
+C-level count over all tails, which gives every candidate's support.
+Only the items that clear the support bound and stay inside every
+switch interval are then located, each at its first position after the
+frontier, so the cost of the many infrequent candidates stops at the
+count. The roots are located from each sequence's first positions.
 
 The chain of tails along the search path is itself the leftmost
 embedding (PrefixSpan's pseudo-projection), so each node carries it and
@@ -22,9 +29,10 @@ down the path like the positive one: where the greedy leftmost match
 of the prefix ends in each supporter's own negative sequence, so a
 child's discriminative check is one hop per supporter from its
 parent's frontier, not a rescan of the whole prefix. A node whose
-candidates all fall below the support bound stops right after the
-count. The depth-first walk keeps an explicit stack, and the frontier
-is filled in by a loop up the path, so no sequence is too long to mine.
+candidates all fall below the support bound stops right after the leaf
+test or the count. The depth-first walk keeps an explicit stack, and
+the frontier is filled in by a loop up the path, so no sequence is too
+long to mine.
 
 Each kind of constraint steers the search its own way:
 
@@ -61,10 +69,11 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from itertools import chain, islice
+from functools import cached_property, partial, reduce
+from itertools import accumulate, chain, islice, zip_longest
+from operator import or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .builder import CaseDatabase
@@ -80,6 +89,15 @@ _DEADLINE_STRIDE = 1024
 
 #: The search's counters, as MiningResult.counters names them.
 _COUNTERS = ("support_pruned", "switch_pruned", "negative_checks")
+
+#: A bounded node whose supporters' tails hold at least this many items
+#: on average is first tested as a leaf over its tails' bit masks.
+#: Counting costs a step per tail item and the leaf test a few big-int
+#: operations per supporter, but the test needs each sequence's suffix
+#: masks, which are kept once built, and it is wasted on a node that is
+#: no leaf. So short tails, such as 20-event windows' (about 10 items),
+#: are only counted and never build masks.
+_MASK_MEAN_TAIL = 32
 
 
 @dataclass(frozen=True)
@@ -190,6 +208,56 @@ class MiningResult:
         )
 
 
+def _csa(a: int, b: int, c: int) -> tuple[int, int]:
+    """A carry-save adder over bit masks: per bit, a + b + c == sum + 2 * carry."""
+    half = a ^ b
+    return half ^ c, (a & b) | (half & c)
+
+
+def _frequent(masks: Iterable[int], min_support: int) -> tuple[int, int]:
+    """The items held by at least min_support of the masks, and by any.
+
+    Both are bit masks of item ids. The count is bit-sliced: slice b
+    holds bit b of every item's count. Masks go in four at a time:
+    carry-save adders fold them into slices 0 and 1, as in Harley and
+    Seal's population count, and their carry of weight 4 ripples up the
+    slices above with `^` and `&`. The union of the slices is the set of
+    items counted at least once. A bound wider than the slices clears
+    nothing.
+    """
+    ones = twos = 0
+    slices = [0, 0]
+    quads = iter(masks)
+    for a, b, c, d in zip_longest(quads, quads, quads, quads, fillvalue=0):
+        ones, ab = _csa(ones, a, b)
+        ones, cd = _csa(ones, c, d)
+        twos, carry = _csa(twos, ab, cd)
+        level = 2
+        while carry:
+            if level == len(slices):
+                slices.append(carry)
+                break
+            bits = slices[level]
+            slices[level] = bits ^ carry
+            carry &= bits
+            level += 1
+    slices[:2] = ones, twos
+    present = reduce(or_, slices)
+    if min_support.bit_length() > len(slices):
+        return 0, present
+    # From the top slice down: items whose count is already above the
+    # bound, and items whose count matches it so far.
+    above, equal = 0, present
+    for level in reversed(range(len(slices))):
+        bits = slices[level]
+        if min_support >> level & 1:
+            equal &= bits
+        else:
+            above |= equal & bits
+            equal &= ~bits
+    return above | equal, present
+
+
 def _emittable(
     support: int,
     switch_counts: Sequence[int],
@@ -221,9 +289,14 @@ class _Prepared:
     For each positive sequence, `order` lists its distinct item ids by
     ascending last occurrence and `lasts` the matching last positions.
     The items occurring at or after a start are exactly the tail of
-    `order` from `bisect_left(lasts, start)`: `count` counts them for a
-    set of supporters at once, and `locate` finds the first position of
-    only the items still wanted.
+    `order` from `bisect_left(lasts, start)`: `tails` slices them for a
+    set of supporters at once, `count` counts them element by element,
+    and `locate` finds the first position of only the items still
+    wanted. `masks` reads the same tails as bit masks of item ids, from
+    each sequence's suffix masks, built on the sequence's first request:
+    entry j is the OR of `1 << iid` over the last j items of `order`, so
+    a tail's length selects its mask. `firsts` locates every item of
+    every sequence from position 0, for the roots.
 
     It also holds what the search reads of the task at every node: the
     support threshold, whether the task is discriminative, and each
@@ -236,6 +309,7 @@ class _Prepared:
         "pos_ids",
         "order",
         "lasts",
+        "suffix",
         "neg_ids",
         "min_support",
         "discriminative",
@@ -257,6 +331,7 @@ class _Prepared:
             lasts = sorted(dict(zip(seq, range(len(seq)))).values())
             self.order.append(tuple(map(seq.__getitem__, lasts)))
             self.lasts.append(tuple(lasts))
+        self.suffix: list[list[int] | None] = [None] * len(self.pos_ids)
         self.min_support = task.min_support
         self.discriminative = task.discriminative
         self.switch_bounds = [
@@ -280,16 +355,45 @@ class _Prepared:
             self.max_len = max((len(seq) for seq in self.pos_ids), default=0)
 
     def count(
-        self, seqs: Sequence[int], starts: Sequence[int]
+        self,
+        seqs: Sequence[int],
+        starts: Sequence[int],
+        tails: list[tuple[int, ...]] | None = None,
     ) -> tuple[Counter, list[tuple[int, ...]]]:
         """Each item's number of supporters holding it at or after their start.
 
-        Also returns each supporter's tail: its items occurring there.
+        Also returns each supporter's tail: its items occurring there,
+        which `tails` gives when the caller already has them.
         """
+        if tails is None:
+            tails = self.tails(seqs, starts)
+        return Counter(chain.from_iterable(tails)), tails
+
+    def tails(self, seqs: Sequence[int], starts: Sequence[int]) -> list[tuple[int, ...]]:
+        """Each supporter's items occurring at or after its start."""
         order = self.order
         lasts = self.lasts
-        tails = [order[s][bisect_left(lasts[s], start) :] for s, start in zip(seqs, starts)]
-        return Counter(chain.from_iterable(tails)), tails
+        return [order[s][bisect_left(lasts[s], start) :] for s, start in zip(seqs, starts)]
+
+    def masks(self, seqs: Sequence[int], tails: Sequence[tuple[int, ...]]) -> list[int]:
+        """Each supporter's tail as a bit mask of item ids."""
+        suffix = self.suffix
+        for s in [s for s in seqs if suffix[s] is None]:
+            # Entry j holds the last j items of the order, for every tail length j.
+            bits = map((1).__lshift__, reversed(self.order[s]))
+            suffix[s] = list(accumulate(bits, or_, initial=0))
+        return [suffix[s][len(tail)] for s, tail in zip(seqs, tails)]
+
+    def firsts(self, seqs: Sequence[int]) -> dict[int, list[tuple[int, int]]]:
+        """Each item's (supporter index, first position), in supporter order."""
+        pos_ids = self.pos_ids
+        found: dict[int, list[tuple[int, int]]] = defaultdict(list)
+        for k, seq_idx in enumerate(seqs):
+            seq = pos_ids[seq_idx]
+            # Read backwards, each item's last write is its first position.
+            for iid, pos in dict(zip(reversed(seq), range(len(seq) - 1, -1, -1))).items():
+                found[iid].append((k, pos))
+        return found
 
     def locate(
         self,
@@ -490,40 +594,14 @@ class _Searcher:
         """
         prep = self.prep
         seqs = node.seqs
-        if node.prefix:
-            # A 1-based frontier is the 0-based position right after it.
-            starts = [witness[-1] for witness in node.witnesses]
-            last = node.prefix[-1]
+        if not node.prefix:
+            # Every root is wanted, and no switch has been made yet.
+            wanted = prep.firsts(seqs)
+            switched = dict.fromkeys(wanted, node.switch_counts)
         else:
-            starts = [0] * len(seqs)
-            last = None
-        counts, tails = prep.count(seqs, starts)
-        bounded = self.options.prune and last is not None
-        if bounded:
-            min_support = prep.min_support
-            if max(counts.values(), default=0) < min_support:
-                # A leaf: no candidate clears the bound, so none is looked at.
-                self.counters["support_pruned"] += len(counts)
+            switched, wanted = self._extensions(node)
+            if not wanted:
                 return iter(())
-            candidates = [iid for iid, supporters in counts.items() if supporters >= min_support]
-            self.counters["support_pruned"] += len(counts) - len(candidates)
-        else:
-            candidates = list(counts)
-        switched: dict[int, tuple[int, ...]] = {}
-        for iid in candidates:
-            switch_counts = tuple(
-                count + (last is not None and values[last] != values[iid])
-                for count, values in zip(node.switch_counts, prep.switch_values)
-            )
-            if bounded and any(
-                count > hi for count, (_, hi) in zip(switch_counts, prep.switch_bounds)
-            ):
-                self.counters["switch_pruned"] += 1
-                continue
-            switched[iid] = switch_counts
-        wanted: dict[int, list[tuple[int, int]]] = {iid: [] for iid in switched}
-        if wanted:
-            prep.locate(seqs, starts, tails, wanted)
         witnesses = node.witnesses
         flags = tuple(zip(node.contains_flags, prep.contains_ids))
         return (
@@ -538,6 +616,55 @@ class _Searcher:
             )
             for iid, occs in sorted(wanted.items())
         )
+
+    def _extensions(
+        self, node: _Node
+    ) -> tuple[dict[int, tuple[int, ...]], dict[int, list[tuple[int, int]]]]:
+        """A non-root node's kept candidates: their switch counts and occurrences.
+
+        Under pruning, a node whose tails are long enough is first tested
+        as a leaf over their bit masks. If it is one, every distinct
+        candidate is counted as pruned and nothing else is looked at.
+        """
+        prep = self.prep
+        seqs = node.seqs
+        # A 1-based frontier is the 0-based position right after it.
+        starts = [witness[-1] for witness in node.witnesses]
+        last = node.prefix[-1]
+        tails = prep.tails(seqs, starts)
+        bounded = self.options.prune
+        if bounded and sum(map(len, tails)) >= _MASK_MEAN_TAIL * len(seqs):
+            frequent, present = _frequent(prep.masks(seqs, tails), prep.min_support)
+            if not frequent:
+                self.counters["support_pruned"] += present.bit_count()
+                return {}, {}
+        counts, _ = prep.count(seqs, starts, tails)
+        if bounded:
+            min_support = prep.min_support
+            if max(counts.values(), default=0) < min_support:
+                # A leaf: no candidate clears the bound, so none is looked at.
+                self.counters["support_pruned"] += len(counts)
+                return {}, {}
+            candidates = [iid for iid, supporters in counts.items() if supporters >= min_support]
+            self.counters["support_pruned"] += len(counts) - len(candidates)
+        else:
+            candidates = list(counts)
+        switched: dict[int, tuple[int, ...]] = {}
+        for iid in candidates:
+            switch_counts = tuple(
+                count + (values[last] != values[iid])
+                for count, values in zip(node.switch_counts, prep.switch_values)
+            )
+            if bounded and any(
+                count > hi for count, (_, hi) in zip(switch_counts, prep.switch_bounds)
+            ):
+                self.counters["switch_pruned"] += 1
+                continue
+            switched[iid] = switch_counts
+        wanted: dict[int, list[tuple[int, int]]] = {iid: [] for iid in switched}
+        if wanted:
+            prep.locate(seqs, starts, tails, wanted)
+        return switched, wanted
 
     def _emit(self, node: _Node) -> PatternRecord | None:
         """The node's compact record, or None if the budget ran out meanwhile.

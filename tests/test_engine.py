@@ -1,5 +1,6 @@
 """Mining engine: search, supports, switch counts, emission, budgets."""
 
+import math
 import random
 import time
 import tracemalloc
@@ -11,7 +12,7 @@ import pathmine.engine
 import pathmine.model
 
 from pathmine.builder import CaseDatabase, CasePair
-from pathmine.engine import MiningOptions, _Prepared, _emittable, mine
+from pathmine.engine import MiningOptions, _Prepared, _emittable, _frequent, mine
 from pathmine.errors import MissingNegativeWindow
 from pathmine.model import Item, Pattern
 from pathmine.oracle import (
@@ -513,6 +514,75 @@ class TestLastOccurrenceIndex:
         self.check(prep, [0, 1, 2], [9, 0, 4])
 
 
+class TestLeafTest:
+    """The bit-sliced leaf test against the Counter, on random nodes."""
+
+    ITEMS = tuple(Item(("A1", str(10 + k), k % 2)) for k in range(40))
+
+    @staticmethod
+    def prepared(sequences):
+        pairs = (CasePair(f"p{i}", make_seq(seq)) for i, seq in enumerate(sequences))
+        return _Prepared(make_task(), CaseDatabase(tuple(pairs)), MiningOptions())
+
+    def random_prepared(self, rng, patients, items):
+        alphabet = self.ITEMS[:items]
+        return self.prepared(
+            rng.choices(alphabet, k=rng.randint(0, 3 * items)) for _ in range(patients)
+        )
+
+    @staticmethod
+    def check(prep, seqs, starts, bounds=()):
+        """Both tests agree at min_support 1, above the supporters, and at
+        2**b and 2**b - 1 for the b slices the counts and supporters need."""
+        counts, tails = prep.count(seqs, starts)
+        masks = prep.masks(seqs, tails)
+        assert masks == [sum(1 << iid for iid in tail) for tail in tails]
+        top = max(counts.values(), default=0)
+        bounds = {1, len(seqs) + 1, *bounds}
+        for b in (top.bit_length(), len(seqs).bit_length()):
+            bounds |= {2**b, 2**b - 1}
+        for bound in bounds - {0}:
+            frequent, present = _frequent(masks, bound)
+            assert present == sum(1 << iid for iid in counts)
+            assert present.bit_count() == len(counts)
+            assert frequent == sum(1 << iid for iid, n in counts.items() if n >= bound)
+            assert (not frequent) == (top < bound)
+
+    @pytest.mark.parametrize("items", [1, 5, 40])
+    def test_random_nodes(self, items):
+        rng = random.Random(items)
+        prep = self.random_prepared(rng, 60, items)
+        for _ in range(200):
+            seqs = sorted(rng.sample(range(60), rng.randint(1, 60)))
+            starts = [rng.randint(0, len(prep.pos_ids[s])) for s in seqs]
+            self.check(prep, seqs, starts, bounds=[rng.randint(1, len(seqs))])
+
+    @pytest.mark.parametrize("supporters", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17])
+    def test_counts_at_the_edge_of_the_slices(self, supporters):
+        # Every supporter holds items 0 and 1, so their count is the supporter count.
+        prep = self.prepared(self.ITEMS[: 2 + i % 3] for i in range(supporters))
+        self.check(prep, list(range(supporters)), [0] * supporters)
+        masks = prep.masks([0], prep.order[:1]) * supporters
+        assert _frequent(masks, supporters)[0] == 0b11
+        assert _frequent(masks, supporters + 1)[0] == 0
+
+    def test_no_supporters_and_empty_tails(self):
+        assert _frequent([], 1) == (0, 0)
+        assert _frequent([0] * 9, 1) == (0, 0)
+        prep = self.random_prepared(random.Random(1), 5, 3)
+        self.check(prep, [0, 1, 2, 3, 4], [len(seq) for seq in prep.pos_ids])
+
+    def test_firsts_are_first_positions(self):
+        rng = random.Random(7)
+        prep = self.random_prepared(rng, 30, 6)
+        seqs = sorted(rng.sample(range(30), 20))
+        firsts = [TestLastOccurrenceIndex.first_positions(prep.pos_ids[s], 0) for s in seqs]
+        assert prep.firsts(seqs) == {
+            iid: [(k, first[iid]) for k, first in enumerate(firsts) if iid in first]
+            for iid in set().union(*firsts)
+        }
+
+
 class TestInterning:
     @staticmethod
     def copied(seq):
@@ -616,3 +686,79 @@ class TestOracleEdge:
             ]
             for got, want in zip(witness.patterns, expected):
                 assert got.embeddings == {p: {min(embs)} for p, embs in want.embeddings.items()}
+
+
+class TestBothLeafTests:
+    """Each leaf test, forced on every bounded node, against the oracle.
+
+    Sequences of 40 to 60 events over 3 to 6 items, mined to length 3.
+    Each sequence is mostly sorted by item and the later items are
+    rarer, so that nodes ending in them have short tails and many are
+    leaves.
+    """
+
+    ITEMS = tuple(Item(("A1", str(10 + k), k % 2)) for k in range(6))
+
+    @staticmethod
+    def instance(seed):
+        rng = random.Random(seed)
+        alphabet = TestBothLeafTests.ITEMS[: rng.randint(3, 6)]
+        weights = [4.0**-k for k in range(len(alphabet))]
+        discriminative = bool(seed & 1)
+
+        def events():
+            seq = sorted(rng.choices(range(len(alphabet)), weights, k=rng.randint(40, 60)))
+            for _ in range(len(seq) // 10):
+                i, j = rng.randrange(len(seq)), rng.randrange(len(seq))
+                seq[i], seq[j] = seq[j], seq[i]
+            return make_seq(alphabet[k] for k in seq)
+
+        patients = rng.randint(2, 5)
+        db = CaseDatabase(
+            tuple(
+                CasePair(f"p{i}", events(), events() if discriminative else None)
+                for i in range(patients)
+            )
+        )
+        task = make_task(
+            f_min=rng.randint(1, patients),
+            discriminative=discriminative,
+            contains=[("generic", rng.choice([0, 1]))] if seed & 2 else [],
+            switch=[("generic", rng.choice(["==", "<=", ">="]), rng.randint(0, 2))]
+            if seed & 4
+            else [],
+        )
+        return task, db
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("mask_mean_tail", [0, math.inf], ids=["always_mask", "never_mask"])
+    def test_engine_equals_oracle(self, monkeypatch, mask_mean_tail, seed):
+        monkeypatch.setattr(pathmine.engine, "_MASK_MEAN_TAIL", mask_mean_tail)
+        tested = []
+        frequent = pathmine.engine._frequent
+
+        def spy(masks, bound):
+            tested.append(bound)
+            return frequent(masks, bound)
+
+        monkeypatch.setattr(pathmine.engine, "_frequent", spy)
+        task, db = self.instance(seed)
+        expected = oracle_mine(task, db, max_len=3)
+        for prune in (True, False):
+            witness = mine(task, db, MiningOptions(embeddings="witness", max_len=3, prune=prune))
+            assert [(pt.pattern, pt.supported, pt.discriminative) for pt in witness.patterns] == [
+                (pt.pattern, pt.supported, pt.discriminative) for pt in expected
+            ]
+            for got, want in zip(witness.patterns, expected):
+                assert got.embeddings == {p: {min(embs)} for p, embs in want.embeddings.items()}
+        assert bool(tested) == (mask_mean_tail == 0)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_paths_give_the_same_search(self, monkeypatch, seed):
+        task, db = self.instance(seed)
+        runs = []
+        for mask_mean_tail in (0, math.inf):
+            monkeypatch.setattr(pathmine.engine, "_MASK_MEAN_TAIL", mask_mean_tail)
+            result = mine(task, db, MiningOptions(embeddings="witness", max_len=3))
+            runs.append((result.records, result.nodes_expanded, result.counters))
+        assert runs[0] == runs[1]
