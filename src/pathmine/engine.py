@@ -290,12 +290,11 @@ class _Prepared:
     ascending last occurrence and `lasts` the matching last positions.
     The items occurring at or after a start are exactly the tail of
     `order` from `bisect_left(lasts, start)`: `tails` slices them for a
-    set of supporters at once, `count` counts them element by element,
-    and `locate` finds the first position of only the items still
-    wanted. `masks` reads the same tails as bit masks of item ids, from
-    each sequence's suffix masks, built on the sequence's first request:
-    entry j is the OR of `1 << iid` over the last j items of `order`, so
-    a tail's length selects its mask. `firsts` locates every item of
+    set of supporters at once, and `locate` finds the first position of
+    only the items still wanted. `masks` reads the same tails as bit
+    masks of item ids, from each sequence's suffix masks, built on the
+    sequence's first request: entry j is the OR of `1 << iid` over the
+    last j items of `order`, so a tail's length selects its mask. `firsts` locates every item of
     every sequence from position 0, for the roots.
 
     It also holds what the search reads of the task at every node: the
@@ -353,21 +352,6 @@ class _Prepared:
             self.max_len = options.max_len
         else:
             self.max_len = max((len(seq) for seq in self.pos_ids), default=0)
-
-    def count(
-        self,
-        seqs: Sequence[int],
-        starts: Sequence[int],
-        tails: list[tuple[int, ...]] | None = None,
-    ) -> tuple[Counter, list[tuple[int, ...]]]:
-        """Each item's number of supporters holding it at or after their start.
-
-        Also returns each supporter's tail: its items occurring there,
-        which `tails` gives when the caller already has them.
-        """
-        if tails is None:
-            tails = self.tails(seqs, starts)
-        return Counter(chain.from_iterable(tails)), tails
 
     def tails(self, seqs: Sequence[int], starts: Sequence[int]) -> list[tuple[int, ...]]:
         """Each supporter's items occurring at or after its start."""
@@ -638,7 +622,7 @@ class _Searcher:
             if not frequent:
                 self.counters["support_pruned"] += present.bit_count()
                 return {}, {}
-        counts, _ = prep.count(seqs, starts, tails)
+        counts = Counter(chain.from_iterable(tails))
         if bounded:
             min_support = prep.min_support
             if max(counts.values(), default=0) < min_support:

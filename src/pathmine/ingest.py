@@ -17,22 +17,25 @@ stably by day, and keeps each patient's facts as `DayCodes` columns;
 neither sort builds a key tuple per row. The `mine` command loads
 through exactly these three calls.
 
-Each fact file's format is stated once, by its header and
-`_INT_FLOORS`, and its rules once, by the row validator
-`_checked_rows`, which reads the file cell by cell with `csv`. Plain
-CSV, such as `synth` writes, is read in bulk instead (`_bulk_rows`):
-blocks of whole lines are split into cells by one C call, and each
-column's rule runs once per distinct cell text (`_Column`), so a file
-of many rows over few patients, days and codes costs few Python calls.
-A file the bulk reader cannot vouch for, such as one holding a quote
-character or NUL, a blank line or a bad cell, is read again by the
-validator: the same rows, or the error of the first bad cell of the
-first bad row with its line, several times more slowly. The taxonomy
-is read by the same validator, and the attributes file's cells are
-checked left to right too. Undecodable bytes and malformed CSV (such as
-an oversize field) are a `ParseError` for the file on either path.
-Quantities are checked but not kept: the query language never reads
-them.
+Each column of the four files has one rule, stated once by `_value`:
+the cell is stripped; `day`, `qty` and `generic` are integers with
+their bounds; any other cell must not be empty, and every text column
+but `patient` is a code, upper-cased, so codes match case-insensitively.
+Every file can be read by one row validator, `_checked_rows`, which
+reads it cell by cell with `csv` and applies the rule to each row's
+cells left to right, so a bad row reports its leftmost bad cell with its
+line. The taxonomy and the attributes file are read that way. Plain
+CSV fact files, such as `synth` writes, are read in bulk instead
+(`_bulk_rows`): blocks of whole lines are split into cells by one C
+call, and the same rule runs once per distinct cell text (`_Column`),
+so a file of many rows over few patients, days and codes costs few
+Python calls. A fact file the bulk reader cannot vouch for, such as one
+holding a quote character or NUL, a blank line or a bad cell, is read
+again by the validator: the same rows, or the error of the first bad
+cell of the first bad row with its line, several times more slowly.
+Undecodable bytes and malformed CSV (such as an oversize field) are a
+`ParseError` for the file on either path. Quantities are checked but
+not kept: the query language never reads them.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from __future__ import annotations
 import csv
 from itertools import groupby, islice
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .errors import NegativeDay, ParseError
 from .knowledge import CodeAttributes, KnowledgeBase, Taxonomy
@@ -51,8 +54,8 @@ _BLOCK_CHARS = 1 << 15
 _DELIVERY_HEADER = ("patient", "day", "cip", "qty")
 _DISEASE_HEADER = ("patient", "day", "icd")
 
-#: The bulk reader's integer columns and the least value each admits.
-_INT_FLOORS = {"day": 0, "qty": 1}
+#: The integer columns and the least value each admits.
+_INT_FLOORS = {"day": 0, "qty": 1, "generic": 0}
 
 
 class DayCodes(NamedTuple):
@@ -149,28 +152,57 @@ def undecodable(path: str) -> ParseError:
     return ParseError("not UTF-8", path=path)
 
 
-def _rows(path: str, expected: Sequence[str], exact: bool) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line, stripped cells) per data row after validating the header.
+def _value(name: str, text: str) -> int | str:
+    """The value of one cell of input column `name`: the rule for every column.
 
-    With exact=False the header may carry extra columns beyond
-    `expected`. Each row is checked against the header width. A leading
-    UTF-8 byte-order mark is skipped. Undecodable bytes and csv errors
-    become a ParseError for `path`.
+    The cell is stripped. An integer column (`_INT_FLOORS`) must parse
+    and reach its floor, and `generic` is 0 or 1; a day below 0 is a
+    `NegativeDay`. Any other column must not be empty: `patient` is kept
+    as written, and every other text column is a code, upper-cased. A
+    miss raises a `ParseError` without a path or line.
+    """
+    cell = text.strip()
+    if name in _INT_FLOORS:
+        try:
+            value = int(cell)
+        except ValueError:
+            raise ParseError(f"{name} must be an integer, got {cell!r}") from None
+        if name == "generic" and value not in (0, 1):
+            raise ParseError(f"generic must be 0 or 1, got {value}")
+        floor = _INT_FLOORS[name]
+        if value < floor:
+            error = NegativeDay if name == "day" else ParseError
+            raise error(f"{name} must be >= {floor}, got {value}")
+        return value
+    if not cell:
+        raise ParseError(f"{name} must not be empty")
+    return cell if name == "patient" else cell.upper()
+
+
+def _checked_rows(path: str, header: tuple[str, ...], exact: bool = True) -> list[tuple]:
+    """The row validator: one tuple of `header`'s values per data row, in file order.
+
+    The file is read cell by cell with `csv`. Its stripped header must
+    be `header`; with exact=False it may carry extra columns, whose
+    cells are dropped. Each row must be as wide as the header, and its
+    cells are checked left to right by `_value`, so the first miss
+    raises. A leading UTF-8 byte-order mark is skipped. Undecodable
+    bytes and csv errors become a ParseError for `path`.
     """
     reader = None
+    rows = []
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             try:
-                header = next(reader)
+                names = [cell.strip() for cell in next(reader)]
             except StopIteration:
                 raise ParseError("missing header row", path=path, line=1) from None
-            names = [cell.strip() for cell in header]
-            want = list(expected)
-            head = names if exact else names[: len(want)]
-            if head != want:
+            if (names if exact else names[: len(header)]) != list(header):
                 raise ParseError(
-                    f"expected header {','.join(want)}, got {','.join(names)}", path=path, line=1
+                    f"expected header {','.join(header)}, got {','.join(names)}",
+                    path=path,
+                    line=1,
                 )
             width = len(names)
             for cells in reader:
@@ -180,12 +212,17 @@ def _rows(path: str, expected: Sequence[str], exact: bool) -> Iterator[tuple[int
                         path=path,
                         line=reader.line_num,
                     )
-                yield reader.line_num, [cell.strip() for cell in cells]
+                try:
+                    rows.append(tuple(map(_value, header, cells)))
+                except ParseError as exc:
+                    # The rule's own message, placed at this file and line.
+                    raise type(exc)(str(exc), path=path, line=reader.line_num) from None
     except UnicodeDecodeError:
         raise undecodable(path) from None
     except csv.Error as exc:
         line = reader.line_num if reader is not None else None
         raise ParseError(f"malformed CSV: {exc}", path=path, line=line) from None
+    return rows
 
 
 class _Refused(Exception):
@@ -195,11 +232,11 @@ class _Refused(Exception):
 class _Column(dict):
     """One fact-file column's checked values, keyed by raw cell text.
 
-    `__missing__` applies `_checked_rows`' rule for the column to each
-    distinct text once, so a file of many rows over few patients, days
-    and codes is checked in few Python calls. Text values are interned
-    through `pool`, so each distinct patient id or code is one string
-    object, and equal day texts share one int. A text the rule rejects,
+    `__missing__` applies the column's rule, `_value`, to each distinct
+    text once, so a file of many rows over few patients, days and codes
+    is checked in few Python calls. Text values are interned through
+    `pool`, so each distinct patient id or code is one string object,
+    and equal day texts share one int. A text the rule rejects,
     or one the split in `_bulk_rows` cannot vouch for, raises
     `_Refused`.
     """
@@ -218,20 +255,12 @@ class _Column(dict):
         # csv would unquote, or on some versions reject NUL: the validator decides.
         if len(cell) > self.limit or '"' in cell or "\0" in cell:
             raise _Refused
-        cell = cell.strip()
-        if self.name in _INT_FLOORS:
-            try:
-                value = int(cell)
-            except ValueError:
-                raise _Refused from None
-            if value < _INT_FLOORS[self.name]:
-                raise _Refused
-        else:
-            if not cell:
-                raise _Refused
-            if self.name != "patient":
-                cell = cell.upper()
-            value = self.pool.setdefault(cell, cell)
+        try:
+            value = _value(self.name, cell)
+        except ParseError:
+            raise _Refused from None
+        if type(value) is str:
+            value = self.pool.setdefault(value, value)
         self[text] = value
         return value
 
@@ -292,46 +321,6 @@ def _bulk_rows(path: str, header: tuple[str, ...]) -> list[tuple] | None:
     return rows
 
 
-def _parse_int(text: str, what: str, path: str, line: int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"{what} must be an integer, got {text!r}", path=path, line=line) from None
-
-
-def _require(text: str, what: str, path: str, line: int) -> str:
-    if not text:
-        raise ParseError(f"{what} must not be empty", path=path, line=line)
-    return text
-
-
-def _checked_rows(path: str, header: tuple[str, ...]) -> list[tuple]:
-    """The row validator for a fact file: one row per data row, in file order.
-
-    Each cell is stripped; integer columns (`_INT_FLOORS`) must parse
-    and reach their floor, every other cell must not be empty, and
-    columns after the patient's are codes and upper-cased. Cells are
-    checked left to right and the first miss raises: a day below its
-    floor is a `NegativeDay`.
-    """
-    rows = []
-    for line, cells in _rows(path, header, True):
-        row = []
-        for name, cell in zip(header, cells):
-            if name in _INT_FLOORS:
-                value, floor = _parse_int(cell, name, path, line), _INT_FLOORS[name]
-                if value < floor:
-                    error = NegativeDay if name == "day" else ParseError
-                    raise error(f"{name} must be >= {floor}, got {value}", path=path, line=line)
-            else:
-                value = _require(cell, name, path, line)
-                if name != "patient":
-                    value = value.upper()
-            row.append(value)
-        rows.append(tuple(row))
-    return rows
-
-
 def _fact_rows(path: str, header: tuple[str, ...]) -> list[tuple]:
     """One tuple of `header`'s fields per data row of a fact file, in file order."""
     rows = _bulk_rows(path, header)
@@ -353,20 +342,6 @@ def load_kb(attributes_path: str, taxonomy_path: str) -> KnowledgeBase:
 
     An attributes row reports its leftmost bad cell, as a fact row does.
     """
-    attr_rows = []
-    for line, cells in _rows(attributes_path, ("cip", "atc", "group", "generic"), False):
-        cip, atc, group, generic = cells[:4]
-        # A tuple display evaluates left to right, so the leftmost miss raises.
-        row = (
-            _require(cip, "cip", attributes_path, line),
-            _require(atc, "atc", attributes_path, line),
-            _require(group, "group", attributes_path, line),
-            _parse_int(generic, "generic", attributes_path, line),
-        )
-        if row[3] not in (0, 1):
-            raise ParseError(
-                f"generic must be 0 or 1, got {row[3]}", path=attributes_path, line=line
-            )
-        attr_rows.append(row)
+    attr_rows = _checked_rows(attributes_path, ("cip", "atc", "group", "generic"), exact=False)
     edges = _checked_rows(taxonomy_path, ("child", "parent"))
     return KnowledgeBase(CodeAttributes.from_rows(attr_rows), Taxonomy.from_edges(edges))

@@ -53,7 +53,7 @@ class CodeAttributes:
             code = _norm(cip)
             if generic not in (0, 1):
                 raise ValueError(f"generic flag must be 0 or 1, got {generic!r}")
-            attrs = DeliveryAttributes(_norm(atc), group.strip(), int(generic))
+            attrs = DeliveryAttributes(_norm(atc), _norm(group), int(generic))
             if table.setdefault(code, attrs) != attrs:
                 raise DuplicateCode(f"conflicting rows for delivery code {code}")
         return cls(table)

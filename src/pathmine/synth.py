@@ -103,7 +103,7 @@ class PlantSpec:
                 raise InvalidPlantSpec(f"empty field in plant item {part!r}")
             if flag_text not in ("0", "1"):
                 raise InvalidPlantSpec(f"generic flag must be 0 or 1, got {flag_text!r}")
-            items.append(DeliveryAttributes(atc.upper(), group, int(flag_text)))
+            items.append(DeliveryAttributes(atc.upper(), group.upper(), int(flag_text)))
         return cls(tuple(items), count)
 
 

@@ -4,6 +4,8 @@ import math
 import random
 import time
 import tracemalloc
+from collections import Counter
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -470,7 +472,8 @@ class TestLastOccurrenceIndex:
         return _Prepared(make_task(), db, MiningOptions())
 
     def check(self, prep, seqs, starts, wanted_ids=None):
-        counts, tails = prep.count(seqs, starts)
+        tails = prep.tails(seqs, starts)
+        counts = Counter(chain.from_iterable(tails))
         firsts = [self.first_positions(prep.pos_ids[s], start) for s, start in zip(seqs, starts)]
         expected_counts = {}
         for first in firsts:
@@ -508,8 +511,8 @@ class TestLastOccurrenceIndex:
             self.check(prep, [0], [start])
         self.check(prep, [1], [0])
         # start == len(seq) leaves nothing; start == 0 leaves everything.
-        assert not prep.count([2], [4])[0]
-        assert sorted(prep.count([2], [0])[0]) == [0, 1, 2, 3]
+        assert prep.tails([2], [4]) == [()]
+        assert sorted(prep.tails([2], [0])[0]) == [0, 1, 2, 3]
         self.check(prep, [0, 1, 2], [0, 0, 0])
         self.check(prep, [0, 1, 2], [9, 0, 4])
 
@@ -534,7 +537,8 @@ class TestLeafTest:
     def check(prep, seqs, starts, bounds=()):
         """Both tests agree at min_support 1, above the supporters, and at
         2**b and 2**b - 1 for the b slices the counts and supporters need."""
-        counts, tails = prep.count(seqs, starts)
+        tails = prep.tails(seqs, starts)
+        counts = Counter(chain.from_iterable(tails))
         masks = prep.masks(seqs, tails)
         assert masks == [sum(1 << iid for iid in tail) for tail in tails]
         top = max(counts.values(), default=0)

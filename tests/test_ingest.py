@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from pathmine import ingest
 from pathmine.errors import CycleError, DuplicateCode, NegativeDay, ParseError
 from pathmine.ingest import RawDatabase, load_deliveries, load_diseases, load_kb
+from pathmine.knowledge import CodeAttributes
 
 
 def write(path, text):
@@ -149,6 +150,22 @@ class TestLoadKb:
         assert len(kb.attributes) == 1
         assert kb.attributes.attributes("C1") == ("A", "1", 0)
 
+    def test_padded_lower_case_codes_load_as_the_clean_file(self, tmp_path):
+        clean = load_kb(self.kb_file(tmp_path, "C1,N03AG01,438,1\n"), self.tax_file(tmp_path))
+        padded = load_kb(
+            write(tmp_path / "padded.csv", "cip,atc,group,generic\n c1 , n03ag01 ,438,1\n"),
+            self.tax_file(tmp_path),
+        )
+        assert padded.attributes == clean.attributes
+
+    def test_a_group_in_lower_case_is_upper_cased_as_every_code(self, tmp_path):
+        # The query upper-cases the group it compares, so a lower-case
+        # group kept as written could never match.
+        kb = load_kb(self.kb_file(tmp_path, "C1,N03AX14,ab,0\n"), self.tax_file(tmp_path))
+        assert kb.attributes.attributes("C1") == ("N03AX14", "AB", 0)
+        rows = CodeAttributes.from_rows([("C1", "N03AX14", " ab ", 0)])
+        assert rows.attributes("C1") == ("N03AX14", "AB", 0)
+
     def test_conflicting_codes_raise(self, tmp_path):
         with pytest.raises(DuplicateCode):
             load_kb(
@@ -174,6 +191,7 @@ class TestLoadKb:
             ("C1,A, ,2", "group must not be empty"),
             ("C1,A,1,x", "generic must be an integer, got 'x'"),
             ("C1,A,1,2", "generic must be 0 or 1, got 2"),
+            ("C1,A,1,-1", "generic must be 0 or 1, got -1"),
         ],
     )
     def test_attribute_row_reports_its_leftmost_bad_cell(self, tmp_path, row, message):

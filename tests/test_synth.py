@@ -38,6 +38,10 @@ class TestPlantSpec:
         assert spec.items[0] == DeliveryAttributes("N03AG01", "438", 1)
         assert spec.items[2] == DeliveryAttributes("N03AX14", "1023", 0)
 
+    def test_parse_upper_cases_codes(self):
+        spec = PlantSpec.parse("n03ag01, ab ,1@2")
+        assert spec.items == (DeliveryAttributes("N03AG01", "AB", 1),)
+
     @pytest.mark.parametrize(
         "bad",
         [
