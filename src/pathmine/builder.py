@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 from .errors import UnknownCode
 from .ingest import DayCodes, RawDatabase
-from .knowledge import KnowledgeBase, Taxonomy
+from .knowledge import KnowledgeBase, Taxonomy, normalize_code
 from .model import EventSequence, Item
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -72,7 +72,7 @@ class IndexEventRule:
     diagnosis_ancestors: frozenset[str]
 
     def __post_init__(self) -> None:
-        codes = frozenset(code.strip().upper() for code in self.diagnosis_ancestors)
+        codes = frozenset(map(normalize_code, self.diagnosis_ancestors))
         if not codes:
             raise ValueError("index event rule needs at least one ancestor code")
         object.__setattr__(self, "diagnosis_ancestors", codes)

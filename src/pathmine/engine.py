@@ -34,10 +34,16 @@ test or the count. The depth-first walk keeps an explicit stack, and
 the frontier is filled in by a loop up the path, so no sequence is too
 long to mine.
 
-Each kind of constraint steers the search its own way:
+A node carries no constraint state: its prefix, the tuple of item ids
+it spells, is all any constraint reads. A contains constraint holds
+when the prefix meets the ids carrying its value, and a switch
+constraint's count is `_Prepared.switches`, the number of adjacent ids
+in the prefix whose values differ. Each kind of constraint steers the
+search its own way:
 
 * prunable-bound violations (positive support below the threshold, a
-  switch count already past an upper bound) kill the whole subtree;
+  switch count already past an upper bound) kill the whole subtree,
+  before the candidate becomes a node;
 * monotone constraints and switch equality gate emission;
 * the discriminative filter (enough supporters whose own negative
   sequence lacks the pattern) is checked last and lazily, since
@@ -45,9 +51,9 @@ Each kind of constraint steers the search its own way:
 
 `_Prepared` resolves each switch bound once, to the interval of counts
 it admits: a count past the interval's top is an overshoot, and
-`_emittable` is the one test for emission. Together they are the
-engine's one statement of these rules; the reference definitions they
-are tested against live in `pathmine.oracle`.
+`_emittable` is the one test for emission. With `switches` they are
+the engine's one statement of these rules; the reference definitions
+they are tested against live in `pathmine.oracle`.
 
 One searcher walks the roots in canonical item order under one
 node/time budget, and results are canonically sorted by (length, item
@@ -259,22 +265,23 @@ def _frequent(masks: Iterable[int], min_support: int) -> tuple[int, int]:
 
 
 def _emittable(
+    prefix: tuple[int, ...],
     support: int,
-    switch_counts: Sequence[int],
-    contains_flags: Sequence[bool],
     prep: "_Prepared",
     discr_count: Callable[[], int],
 ) -> bool:
     """The engine's one definition of when a node's pattern is emitted.
 
     The support bound, every contains constraint and every switch
-    interval must hold. The discriminative count is only requested when
-    everything else already passed.
+    interval must hold, each read off the prefix. The discriminative
+    count is only requested when everything else already passed.
     """
     return (
         support >= prep.min_support
-        and all(contains_flags)
-        and all(lo <= count <= hi for count, (lo, hi) in zip(switch_counts, prep.switch_bounds))
+        and all(not sat.isdisjoint(prefix) for sat in prep.contains_ids)
+        and all(
+            lo <= count <= hi for count, (lo, hi) in zip(prep.switches(prefix), prep.switch_bounds)
+        )
         and not (prep.discriminative and discr_count() < prep.min_support)
     )
 
@@ -353,6 +360,13 @@ class _Prepared:
         else:
             self.max_len = max((len(seq) for seq in self.pos_ids), default=0)
 
+    def switches(self, prefix: tuple[int, ...]) -> list[int]:
+        """Each switch constraint's count: adjacent ids of the prefix whose values differ."""
+        return [
+            sum(values[left] != values[right] for left, right in zip(prefix, prefix[1:]))
+            for values in self.switch_values
+        ]
+
     def tails(self, seqs: Sequence[int], starts: Sequence[int]) -> list[tuple[int, ...]]:
         """Each supporter's items occurring at or after its start."""
         order = self.order
@@ -401,12 +415,13 @@ class _Prepared:
 
 
 class _Node:
-    """One pattern on the search path, with its supporters' leftmost embeddings.
+    """One pattern on the search path: its prefix, supporters and their frontiers.
 
-    Entry k of the lists describes the k-th supporting positive
-    sequence: its index in the database and its 1-based leftmost
-    embedding, whose last position is the frontier that extensions
-    search after. A child's embedding is its parent's plus one
+    The node holds no constraint state; every constraint is read off
+    `prefix`, the pattern's item ids. Entry k of the lists describes the
+    k-th supporting positive sequence: its index in the database and its
+    1-based leftmost embedding, whose last position is the frontier that
+    extensions search after. A child's embedding is its parent's plus one
     position, so the witness costs one tuple per supporter and is never
     searched for again.
 
@@ -420,24 +435,13 @@ class _Node:
     maps each supporter here to its index in `parent`.
     """
 
-    __slots__ = (
-        "prefix",
-        "seqs",
-        "witnesses",
-        "switch_counts",
-        "contains_flags",
-        "parent",
-        "occs",
-        "negative",
-    )
+    __slots__ = ("prefix", "seqs", "witnesses", "parent", "occs", "negative")
 
     def __init__(
         self,
         prefix: tuple[int, ...],
         seqs: list[int],
         witnesses: list[Embedding],
-        switch_counts: tuple[int, ...],
-        contains_flags: tuple[bool, ...],
         parent: "_Node | None" = None,
         occs: list[tuple[int, int]] | None = None,
         negative: list[int | None] | None = None,
@@ -445,8 +449,6 @@ class _Node:
         self.prefix = prefix
         self.seqs = seqs
         self.witnesses = witnesses
-        self.switch_counts = switch_counts
-        self.contains_flags = contains_flags
         self.parent = parent
         self.occs = occs
         self.negative = negative
@@ -515,13 +517,7 @@ class _Searcher:
             # counts are 0, which no interval (never below 0) overshoots.
             self.counters["support_pruned"] += 1
             return None
-        if _emittable(
-            len(node.seqs),
-            node.switch_counts,
-            node.contains_flags,
-            prep,
-            partial(self._lacking, node),
-        ):
+        if _emittable(node.prefix, len(node.seqs), prep, partial(self._lacking, node)):
             record = self._emit(node)
             if record is None:
                 return None
@@ -579,32 +575,26 @@ class _Searcher:
         prep = self.prep
         seqs = node.seqs
         if not node.prefix:
-            # Every root is wanted, and no switch has been made yet.
+            # Every root is wanted.
             wanted = prep.firsts(seqs)
-            switched = dict.fromkeys(wanted, node.switch_counts)
         else:
-            switched, wanted = self._extensions(node)
+            wanted = self._extensions(node)
             if not wanted:
                 return iter(())
         witnesses = node.witnesses
-        flags = tuple(zip(node.contains_flags, prep.contains_ids))
         return (
             _Node(
                 node.prefix + (iid,),
                 [seqs[k] for k, _ in occs],
                 [witnesses[k] + (pos + 1,) for k, pos in occs],
-                switched[iid],
-                tuple(flag or iid in sat for flag, sat in flags),
                 node,
                 occs,
             )
             for iid, occs in sorted(wanted.items())
         )
 
-    def _extensions(
-        self, node: _Node
-    ) -> tuple[dict[int, tuple[int, ...]], dict[int, list[tuple[int, int]]]]:
-        """A non-root node's kept candidates: their switch counts and occurrences.
+    def _extensions(self, node: _Node) -> dict[int, list[tuple[int, int]]]:
+        """A non-root node's kept candidates, each with its occurrences.
 
         Under pruning, a node whose tails are long enough is first tested
         as a leaf over their bit masks. If it is one, every distinct
@@ -614,41 +604,36 @@ class _Searcher:
         seqs = node.seqs
         # A 1-based frontier is the 0-based position right after it.
         starts = [witness[-1] for witness in node.witnesses]
-        last = node.prefix[-1]
         tails = prep.tails(seqs, starts)
         bounded = self.options.prune
         if bounded and sum(map(len, tails)) >= _MASK_MEAN_TAIL * len(seqs):
             frequent, present = _frequent(prep.masks(seqs, tails), prep.min_support)
             if not frequent:
                 self.counters["support_pruned"] += present.bit_count()
-                return {}, {}
+                return {}
         counts = Counter(chain.from_iterable(tails))
         if bounded:
             min_support = prep.min_support
             if max(counts.values(), default=0) < min_support:
                 # A leaf: no candidate clears the bound, so none is looked at.
                 self.counters["support_pruned"] += len(counts)
-                return {}, {}
+                return {}
             candidates = [iid for iid, supporters in counts.items() if supporters >= min_support]
             self.counters["support_pruned"] += len(counts) - len(candidates)
+            prefix, tops = node.prefix, [hi for _, hi in prep.switch_bounds]
+            kept = [
+                iid
+                for iid in candidates
+                if all(count <= hi for count, hi in zip(prep.switches(prefix + (iid,)), tops))
+            ]
+            self.counters["switch_pruned"] += len(candidates) - len(kept)
+            candidates = kept
         else:
             candidates = list(counts)
-        switched: dict[int, tuple[int, ...]] = {}
-        for iid in candidates:
-            switch_counts = tuple(
-                count + (values[last] != values[iid])
-                for count, values in zip(node.switch_counts, prep.switch_values)
-            )
-            if bounded and any(
-                count > hi for count, (_, hi) in zip(switch_counts, prep.switch_bounds)
-            ):
-                self.counters["switch_pruned"] += 1
-                continue
-            switched[iid] = switch_counts
-        wanted: dict[int, list[tuple[int, int]]] = {iid: [] for iid in switched}
+        wanted: dict[int, list[tuple[int, int]]] = {iid: [] for iid in candidates}
         if wanted:
             prep.locate(seqs, starts, tails, wanted)
-        return switched, wanted
+        return wanted
 
     def _emit(self, node: _Node) -> PatternRecord | None:
         """The node's compact record, or None if the budget ran out meanwhile.
@@ -703,8 +688,6 @@ def mine(
             (),
             list(range(count)),
             [()] * count,
-            (0,) * len(prep.switch_bounds),
-            (False,) * len(prep.contains_ids),
             negative=None if prep.neg_ids is None else [0] * count,
         )
     )

@@ -18,21 +18,23 @@ neither sort builds a key tuple per row. The `mine` command loads
 through exactly these three calls.
 
 Each column of the four files has one rule, stated once by `_value`:
-the cell is stripped; `day`, `qty` and `generic` are integers with
-their bounds; any other cell must not be empty, and every text column
-but `patient` is a code, upper-cased, so codes match case-insensitively.
-Every file can be read by one row validator, `_checked_rows`, which
-reads it cell by cell with `csv` and applies the rule to each row's
-cells left to right, so a bad row reports its leftmost bad cell with its
-line. The taxonomy and the attributes file are read that way. Plain
-CSV fact files, such as `synth` writes, are read in bulk instead
-(`_bulk_rows`): blocks of whole lines are split into cells by one C
-call, and the same rule runs once per distinct cell text (`_Column`),
-so a file of many rows over few patients, days and codes costs few
-Python calls. A fact file the bulk reader cannot vouch for, such as one
-holding a quote character or NUL, a blank line or a bad cell, is read
-again by the validator: the same rows, or the error of the first bad
-cell of the first bad row with its line, several times more slowly.
+the cell is stripped; `day`, `qty` and `generic` are ASCII integers
+with their bounds; any other cell must not be empty, and every text
+column but `patient` is a code, normalised as everywhere else by
+`knowledge.normalize_code`, so codes match case-insensitively. Every
+file can be read by one row validator, `_checked_rows`, which reads it
+cell by cell with `csv` and applies the rule to each row's cells left to
+right, once per distinct cell text (`_Checked`), so a bad row reports
+its leftmost bad cell with its line. The taxonomy and the attributes
+file are read that way. Plain CSV fact files, such as `synth` writes,
+are read in bulk instead (`_bulk_rows`): blocks of whole lines are
+split into cells by one C call, and the same rule runs once per
+distinct cell text (`_Column`), so a file of many rows over few
+patients, days and codes costs few Python calls. A fact file the bulk
+reader cannot vouch for, such as one holding a quote character or NUL,
+a blank line or a bad cell, is read again by the validator: the same
+rows, or the error of the first bad cell of the first bad row with its
+line, more slowly.
 Undecodable bytes and malformed CSV (such as an oversize field) are a
 `ParseError` for the file on either path. Quantities are checked but
 not kept: the query language never reads them.
@@ -41,12 +43,13 @@ not kept: the query language never reads them.
 from __future__ import annotations
 
 import csv
+import re
 from itertools import groupby, islice
-from operator import itemgetter
+from operator import getitem, itemgetter
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .errors import NegativeDay, ParseError
-from .knowledge import CodeAttributes, KnowledgeBase, Taxonomy
+from .knowledge import CodeAttributes, KnowledgeBase, Taxonomy, normalize_code
 
 #: Characters per bulk block; bounds the transient cell lists.
 _BLOCK_CHARS = 1 << 15
@@ -56,6 +59,9 @@ _DISEASE_HEADER = ("patient", "day", "icd")
 
 #: The integer columns and the least value each admits.
 _INT_FLOORS = {"day": 0, "qty": 1, "generic": 0}
+
+#: An integer cell: ASCII digits only, where int() also takes `_` and other scripts' digits.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 class DayCodes(NamedTuple):
@@ -155,15 +161,19 @@ def undecodable(path: str) -> ParseError:
 def _value(name: str, text: str) -> int | str:
     """The value of one cell of input column `name`: the rule for every column.
 
-    The cell is stripped. An integer column (`_INT_FLOORS`) must parse
-    and reach its floor, and `generic` is 0 or 1; a day below 0 is a
-    `NegativeDay`. Any other column must not be empty: `patient` is kept
-    as written, and every other text column is a code, upper-cased. A
-    miss raises a `ParseError` without a path or line.
+    The cell is stripped. An integer column (`_INT_FLOORS`) must be
+    ASCII digits after an optional sign and reach its floor, and
+    `generic` is 0 or 1; a day below 0 is a `NegativeDay`. Any other
+    column must not be empty: `patient` is kept as written, and every
+    other text column is a code, normalised by `normalize_code`. A miss
+    raises a `ParseError` without a path or line.
     """
     cell = text.strip()
     if name in _INT_FLOORS:
         try:
+            if not _INTEGER.fullmatch(cell):
+                raise ValueError
+            # int() still refuses a digit string past its length limit.
             value = int(cell)
         except ValueError:
             raise ParseError(f"{name} must be an integer, got {cell!r}") from None
@@ -176,7 +186,33 @@ def _value(name: str, text: str) -> int | str:
         return value
     if not cell:
         raise ParseError(f"{name} must not be empty")
-    return cell if name == "patient" else cell.upper()
+    return cell if name == "patient" else normalize_code(cell)
+
+
+class _Checked(dict):
+    """One column's checked values, keyed by raw cell text.
+
+    `__missing__` applies the column's rule, `_value`, to each distinct
+    text once, so a file of many rows over few patients, days and codes
+    is checked in few Python calls. Text values are interned through
+    `pool`, so each distinct patient id or code is one string object,
+    and equal day texts share one int. A text the rule rejects raises
+    its `ParseError` and is not kept.
+    """
+
+    __slots__ = ("name", "pool")
+
+    def __init__(self, name: str, pool: dict[str, str]) -> None:
+        super().__init__()
+        self.name, self.pool = name, pool
+
+    def __missing__(self, text: str) -> int | str:
+        value = self[text] = self.check(text)
+        return value
+
+    def check(self, text: str) -> int | str:
+        value = _value(self.name, text)
+        return self.pool.setdefault(value, value) if type(value) is str else value
 
 
 def _checked_rows(path: str, header: tuple[str, ...], exact: bool = True) -> list[tuple]:
@@ -185,12 +221,16 @@ def _checked_rows(path: str, header: tuple[str, ...], exact: bool = True) -> lis
     The file is read cell by cell with `csv`. Its stripped header must
     be `header`; with exact=False it may carry extra columns, whose
     cells are dropped. Each row must be as wide as the header, and its
-    cells are checked left to right by `_value`, so the first miss
-    raises. A leading UTF-8 byte-order mark is skipped. Undecodable
-    bytes and csv errors become a ParseError for `path`.
+    cells are checked left to right through one `_Checked` per column,
+    so the rule runs once per distinct cell text, equal texts share one
+    value, and the first miss raises. A leading UTF-8 byte-order mark is
+    skipped. Undecodable bytes and csv errors become a ParseError for
+    `path`.
     """
     reader = None
     rows = []
+    pool: dict[str, str] = {}
+    columns = [_Checked(name, pool) for name in header]
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
@@ -213,7 +253,7 @@ def _checked_rows(path: str, header: tuple[str, ...], exact: bool = True) -> lis
                         line=reader.line_num,
                     )
                 try:
-                    rows.append(tuple(map(_value, header, cells)))
+                    rows.append(tuple(map(getitem, columns, cells)))
                 except ParseError as exc:
                     # The rule's own message, placed at this file and line.
                     raise type(exc)(str(exc), path=path, line=reader.line_num) from None
@@ -229,25 +269,20 @@ class _Refused(Exception):
     """A cell text that only the row validator may judge."""
 
 
-class _Column(dict):
-    """One fact-file column's checked values, keyed by raw cell text.
+class _Column(_Checked):
+    """A `_Checked` column of the bulk reader, keyed by the split's cell text.
 
-    `__missing__` applies the column's rule, `_value`, to each distinct
-    text once, so a file of many rows over few patients, days and codes
-    is checked in few Python calls. Text values are interned through
-    `pool`, so each distinct patient id or code is one string object,
-    and equal day texts share one int. A text the rule rejects,
-    or one the split in `_bulk_rows` cannot vouch for, raises
-    `_Refused`.
+    A text the rule rejects, or one the split in `_bulk_rows` cannot
+    vouch for, raises `_Refused`.
     """
 
-    __slots__ = ("name", "first", "pool", "limit")
+    __slots__ = ("first", "limit")
 
     def __init__(self, name: str, first: bool, pool: dict[str, str], limit: int) -> None:
-        super().__init__()
-        self.name, self.first, self.pool, self.limit = name, first, pool, limit
+        super().__init__(name, pool)
+        self.first, self.limit = first, limit
 
-    def __missing__(self, text: str) -> int | str:
+    def check(self, text: str) -> int | str:
         # Only a row's first cell carries the newline; no other cell holds one.
         if text.startswith("\n") != self.first:
             raise _Refused
@@ -256,13 +291,9 @@ class _Column(dict):
         if len(cell) > self.limit or '"' in cell or "\0" in cell:
             raise _Refused
         try:
-            value = _value(self.name, cell)
+            return super().check(cell)
         except ParseError:
             raise _Refused from None
-        if type(value) is str:
-            value = self.pool.setdefault(value, value)
-        self[text] = value
-        return value
 
 
 def _line_blocks(handle: TextIO, longest: int) -> Iterator[str]:

@@ -8,8 +8,9 @@ Two read-only structures feed mining:
 * a taxonomy over class codes, a child-to-parent DAG used to expand a
   class filter or an index-event rule to all descendant codes.
 
-Codes are matched case-insensitively: everything is uppercased on the
-way in.
+Codes are matched case-insensitively: every code is stripped and
+upper-cased on the way in by `normalize_code`, the one normaliser the
+loaders, the query and `synth` share.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ class DeliveryAttributes(NamedTuple):
     generic: int
 
 
-def _norm(code: str) -> str:
+def normalize_code(code: str) -> str:
+    """A code as every module compares it: stripped and upper-cased."""
     return code.strip().upper()
 
 
@@ -50,19 +52,19 @@ class CodeAttributes:
         """Build from (cip, atc, group, generic) rows."""
         table: dict[str, DeliveryAttributes] = {}
         for cip, atc, group, generic in rows:
-            code = _norm(cip)
+            code = normalize_code(cip)
             if generic not in (0, 1):
                 raise ValueError(f"generic flag must be 0 or 1, got {generic!r}")
-            attrs = DeliveryAttributes(_norm(atc), _norm(group), int(generic))
+            attrs = DeliveryAttributes(normalize_code(atc), normalize_code(group), int(generic))
             if table.setdefault(code, attrs) != attrs:
                 raise DuplicateCode(f"conflicting rows for delivery code {code}")
         return cls(table)
 
     def attributes(self, cip: str) -> DeliveryAttributes:
         try:
-            return self._table[_norm(cip)]
+            return self._table[normalize_code(cip)]
         except KeyError:
-            raise UnknownCode(f"unknown delivery code {_norm(cip)}") from None
+            raise UnknownCode(f"unknown delivery code {normalize_code(cip)}") from None
 
     def codes(self) -> Iterable[str]:
         """Every code in the table, upper-cased."""
@@ -92,7 +94,7 @@ class Taxonomy:
     def from_edges(cls, edges: Iterable[tuple[str, str]]) -> "Taxonomy":
         parents: dict[str, set[str]] = {}
         for child, parent in edges:
-            parents.setdefault(_norm(child), set()).add(_norm(parent))
+            parents.setdefault(normalize_code(child), set()).add(normalize_code(parent))
         frozen = {child: frozenset(ps) for child, ps in parents.items()}
         try:
             graphlib.TopologicalSorter(frozen).prepare()
@@ -104,7 +106,7 @@ class Taxonomy:
 
     def ancestors(self, code: str) -> frozenset[str]:
         """Reflexive-transitive parent closure of `code`."""
-        root = _norm(code)
+        root = normalize_code(code)
         seen = {root}
         frontier = [root]
         while frontier:

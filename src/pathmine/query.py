@@ -40,7 +40,7 @@ from .errors import (
     QuerySyntaxError,
     UnknownAttribute,
 )
-from .knowledge import KnowledgeBase
+from .knowledge import KnowledgeBase, normalize_code
 from .model import AttributeValue
 
 #: Reifiable delivery attributes, in canonical order.
@@ -105,7 +105,7 @@ _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
       | (?P<comment>\#[^\n]*)
       | (?P<cmp>==|<=|>=)
-      | (?P<int>\d+)
+      | (?P<int>[0-9]+)
       | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<punct>[{}(),;+\-])
     """,
@@ -199,7 +199,7 @@ def _parse_code_set(cur: _Cursor) -> tuple[str, ...]:
         token = cur.next()
         if token.kind not in ("word", "int"):
             raise cur.fail("a code", token)
-        codes.append(token.text.upper())
+        codes.append(normalize_code(token.text))
         token = cur.next()
         if token.kind == "punct" and token.text == "}":
             return tuple(codes)
@@ -397,7 +397,7 @@ def _coerce_value(attribute: str, value: Union[str, int]) -> AttributeValue:
         if not isinstance(value, int) or value not in (0, 1):
             raise InvalidQuery(f"generic takes value 0 or 1, got {value!r}")
         return value
-    return str(value).upper()
+    return normalize_code(str(value))
 
 
 def expand_class_filter(
@@ -408,7 +408,7 @@ def expand_class_filter(
     A class matches when one of its taxonomy ancestors is listed; with
     exact=True only the listed codes themselves match.
     """
-    listed = frozenset(code.upper() for code in codes)
+    listed = frozenset(map(normalize_code, codes))
     known = kb.attributes.therapeutic_classes()
     if exact:
         matching = listed & known

@@ -26,7 +26,7 @@ from operator import itemgetter
 
 from .errors import InvalidPlantSpec
 from .ingest import RawDatabase
-from .knowledge import CodeAttributes, DeliveryAttributes, KnowledgeBase, Taxonomy
+from .knowledge import CodeAttributes, DeliveryAttributes, KnowledgeBase, Taxonomy, normalize_code
 
 #: Therapeutic classes cycled through by the noise roster.
 NOISE_CLASSES = ("N03AX09", "N03AX14", "N03AX11", "N03AG01", "N03AF01")
@@ -103,7 +103,8 @@ class PlantSpec:
                 raise InvalidPlantSpec(f"empty field in plant item {part!r}")
             if flag_text not in ("0", "1"):
                 raise InvalidPlantSpec(f"generic flag must be 0 or 1, got {flag_text!r}")
-            items.append(DeliveryAttributes(atc.upper(), group.upper(), int(flag_text)))
+            attrs = DeliveryAttributes(normalize_code(atc), normalize_code(group), int(flag_text))
+            items.append(attrs)
         return cls(tuple(items), count)
 
 

@@ -162,19 +162,23 @@ class TestCountSwitches:
 
 
 class TestCheckConstraints:
-    """The engine's one emission test, `_emittable`, on hand-made node states.
+    """The engine's one emission test, `_emittable`, on hand-made prefixes.
 
+    Each prefix spells a pattern over a database holding GEN and BRA,
+    so every constraint is read off the prefix as the search reads it.
     A node that is not emitted may still be extended; which subtrees are
     pruned is pinned by `TestSwitchPruning` and `TestCounters`.
     """
 
     @staticmethod
-    def emittable(task, support, switch_counts=(), contains=(), discr_count=None):
+    def emittable(task, support, pattern=(GEN,), discr_count=None):
         def unexpected():
             raise AssertionError("the discriminative count was not needed")
 
-        prep = _Prepared(task, CaseDatabase(), MiningOptions())
-        return _emittable(support, switch_counts, contains, prep, discr_count or unexpected)
+        db = CaseDatabase((CasePair("p", make_seq([GEN, BRA])),))
+        prep = _Prepared(task, db, MiningOptions())
+        prefix = tuple(map(db.items.index, pattern))
+        return _emittable(prefix, support, prep, discr_count or unexpected)
 
     def test_support_below_threshold_prunes(self):
         task = make_task(f_min=20)
@@ -183,27 +187,27 @@ class TestCheckConstraints:
     def test_switch_overshoot_prunes(self):
         # The pattern <GEN, BRA, GEN> switches twice.
         task = make_task(switch=[("generic", "==", 1)])
-        assert self.emittable(task, 1, switch_counts=(2,)) is False
+        assert self.emittable(task, 1, (GEN, BRA, GEN)) is False
 
     def test_switch_upper_bound_overshoot_prunes(self):
         task = make_task(switch=[("generic", "<=", 1)])
-        assert self.emittable(task, 1, switch_counts=(2,)) is False
+        assert self.emittable(task, 1, (GEN, BRA, GEN)) is False
 
     def test_switch_lower_bound_never_prunes(self):
         task = make_task(switch=[("generic", ">=", 1)])
-        assert self.emittable(task, 1, switch_counts=(2,)) is True
+        assert self.emittable(task, 1, (GEN, BRA, GEN)) is True
 
     def test_switch_undershoot_extends(self):
         task = make_task(switch=[("generic", "==", 1)])
-        assert self.emittable(task, 1, switch_counts=(0,)) is False
+        assert self.emittable(task, 1, (GEN, GEN)) is False
 
     def test_satisfied_node_emits(self):
         task = make_task(switch=[("generic", "==", 1)], contains=[("generic", 1)])
-        assert self.emittable(task, 1, switch_counts=(1,), contains=(True,)) is True
+        assert self.emittable(task, 1, (GEN, BRA)) is True
 
     def test_unsatisfied_monotone_extends(self):
         task = make_task(contains=[("generic", 0)])
-        assert self.emittable(task, 1, contains=(False,)) is False
+        assert self.emittable(task, 1, (GEN,)) is False
 
     def test_discriminative_filter_with_database(self):
         task = make_task(discriminative=True)
@@ -220,9 +224,25 @@ class TestCheckConstraints:
     def test_discriminative_count_requested_last(self):
         # Pruned or not yet emittable nodes never ask for the negative matching.
         task = make_task(f_min=2, discriminative=True, contains=[("generic", 0)])
-        assert self.emittable(task, 1, contains=(True,)) is False
-        assert self.emittable(task, 2, contains=(False,)) is False
-        assert self.emittable(task, 2, contains=(True,), discr_count=lambda: 2) is True
+        assert self.emittable(task, 1, (BRA,)) is False
+        assert self.emittable(task, 2, (GEN,)) is False
+        assert self.emittable(task, 2, (BRA,), discr_count=lambda: 2) is True
+
+
+class TestPrefixSwitches:
+    """`_Prepared.switches` against the oracle's `count_switches`."""
+
+    ITEMS = (GEN, BRA, A, B)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(ITEMS), max_size=8))
+    def test_counts_match_the_oracle(self, items):
+        db = CaseDatabase((CasePair("p", make_seq(self.ITEMS)),))
+        task = make_task(switch=[("generic", ">=", 0), ("atc", "<=", 3)])
+        prep = _Prepared(task, db, MiningOptions())
+        pattern = Pattern(tuple(items))
+        expected = [count_switches(pattern, 2), count_switches(pattern, 0)]
+        assert prep.switches(tuple(map(db.items.index, items))) == expected
 
 
 class TestSwitchIntervals:

@@ -85,6 +85,40 @@ class TestLoadDeliveries:
         path = write(tmp_path / "d.csv", "patient,day,cip,qty\np1,1,X,1\np1,1,X,1\n")
         assert len(load_deliveries(path)) == 2
 
+    def test_row_validator_shares_equal_cells(self, tmp_path):
+        # Quoted cells send the file to the row validator.
+        path = write(tmp_path / "d.csv", 'patient,day,cip,qty\n"p1","5","x1","1"\np1,5,x1,2\n')
+        rows = load_deliveries(path)
+        assert rows == [("p1", 5, "X1", 1), ("p1", 5, "X1", 2)]
+        assert rows[0][0] is rows[1][0] and rows[0][2] is rows[1][2]
+
+
+class TestIntegerCells:
+    """An integer cell is ASCII digits, on both fact readers.
+
+    int() alone would read `1_0` as 10 and Arabic-Indic digits as numbers.
+    """
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["bulk", "row validator"])
+    @pytest.mark.parametrize(
+        "header, column, cell",
+        [
+            ("patient,day,cip,qty", "day", "1_0"),
+            ("patient,day,cip,qty", "qty", "\u0663"),
+            ("patient,day,icd", "day", "\u0669\u0660"),
+        ],
+    )
+    def test_only_ascii_digits(self, tmp_path, quote, header, column, cell):
+        names = header.split(",")
+        good = {"patient": "p1", "day": "1", "cip": "X", "icd": "G40", "qty": "1"}
+        bad = dict(good, **{column: cell})
+        rows = [",".join(quote + row[name] + quote for name in names) for row in (good, bad)]
+        path = write(tmp_path / "f.csv", "\n".join([header, *rows]) + "\n")
+        load = load_deliveries if "cip" in names else load_diseases
+        with pytest.raises(ParseError) as err:
+            load(path)
+        assert str(err.value).endswith(f":3: {column} must be an integer, got {cell!r}")
+
 
 class TestLoadDiseases:
     def test_sorted_by_patient_then_day(self, tmp_path):

@@ -85,6 +85,15 @@ class TestParse:
         assert err.value.line == 2
         assert err.value.column == 5
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [("min_support 1;", "min_support \u0663;"), ("index-90", "index-\u0669\u0660")],
+    )
+    def test_integers_are_ascii_digits(self, old, new):
+        # Arabic-Indic digits are not read as 3 and 90.
+        with pytest.raises(QuerySyntaxError, match="unexpected character"):
+            parse_query(MINIMAL.replace(old, new))
+
     def test_unknown_keyword_rejected(self):
         with pytest.raises(QuerySyntaxError):
             parse_query(MINIMAL + "frobnicate 3;\n")
