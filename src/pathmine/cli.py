@@ -307,18 +307,7 @@ def _mine(args: argparse.Namespace) -> int:
         phases=phases,
         counters=result.counters,
         config={
-            "query": args.query,
-            "deliveries": args.deliveries,
-            "diseases": args.diseases,
-            "kb": args.kb,
-            "taxonomy": args.taxonomy,
-            "out": args.out,
-            "embeddings": args.embeddings,
-            "max_len": args.max_len,
-            "unknown_code": args.unknown_code,
-            "max_nodes": args.max_nodes,
-            "max_seconds": args.max_seconds,
-            "class_filter_exact": args.class_filter_exact,
+            **{name: value for name, value in vars(args).items() if name != "command"},
             "min_support": task.min_support,
         },
     )

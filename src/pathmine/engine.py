@@ -180,7 +180,6 @@ class MiningResult:
     records: tuple[PatternRecord, ...]
     complete: bool
     nodes_expanded: int
-    elapsed_seconds: float
     counters: dict[str, int]
     items: tuple[Item, ...] = field(repr=False, compare=False)
     patients: tuple[str, ...] = field(repr=False, compare=False)
@@ -675,7 +674,6 @@ def mine(
     the full search.
     """
     options = options or MiningOptions()
-    started = time.monotonic()
     if task.discriminative and len(database) and not database.has_negatives:
         raise MissingNegativeWindow(
             "the task is discriminative but the database has no negative sequences"
@@ -698,7 +696,6 @@ def mine(
         records=tuple(found),
         complete=not searcher.exhausted,
         nodes_expanded=searcher.nodes,
-        elapsed_seconds=time.monotonic() - started,
         counters=searcher.counters,
         items=database.items,
         patients=database.patients(),

@@ -27,14 +27,17 @@ cell by cell with `csv` and applies the rule to each row's cells left to
 right, once per distinct cell text (`_Checked`), so a bad row reports
 its leftmost bad cell with its line. The taxonomy and the attributes
 file are read that way. Plain CSV fact files, such as `synth` writes,
-are read in bulk instead (`_bulk_rows`): blocks of whole lines are
-split into cells by one C call, and the same rule runs once per
-distinct cell text (`_Column`), so a file of many rows over few
-patients, days and codes costs few Python calls. A fact file the bulk
-reader cannot vouch for, such as one holding a quote character or NUL,
-a blank line or a bad cell, is read again by the validator: the same
-rows, or the error of the first bad cell of the first bad row with its
-line, more slowly.
+are read in bulk instead (`_bulk_rows`). Each block is a fixed number
+of characters completed to the end of its last line by one `readline`,
+bounded by the longest line a valid row can fill, so a longer line is
+refused before it is read whole. A block is split into cells by one C
+call, and the same rule runs once per distinct cell text (`_Column`),
+so a file of many rows over few patients, days and codes costs few
+Python calls. A fact file the bulk reader cannot vouch for, such as
+one holding a quote character or NUL, a blank line, an over-long line
+or a bad cell, is read again by the validator: the same rows, or the
+error of the first bad cell of the first bad row with its line, more
+slowly.
 Undecodable bytes and malformed CSV (such as an oversize field) are a
 `ParseError` for the file on either path. Quantities are checked but
 not kept: the query language never reads them.
@@ -46,12 +49,13 @@ import csv
 import re
 from itertools import groupby, islice
 from operator import getitem, itemgetter
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import Iterable, NamedTuple
 
 from .errors import NegativeDay, ParseError
 from .knowledge import CodeAttributes, KnowledgeBase, Taxonomy, normalize_code
 
-#: Characters per bulk block; bounds the transient cell lists.
+#: Characters per bulk block before its last line is completed; bounds the
+#: transient cell lists.
 _BLOCK_CHARS = 1 << 15
 
 _DELIVERY_HEADER = ("patient", "day", "cip", "qty")
@@ -265,15 +269,11 @@ def _checked_rows(path: str, header: tuple[str, ...], exact: bool = True) -> lis
     return rows
 
 
-class _Refused(Exception):
-    """A cell text that only the row validator may judge."""
-
-
 class _Column(_Checked):
     """A `_Checked` column of the bulk reader, keyed by the split's cell text.
 
-    A text the rule rejects, or one the split in `_bulk_rows` cannot
-    vouch for, raises `_Refused`.
+    A text the rule rejects raises the rule's `ParseError`, and so does
+    one the split in `_bulk_rows` cannot vouch for.
     """
 
     __slots__ = ("first", "limit")
@@ -283,46 +283,23 @@ class _Column(_Checked):
         self.first, self.limit = first, limit
 
     def check(self, text: str) -> int | str:
-        # Only a row's first cell carries the newline; no other cell holds one.
-        if text.startswith("\n") != self.first:
-            raise _Refused
         cell = text[1:] if self.first else text
-        # csv would unquote, or on some versions reject NUL: the validator decides.
-        if len(cell) > self.limit or '"' in cell or "\0" in cell:
-            raise _Refused
-        try:
-            return super().check(cell)
-        except ParseError:
-            raise _Refused from None
-
-
-def _line_blocks(handle: TextIO, longest: int) -> Iterator[str]:
-    """The rest of `handle` as blocks of whole lines, each without its last newline.
-
-    Blocks are cut after the last newline of `_BLOCK_CHARS` characters
-    read; the rest is carried into the next block. Carried text longer
-    than `longest` holds a line no valid row can fill and is refused.
-    """
-    carry = ""
-    while data := handle.read(_BLOCK_CHARS):
-        text = carry + data
-        cut = text.rfind("\n")
-        if cut < 0:
-            if len(text) > longest:
-                raise _Refused
-            carry = text
-        else:
-            yield text[:cut]
-            carry = text[cut + 1 :]
-    if carry:
-        yield carry
+        # Only a row's first cell carries the newline, and no other cell holds
+        # one. csv would unquote, or on some versions reject NUL.
+        misplaced = text.startswith("\n") != self.first
+        if misplaced or len(cell) > self.limit or '"' in cell or "\0" in cell:
+            raise ParseError("left to the row validator")
+        return super().check(cell)
 
 
 def _bulk_rows(path: str, header: tuple[str, ...]) -> list[tuple] | None:
     """A fact file's rows in file order, or None if a row needs the row validator.
 
     The file is read with universal newlines, so its lines end where
-    csv's do. Each block is split into cells by one C call, leaving a
+    csv's do. Each block is `_BLOCK_CHARS` characters completed by one
+    `readline` bounded by the longest line a valid row can fill, so a
+    block ends at a line's end, and a longer line is refused before it
+    is read whole. A block is split into cells by one C call, leaving a
     newline at the start of each row's first cell; column k is every
     `width`-th cell from k. The rows are aligned, each with `width`
     cells, exactly when the cell count is a multiple of `width`, every
@@ -332,6 +309,7 @@ def _bulk_rows(path: str, header: tuple[str, ...]) -> list[tuple] | None:
     """
     width = len(header)
     limit = csv.field_size_limit()
+    longest = width * (limit + 1)
     pool: dict[str, str] = {}
     columns = [_Column(name, k == 0, pool, limit) for k, name in enumerate(header)]
     rows: list[tuple] = []
@@ -340,14 +318,17 @@ def _bulk_rows(path: str, header: tuple[str, ...]) -> list[tuple] | None:
             names = handle.readline().rstrip("\n").split(",")
             if [name.strip() for name in names] != list(header):
                 return None
-            for block in _line_blocks(handle, width * (limit + 1)):
-                cells = ("\n" + block).replace("\n", ",\n").split(",")[1:]
+            while block := handle.read(_BLOCK_CHARS):
+                tail = handle.readline(longest)
+                if len(tail) == longest and not tail.endswith("\n"):
+                    return None
+                cells = ("\n" + block + tail).removesuffix("\n").replace("\n", ",\n").split(",")[1:]
                 if len(cells) % width:
                     return None
                 rows += zip(
                     *[map(column.__getitem__, cells[k::width]) for k, column in enumerate(columns)]
                 )
-    except (UnicodeDecodeError, _Refused):
+    except (UnicodeDecodeError, ParseError):
         return None
     return rows
 

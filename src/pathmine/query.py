@@ -14,6 +14,11 @@ comment) declaring what to mine:
     constraint contains_value(generic, 0);
     constraint switch_count(generic) == 1;
 
+An integer is ASCII digits `0`-`9`. `_Cursor.expect_int` is its one
+conversion: a value, a window bound, a switch bound or `min_support`
+longer than Python converts to an int (4,300 digits by default) is a
+`QuerySyntaxError` at its token, as any other syntax error is.
+
 `parse_query` builds the AST and `compile_query` resolves it against a
 knowledge base into an executable MiningTask. Each clause has one form
 from the parser to the search: the index event is the builder's
@@ -29,7 +34,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 from .builder import IndexEventRule, WindowSpec
 from .errors import (
@@ -170,17 +175,22 @@ class _Cursor:
             raise self.fail(" or ".join(f"'{t}'" for t in texts), token)
         return token
 
-    def expect_punct(self, text: str) -> _Token:
+    def expect_punct(self, text: str) -> None:
         token = self.next()
         if token.kind != "punct" or token.text != text:
             raise self.fail(f"'{text}'", token)
-        return token
 
     def expect_int(self) -> int:
         token = self.next()
         if token.kind != "int":
             raise self.fail("an integer", token)
-        return int(token.text)
+        try:
+            return int(token.text)
+        except ValueError:
+            # Python refuses to convert a digit string past its length limit.
+            raise QuerySyntaxError(
+                f"integer too long ({len(token.text)} digits)", line=token.line, column=token.column
+            ) from None
 
     def expect_ident(self) -> str:
         token = self.next()
@@ -188,23 +198,38 @@ class _Cursor:
             raise self.fail("an identifier", token)
         return token.text
 
+    def expect_code(self) -> str:
+        token = self.next()
+        if token.kind not in ("word", "int"):
+            raise self.fail("a code", token)
+        return normalize_code(token.text)
+
 
 # -------------------------------------------------------------- parse
 
+#: Each clause that may appear at most once, as its messages name it, and
+#: whether a query must have it; a missing one is reported in this order.
+_ONCE = {
+    "index_event clause": True,
+    "event clause": True,
+    "positive window clause": True,
+    "negative window clause": False,
+    "min_support clause": True,
+    "discriminative constraint": False,
+}
 
-def _parse_code_set(cur: _Cursor) -> tuple[str, ...]:
-    cur.expect_punct("{")
-    codes = []
+
+def _parse_list(cur: _Cursor, opening: str, closing: str, parse_item: Callable) -> tuple:
+    """A `{…}` or `(…)` list of one or more items, separated by commas."""
+    cur.expect_punct(opening)
+    items = [parse_item()]
     while True:
         token = cur.next()
-        if token.kind not in ("word", "int"):
-            raise cur.fail("a code", token)
-        codes.append(normalize_code(token.text))
-        token = cur.next()
-        if token.kind == "punct" and token.text == "}":
-            return tuple(codes)
+        if token.kind == "punct" and token.text == closing:
+            return tuple(items)
         if not (token.kind == "punct" and token.text == ","):
-            raise cur.fail("',' or '}'", token)
+            raise cur.fail(f"',' or '{closing}'", token)
+        items.append(parse_item())
 
 
 def _parse_bound(cur: _Cursor) -> int:
@@ -218,38 +243,24 @@ def _parse_bound(cur: _Cursor) -> int:
 
 
 def _parse_value(cur: _Cursor) -> Union[str, int]:
-    token = cur.next()
+    token = cur.peek()
     if token.kind == "int":
         # A code such as group 0438 keeps its digits; int() would drop the zero.
-        value = int(token.text)
+        value = cur.expect_int()
         return value if str(value) == token.text else token.text
     if token.kind == "word":
-        return token.text
+        return cur.next().text
     raise cur.fail("a value", token)
 
 
-def _parse_projection(cur: _Cursor) -> tuple[str, ...]:
-    cur.expect_punct("(")
-    names = [cur.expect_ident()]
-    while True:
-        token = cur.next()
-        if token.kind == "punct" and token.text == ")":
-            return tuple(names)
-        if not (token.kind == "punct" and token.text == ","):
-            raise cur.fail("',' or ')'", token)
-        names.append(cur.expect_ident())
-
-
 def _parse_constraint(cur: _Cursor, head: str) -> Constraint:
+    cur.expect_punct("(")
+    attribute = cur.expect_ident()
     if head == "contains_value":
-        cur.expect_punct("(")
-        attribute = cur.expect_ident()
         cur.expect_punct(",")
         value = _parse_value(cur)
         cur.expect_punct(")")
         return ContainsValue(attribute, value)
-    cur.expect_punct("(")
-    attribute = cur.expect_ident()
     cur.expect_punct(")")
     token = cur.next()
     if token.kind != "cmp":
@@ -264,81 +275,64 @@ def parse_query(text: str) -> QueryAst:
     drop it, so a query file read as plain UTF-8 parses as written.
     """
     cur = _Cursor(_tokenize(text.removeprefix("\ufeff")))
-    index_event: IndexEventRule | None = None
-    event: EventClause | None = None
-    windows: dict[str, WindowSpec] = {}
-    min_support: int | None = None
-    discriminative = False
+    found: dict[str, object] = {}
     constraints: list[Constraint] = []
 
     while cur.peek().kind != "end":
+        # Only a word token can spell a clause keyword.
         head = cur.next()
-        if head.kind != "word":
-            raise cur.fail("a clause keyword", head)
         if head.text == "index_event":
-            cur.expect_word("first")
-            cur.expect_word("diagnosis")
-            cur.expect_word("in")
-            codes = _parse_code_set(cur)
-            if index_event is not None:
-                raise DuplicateClause(f"second index_event clause at line {head.line}")
-            index_event = IndexEventRule(frozenset(codes))
+            for word in ("first", "diagnosis", "in"):
+                cur.expect_word(word)
+            clause = "index_event clause"
+            value = IndexEventRule(frozenset(_parse_list(cur, "{", "}", cur.expect_code)))
         elif head.text == "event":
-            cur.expect_word("delivery")
-            cur.expect_word("where")
-            cur.expect_word("atc")
-            cur.expect_word("in")
-            codes = _parse_code_set(cur)
+            for word in ("delivery", "where", "atc", "in"):
+                cur.expect_word(word)
+            codes = _parse_list(cur, "{", "}", cur.expect_code)
             cur.expect_word("as")
-            projection = _parse_projection(cur)
-            if event is not None:
-                raise DuplicateClause(f"second event clause at line {head.line}")
-            event = EventClause(codes, projection)
+            clause = "event clause"
+            value = EventClause(codes, _parse_list(cur, "(", ")", cur.expect_ident))
         elif head.text == "window":
-            polarity = cur.expect_word("positive", "negative").text
+            clause = f"{cur.expect_word('positive', 'negative').text} window clause"
             cur.expect_punct("(")
             lower = _parse_bound(cur)
             cur.expect_punct(",")
-            upper = _parse_bound(cur)
+            value = (lower, _parse_bound(cur))
             cur.expect_punct(")")
-            if polarity in windows:
-                raise DuplicateClause(f"second {polarity} window clause at line {head.line}")
-            try:
-                windows[polarity] = WindowSpec(lower, upper)
-            except ValueError as exc:
-                raise InvalidQuery(str(exc)) from None
         elif head.text == "min_support":
-            value = cur.expect_int()
-            if min_support is not None:
-                raise DuplicateClause(f"second min_support clause at line {head.line}")
-            min_support = value
+            clause, value = "min_support clause", cur.expect_int()
         elif head.text == "constraint":
             kind = cur.expect_word("discriminative", "contains_value", "switch_count").text
-            if kind != "discriminative":
-                constraints.append(_parse_constraint(cur, kind))
-            elif discriminative:
-                raise DuplicateClause(f"second discriminative constraint at line {head.line}")
+            if kind == "discriminative":
+                clause, value = "discriminative constraint", True
             else:
-                discriminative = True
+                clause, value = None, _parse_constraint(cur, kind)
         else:
             raise cur.fail("a clause keyword", head)
+        if clause is None:
+            constraints.append(value)
+        elif clause in found:
+            raise DuplicateClause(f"second {clause} at line {head.line}")
+        elif head.text == "window":
+            try:
+                found[clause] = WindowSpec(*value)
+            except ValueError as exc:
+                raise InvalidQuery(str(exc)) from None
+        else:
+            found[clause] = value
         cur.expect_punct(";")
 
-    if index_event is None:
-        raise MissingClause("missing index_event clause")
-    if event is None:
-        raise MissingClause("missing event clause")
-    if "positive" not in windows:
-        raise MissingClause("missing positive window clause")
-    if min_support is None:
-        raise MissingClause("missing min_support clause")
+    for clause, required in _ONCE.items():
+        if required and clause not in found:
+            raise MissingClause(f"missing {clause}")
     return QueryAst(
-        index_event=index_event,
-        event=event,
-        positive_window=windows["positive"],
-        negative_window=windows.get("negative"),
-        min_support=min_support,
-        discriminative=discriminative,
+        index_event=found["index_event clause"],
+        event=found["event clause"],
+        positive_window=found["positive window clause"],
+        negative_window=found.get("negative window clause"),
+        min_support=found["min_support clause"],
+        discriminative=found.get("discriminative constraint", False),
         constraints=tuple(constraints),
     )
 

@@ -253,26 +253,21 @@ def knowledge_base(cohort: Cohort) -> KnowledgeBase:
 def write_cohort(cohort: Cohort, out_dir: str) -> dict[str, str]:
     """Write the four CSV files; returns their paths keyed by role."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "deliveries": os.path.join(out_dir, "deliveries.csv"),
-        "diseases": os.path.join(out_dir, "diseases.csv"),
-        "kb": os.path.join(out_dir, "kb_attributes.csv"),
-        "taxonomy": os.path.join(out_dir, "taxonomy.csv"),
+    files = {
+        "deliveries": ("deliveries.csv", ("patient", "day", "cip", "qty"), cohort.deliveries),
+        "diseases": ("diseases.csv", ("patient", "day", "icd"), cohort.diseases),
+        "kb": (
+            "kb_attributes.csv",
+            ("cip", "atc", "group", "generic", "label"),
+            cohort.attribute_rows,
+        ),
+        "taxonomy": ("taxonomy.csv", ("child", "parent"), cohort.taxonomy_edges),
     }
-    with open(paths["deliveries"], "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("patient", "day", "cip", "qty"))
-        writer.writerows(cohort.deliveries)
-    with open(paths["diseases"], "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("patient", "day", "icd"))
-        writer.writerows(cohort.diseases)
-    with open(paths["kb"], "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("cip", "atc", "group", "generic", "label"))
-        writer.writerows(cohort.attribute_rows)
-    with open(paths["taxonomy"], "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("child", "parent"))
-        writer.writerows(cohort.taxonomy_edges)
+    paths = {}
+    for role, (name, header, rows) in files.items():
+        paths[role] = os.path.join(out_dir, name)
+        with open(paths[role], "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            writer.writerows(rows)
     return paths

@@ -300,6 +300,21 @@ class TestMineCommand:
         assert all(seconds >= 0 for seconds in phases.values())
         assert sum(phases.values()) == pytest.approx(report["wall_seconds"], rel=0.05)
 
+    def test_report_config_holds_every_option_and_min_support(
+        self, cohort_dir, query_file, tmp_path, capsys
+    ):
+        out = tmp_path / "p.jsonl"
+        assert main(mine_args(cohort_dir, query_file, out, ["--max-len", "3"])) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert set(config) == {
+            "query", "deliveries", "diseases", "kb", "taxonomy", "out", "embeddings",
+            "max_len", "unknown_code", "max_nodes", "max_seconds", "class_filter_exact",
+            "min_support",
+        }
+        assert config["out"] == str(out)
+        assert (config["max_len"], config["max_nodes"], config["min_support"]) == (3, None, 9)
+        assert (config["embeddings"], config["class_filter_exact"]) == ("witness", False)
+
     def test_report_counters(self, cohort_dir, query_file, tmp_path, capsys):
         assert main(mine_args(cohort_dir, query_file, tmp_path / "p.jsonl")) == 0
         counters = json.loads(capsys.readouterr().out)["counters"]

@@ -459,11 +459,26 @@ class TestBulkPath:
         assert rows[0][0] is rows[1][0] and rows[0][2] is rows[1][2]
 
     def test_a_line_longer_than_any_valid_row_is_refused_before_its_end(self):
-        with mock.patch.object(ingest, "_BLOCK_CHARS", 4):
-            blocks = ingest._line_blocks(io.StringIO("a,b\n" + "x" * 50), longest=20)
-            assert next(blocks) == "a,b"
-            with pytest.raises(ingest._Refused):
-                next(blocks)
+        # Under a field limit of 5, a diseases row fills at most 3 * (5 + 1) characters.
+        text = "patient,day,icd\np1,1,G40\n" + "x" * 50
+        served = []
+
+        class Handle(io.StringIO):
+            def read(self, size=-1):
+                served.append(super().read(size))
+                return served[-1]
+
+            def readline(self, size=-1):
+                served.append(super().readline(size))
+                return served[-1]
+
+        with mock.patch.object(ingest, "_BLOCK_CHARS", 4), mock.patch.object(
+            ingest.csv, "field_size_limit", return_value=5
+        ), mock.patch.object(ingest, "open", lambda *_, **__: Handle(text), create=True):
+            assert ingest._bulk_rows("facts.csv", ("patient", "day", "icd")) is None
+        # A block is completed to its line's end, and the long line is read
+        # only up to the bound.
+        assert served[1:] == ["p1,1", ",G40\n", "xxxx", "x" * 18]
 
 
 def reference_groups(rows):

@@ -94,6 +94,20 @@ class TestParse:
         with pytest.raises(QuerySyntaxError, match="unexpected character"):
             parse_query(MINIMAL.replace(old, new))
 
+    @pytest.mark.parametrize(
+        "old, new, line, column",
+        [
+            ("min_support 1;", "min_support {};", 5, 13),
+            ("(index-90,", "(index-{},", 4, 24),
+            ("min_support 1;", "min_support 1; constraint contains_value(group, {});", 5, 49),
+        ],
+    )
+    def test_an_integer_past_the_digit_limit_is_a_syntax_error(self, old, new, line, column):
+        # Python refuses to convert more than 4,300 digits to an int by default.
+        with pytest.raises(QuerySyntaxError, match="integer too long") as err:
+            parse_query(MINIMAL.replace(old, new.format("1" * 5000)))
+        assert (err.value.line, err.value.column) == (line, column)
+
     def test_unknown_keyword_rejected(self):
         with pytest.raises(QuerySyntaxError):
             parse_query(MINIMAL + "frobnicate 3;\n")
