@@ -24,15 +24,16 @@ count. The roots are located from each sequence's first positions.
 The chain of tails along the search path is itself the leftmost
 embedding (PrefixSpan's pseudo-projection), so each node carries it and
 witness mode reads every supporter's witness off the search path
-instead of searching for it again. The negative frontier is carried
-down the path like the positive one: where the greedy leftmost match
-of the prefix ends in each supporter's own negative sequence, so a
-child's discriminative check is one hop per supporter from its
-parent's frontier, not a rescan of the whole prefix. A node whose
-candidates all fall below the support bound stops right after the leaf
-test or the count. The depth-first walk keeps an explicit stack, and
-the frontier is filled in by a loop up the path, so no sequence is too
-long to mine.
+instead of searching for it again. The discriminative check is the
+case-crossover comparison as `oracle.supports` states it: the prefix
+is matched greedily leftmost in each supporter's own negative sequence,
+in time linear in that sequence whatever the prefix's length, and the
+supporters it misses are the discriminative ones. It runs only at the
+nodes that pass every other emission test, and nothing of it is
+carried down the path. A node whose candidates all fall below the
+support bound stops right after the leaf test or the count. The
+depth-first walk keeps an explicit stack, so no sequence is too long to
+mine.
 
 A node carries no constraint state: its prefix, the tuple of item ids
 it spells, is all any constraint reads. A contains constraint holds
@@ -263,6 +264,20 @@ def _frequent(masks: Iterable[int], min_support: int) -> tuple[int, int]:
     return above | equal, present
 
 
+def _holds(prefix: tuple[int, ...], sequence: tuple[int, ...]) -> bool:
+    """Whether the sequence contains the prefix, by greedy leftmost matching.
+
+    Each `in` consumes the iterator up to the item's first occurrence
+    after the previous item's, as `oracle.supports` scans, so a sequence
+    is read at most once whatever the prefix's length.
+    """
+    rest = iter(sequence)
+    for iid in prefix:
+        if iid not in rest:
+            return False
+    return True
+
+
 def _emittable(
     prefix: tuple[int, ...],
     support: int,
@@ -422,35 +437,18 @@ class _Node:
     1-based leftmost embedding, whose last position is the frontier that
     extensions search after. A child's embedding is its parent's plus one
     position, so the witness costs one tuple per supporter and is never
-    searched for again.
-
-    The negative frontier is carried down the path the same way: entry
-    k of `negative` is the 0-based position just after the greedy
-    leftmost match of the prefix in the k-th supporter's negative
-    sequence, or None when that sequence lacks the prefix. Greedy
-    leftmost matching is exact for containment, so a child's entry is
-    one hop from its parent's. It is filled in only for the nodes whose
-    discriminative check runs, and for the ancestors they need; `occs`
-    maps each supporter here to its index in `parent`.
+    searched for again. `lacking` lists the supporters whose negative
+    sequence lacks the prefix once the discriminative check has run, and
+    is None before.
     """
 
-    __slots__ = ("prefix", "seqs", "witnesses", "parent", "occs", "negative")
+    __slots__ = ("prefix", "seqs", "witnesses", "lacking")
 
-    def __init__(
-        self,
-        prefix: tuple[int, ...],
-        seqs: list[int],
-        witnesses: list[Embedding],
-        parent: "_Node | None" = None,
-        occs: list[tuple[int, int]] | None = None,
-        negative: list[int | None] | None = None,
-    ) -> None:
+    def __init__(self, prefix: tuple[int, ...], seqs: list[int], witnesses: list[Embedding]) -> None:
         self.prefix = prefix
         self.seqs = seqs
         self.witnesses = witnesses
-        self.parent = parent
-        self.occs = occs
-        self.negative = negative
+        self.lacking: list[int] | None = None
 
 
 class _Searcher:
@@ -526,41 +524,17 @@ class _Searcher:
         return self.children(node)
 
     def _lacking(self, node: _Node) -> int:
-        """How many supporters' negative sequences lack the node's pattern."""
-        self.counters["negative_checks"] += len(node.seqs)
-        return self._negative_frontier(node).count(None)
+        """How many supporters' negative sequences lack the node's pattern.
 
-    def _negative_frontier(self, node: _Node) -> list[int | None]:
-        """The node's negative frontier, filled in for it and its ancestors.
-
-        The walk goes up to the nearest ancestor that has a frontier and
-        comes back down, in loops rather than recursion, so no path is too
-        deep.
+        The lacking supporters are kept on the node for `_emit`.
         """
-        path = []
-        while node.negative is None:
-            path.append(node)
-            node = node.parent
-        frontier = node.negative
-        neg_ids = self.prep.neg_ids
-        for node in reversed(path):
-            iid = node.prefix[-1]
-            ahead: list[int | None] = []
-            for (k, _), seq_idx in zip(node.occs, node.seqs):
-                at = frontier[k]
-                if at is not None:
-                    negative = neg_ids[seq_idx]
-                    # Most misses lack the item altogether; `in` finds that without raising.
-                    if iid not in negative:
-                        at = None
-                    else:
-                        try:
-                            at = negative.index(iid, at) + 1
-                        except ValueError:
-                            at = None
-                ahead.append(at)
-            node.negative = frontier = ahead
-        return frontier
+        self.counters["negative_checks"] += len(node.seqs)
+        prefix, last, neg_ids = node.prefix, node.prefix[-1], self.prep.neg_ids
+        # Most lack the last item altogether, which one C-level scan shows.
+        node.lacking = [
+            s for s in node.seqs if last not in neg_ids[s] or not _holds(prefix, neg_ids[s])
+        ]
+        return len(node.lacking)
 
     def children(self, node: _Node) -> Iterator[_Node]:
         """The node's children in ascending item order, minus those pruned up front.
@@ -586,8 +560,6 @@ class _Searcher:
                 node.prefix + (iid,),
                 [seqs[k] for k, _ in occs],
                 [witnesses[k] + (pos + 1,) for k, pos in occs],
-                node,
-                occs,
             )
             for iid, occs in sorted(wanted.items())
         )
@@ -643,8 +615,8 @@ class _Searcher:
         them to the budget as it goes, since their number grows
         combinatorially, but keeps none of them: the record is kept
         exactly when its enumeration finished within the budget, and its
-        readers enumerate again. The discriminative supporters are those
-        whose negative frontier found no match.
+        readers enumerate again. The discriminative supporters are the
+        ones the node's discriminative check found lacking the pattern.
         """
         prep = self.prep
         witnesses = node.witnesses
@@ -657,10 +629,7 @@ class _Searcher:
             while sum(1 for _ in islice(embeddings, _DEADLINE_STRIDE)) == _DEADLINE_STRIDE:
                 if not self.spend():
                     return None
-        discr = None
-        if prep.discriminative:
-            discr = [seq_idx for seq_idx, at in zip(node.seqs, node.negative) if at is None]
-        return PatternRecord(node.prefix, node.seqs, witnesses, discr)
+        return PatternRecord(node.prefix, node.seqs, witnesses, node.lacking)
 
 
 def mine(
@@ -681,14 +650,7 @@ def mine(
     prep = _Prepared(task, database, options)
     searcher = _Searcher(prep, options)
     count = len(prep.pos_ids)
-    searcher.run(
-        _Node(
-            (),
-            list(range(count)),
-            [()] * count,
-            negative=None if prep.neg_ids is None else [0] * count,
-        )
-    )
+    searcher.run(_Node((), list(range(count)), [()] * count))
     found = searcher.found
     # Interned ids follow canonical item order, so this is Pattern.sort_key order.
     found.sort(key=lambda record: (len(record.prefix), record.prefix))

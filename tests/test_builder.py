@@ -189,6 +189,12 @@ class TestUnknownCodePolicy:
                 table["NOPE"]
 
 
+    def test_an_unknown_policy_rejected(self):
+        raw = RawDatabase(deliveries=(), diseases=())
+        with pytest.raises(ValueError) as err:
+            build_database(raw, make_task(), KB, unknown_code="x")
+        assert str(err.value) == "unknown_code must be abort or skip, got 'x'"
+
     def test_abort_raises_the_earliest_unknown_code_in_a_window(self):
         task = make_task(discriminative=True, class_filter=None)
         # The positive window's code comes first in the input, the control

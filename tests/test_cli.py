@@ -10,8 +10,8 @@ from collections import Counter
 import pytest
 
 from pathmine import cli, ingest
-from pathmine.builder import build_database
-from pathmine.cli import main, render_patterns
+from pathmine.builder import CaseDatabase, CasePair, build_database
+from pathmine.cli import main, render_patterns, render_records
 from pathmine.engine import MiningOptions, MiningResult, mine
 from pathmine.query import compile_query, parse_query
 from pathmine.synth import (
@@ -23,7 +23,7 @@ from pathmine.synth import (
     write_cohort,
 )
 
-from conftest import STUDY_QUERY
+from conftest import ALPHABET, STUDY_QUERY, make_seq, make_task
 
 PLANT = "N03AG01,438,1|N03AG01,438,1|N03AX14,1023,0|N03AX14,1023,0@9"
 
@@ -415,6 +415,20 @@ class TestOneOutputFormat:
         # The full search visits 394 nodes, so the budget cuts it short.
         assert result.complete is (budget is None)
         assert out.read_text(encoding="utf-8") == render_patterns(result.patterns)
+
+    def test_a_patient_with_more_embeddings_than_a_chunk(self):
+        # (A, B) has 40 * 40 = 1,600 embeddings in one patient, more than one
+        # piece of a line holds, so the line goes on in a second piece.
+        A, B = ALPHABET[:2]
+        database = CaseDatabase((CasePair("p", make_seq([A] * 40 + [B] * 40)),))
+        result = mine(make_task(), database, MiningOptions(embeddings="all", max_len=2))
+        text = "".join(render_records(result))
+        assert text == render_patterns(result.patterns)
+        items = [list(A.values), list(B.values)]
+        (record,) = [r for r in map(json.loads, text.splitlines()) if r["items"] == items]
+        pairs = [[i, j] for i in range(1, 41) for j in range(41, 81)]
+        assert len(pairs) > cli._CHUNK
+        assert record["embeddings"] == {"p": pairs}
 
     def test_mine_command_builds_no_pattern_tuple(self, study, tmp_path, capsys, monkeypatch):
         def refuse(result):

@@ -328,6 +328,7 @@ class TestBudgets:
             ("max_seconds", float("nan")),
             ("max_seconds", float("inf")),
             ("max_seconds", float("-inf")),
+            ("embeddings", "some"),
         ],
     )
     def test_nonsense_budget_rejected(self, field, value):
@@ -380,19 +381,34 @@ class TestLongSequences:
         longest = result.patterns[-1]
         assert longest.embeddings["p"] == {tuple(range(1, 2001))}
 
-    def test_deep_discriminative_chain(self):
-        # A sorts before G, so the walk reaches A^1500 before any A^k G and
-        # the first discriminative check needs the negative frontier of a
-        # path 1,500 deep.
+    @pytest.mark.parametrize("held", [3, 1500])
+    def test_deep_discriminative_chain(self, held):
+        # A sorts before G, so the walk reaches A^1500 before any A^k G, and
+        # every A^k G, up to 1,501 items long, is matched in the negative
+        # sequence. One that holds the whole path leaves nothing discriminative.
         G = GEN
-        db = paired_db([("p", [A] * 1500 + [G], [A] * 3 + [G])])
+        db = paired_db([("p", [A] * 1500 + [G], [A] * held + [G])])
         task = make_task(discriminative=True, contains=[("generic", 1)])
         result = mine(task, db, MiningOptions(embeddings="witness"))
         assert result.complete
         assert [pt.pattern.items for pt in result.patterns] == [
-            (A,) * k + (G,) for k in range(4, 1501)
+            (A,) * k + (G,) for k in range(held + 1, 1501)
         ]
         assert all(pt.discriminative == {"p"} for pt in result.patterns)
+        # One check per pattern holding G: A^k G for k from 0 to 1,500.
+        assert result.counters["negative_checks"] == 1501
+
+    def test_discriminative_check_is_linear_in_the_negative_sequence(self):
+        # Every A^k is checked against a negative sequence whose As come
+        # after 20,000 Bs. Seeking each item from the sequence's start, not
+        # from after the previous match, would read the Bs once per item of
+        # each prefix: 1.6 billion reads along the path, not 16 million.
+        db = paired_db([("p", [A] * 400, [B] * 20_000 + [A] * 400)])
+        started = time.monotonic()
+        result = mine(make_task(discriminative=True), db, MiningOptions(embeddings="witness"))
+        assert time.monotonic() - started < 5.0
+        assert result.complete and not result.records
+        assert result.counters["negative_checks"] == 400
 
     def test_all_mode_stops_at_the_deadline(self):
         # A^30 alone has C(60, 30) ~ 1.2e17 embeddings.

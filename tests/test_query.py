@@ -1,5 +1,7 @@
 """Query language: grammar, constraint forms, compilation."""
 
+from dataclasses import replace
+
 import pytest
 
 from pathmine.builder import IndexEventRule, WindowSpec
@@ -84,6 +86,35 @@ class TestParse:
             parse_query("index_event first diagnosis in\n{G40%};")
         assert err.value.line == 2
         assert err.value.column == 5
+
+    @pytest.mark.parametrize(
+        "old, new, line, column, message",
+        [
+            ("index_event first", "index_event last", 1, 13, "expected 'first', got 'last'"),
+            ("positive (index-90", "positive index-90", 3, 17, "expected '(', got 'index'"),
+            ("min_support 1;", "min_support x;", 4, 13, "expected an integer, got 'x'"),
+            ("as (atc,", "as (1,", 2, 43, "expected an identifier, got '1'"),
+            ("{N03AG01}", "{,}", 2, 30, "expected a code, got ','"),
+            ("{G40}", "{G40 G41}", 1, 37, "expected ',' or '}', got 'G41'"),
+            (
+                "min_support 1;",
+                "min_support 1;\nconstraint contains_value(generic, ));",
+                5, 36, "expected a value, got ')'",
+            ),
+            (
+                "min_support 1;",
+                "min_support 1;\nconstraint switch_count(generic) 1;",
+                5, 34, "expected '==', '<=' or '>=', got '1'",
+            ),
+            ("min_support 1;", "min_support 1", 5, 1, "expected ';', got end of query"),
+        ],
+        ids=["word", "paren", "integer", "identifier", "code", "separator", "value", "cmp", "end"],
+    )
+    def test_an_unexpected_token_names_what_was_expected(self, old, new, line, column, message):
+        with pytest.raises(QuerySyntaxError) as err:
+            parse_query(MINIMAL.lstrip().replace(old, new))
+        assert (err.value.line, err.value.column) == (line, column)
+        assert str(err.value) == f"line {line}, column {column}: {message}"
 
     @pytest.mark.parametrize(
         "old, new",
@@ -314,6 +345,18 @@ class TestHandBuiltTask:
     def test_contains_value_outside_its_domain(self, attribute, value, message):
         with pytest.raises(InvalidQuery) as err:
             make_task(contains=[(attribute, value)])
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("min_support", 0, "min_support must be >= 1"),
+            ("schema", (), "item schema must not be empty"),
+        ],
+    )
+    def test_task_out_of_range_rejected(self, field, value, message):
+        with pytest.raises(ValueError) as err:
+            replace(make_task(), **{field: value})
         assert str(err.value) == message
 
     def test_compiled_task_passes_the_checks(self):

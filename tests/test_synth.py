@@ -51,11 +51,16 @@ class TestPlantSpec:
             "N03AG01,438,2@5",           # flag out of range
             "N03AG01,438,1@lots",        # count not an integer
             "N03AG01,,1@5",              # empty group
+            "N03AG01,438,1@-1",          # negative count
         ],
     )
     def test_malformed_specs_rejected(self, bad):
         with pytest.raises(InvalidPlantSpec):
             PlantSpec.parse(bad)
+
+    def test_a_plant_without_items_rejected(self):
+        with pytest.raises(InvalidPlantSpec, match="^a plant needs at least one item$"):
+            PlantSpec((), 1)
 
     def test_plant_count_cannot_exceed_patients(self):
         with pytest.raises(InvalidPlantSpec):
@@ -73,6 +78,19 @@ class TestPlantSpec:
         planted = [day for who, day, cip, _ in cohort.deliveries if (who, cip) == (patient, "PL0")]
         assert len(planted) == 89
         assert len(set(planted)) == 89
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("patients", 0, "patients must be >= 1"),
+        ("noise_items", 1, "noise roster needs at least 2 items"),
+    ],
+)
+def test_cohort_size_out_of_range_rejected(field, value, message):
+    with pytest.raises(ValueError) as err:
+        CohortConfig(**{"patients": 5, "seed": 1, field: value})
+    assert str(err.value) == message
 
 
 # The Poisson draw stops at e^-mean_events: nan never reaches it, and a mean
