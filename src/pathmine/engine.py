@@ -336,10 +336,9 @@ class _Prepared:
         "switch_bounds",
         "switch_values",
         "contains_ids",
-        "max_len",
     )
 
-    def __init__(self, task: MiningTask, database: CaseDatabase, options: MiningOptions) -> None:
+    def __init__(self, task: MiningTask, database: CaseDatabase) -> None:
         self.pos_ids = database.ids(database.positives)
         self.neg_ids = None
         if database.negatives is not None:
@@ -369,10 +368,6 @@ class _Prepared:
             frozenset(i for i, value in enumerate(column(c.attribute)) if value == c.value)
             for c in task.contains
         ]
-        if options.max_len is not None:
-            self.max_len = options.max_len
-        else:
-            self.max_len = max((len(seq) for seq in self.pos_ids), default=0)
 
     def switches(self, prefix: tuple[int, ...]) -> list[int]:
         """Each switch constraint's count: adjacent ids of the prefix whose values differ."""
@@ -519,7 +514,8 @@ class _Searcher:
             if record is None:
                 return None
             self.found.append(record)
-        if len(node.prefix) >= prep.max_len:
+        # With no max_len, a prefix as long as its supporters has no child anyway.
+        if self.options.max_len is not None and len(node.prefix) >= self.options.max_len:
             return None
         return self.children(node)
 
@@ -647,7 +643,7 @@ def mine(
         raise MissingNegativeWindow(
             "the task is discriminative but the database has no negative sequences"
         )
-    prep = _Prepared(task, database, options)
+    prep = _Prepared(task, database)
     searcher = _Searcher(prep, options)
     count = len(prep.pos_ids)
     searcher.run(_Node((), list(range(count)), [()] * count))

@@ -13,9 +13,10 @@ calendar handling happens here. Duplicate identical event rows are kept
 as distinct facts; loaders never deduplicate. `load_deliveries` and
 `load_diseases` return one plain tuple per data row, in file order.
 `RawDatabase` sorts them stably by patient, then each patient's run
-stably by day, and keeps each patient's facts as `DayCodes` columns;
-neither sort builds a key tuple per row. The `mine` command loads
-through exactly these three calls.
+stably by day, and keeps each patient's facts as `DayCodes` columns,
+checking their days and quantities as it builds them; neither sort
+builds a key tuple per row. The `mine` command loads through exactly
+these three calls.
 
 Each column of the four files has one rule, stated once by `_value`:
 the cell is stripped; `day`, `qty` and `generic` are ASCII integers
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import csv
 import re
-from itertools import groupby, islice
+from itertools import groupby
 from operator import getitem, itemgetter
 from typing import Iterable, NamedTuple
 
@@ -75,38 +76,27 @@ class DayCodes(NamedTuple):
     codes: tuple[str, ...]
 
 
-def _grouped(rows: list[tuple]) -> dict[str, DayCodes]:
+def _grouped(rows: list[tuple], kind: str) -> dict[str, DayCodes]:
     """Rows sorted by patient, as one `DayCodes` per patient, stably sorted by day.
 
-    Only the day and code columns are built; a row's later fields are
-    dropped.
+    `kind` is "delivery" or "diagnosis". Each patient's facts are checked
+    as its columns are built. Its first day is its least, so walking the
+    patients in order raises a `NegativeDay` for the first negative day
+    in (patient, day) order, and for deliveries a `ValueError` for the
+    first quantity below 1, a row's fourth field. Only the day and code
+    columns are kept.
     """
     by_day = itemgetter(1)
-    return {
-        patient: DayCodes._make(islice(zip(*sorted(run, key=by_day)), 1, 3))
-        for patient, run in groupby(rows, itemgetter(0))
-    }
-
-
-def _check_facts(deliveries: list[tuple], diseases: list[tuple]) -> None:
-    """Reject negative days and quantities below 1, first in (patient, day) order.
-
-    The rows come sorted by patient only. A column's `min` finds whether
-    any value is bad; only then are the rows sorted by (patient, day) to
-    find the first bad fact.
-    """
-    by_patient_day = itemgetter(0, 1)
-    if deliveries and (
-        min(map(itemgetter(1), deliveries)) < 0 or min(map(itemgetter(3), deliveries)) < 1
-    ):
-        for _, day, _, qty in sorted(deliveries, key=by_patient_day):
-            if day < 0:
-                raise NegativeDay(f"delivery on negative day {day}")
-            if qty < 1:
-                raise ValueError(f"delivery quantity must be >= 1, got {qty}")
-    if diseases and min(map(itemgetter(1), diseases)) < 0:
-        days = map(itemgetter(1), sorted(diseases, key=by_patient_day))
-        raise NegativeDay(f"diagnosis on negative day {next(filter((0).__gt__, days))}")
+    groups = {}
+    for patient, run in groupby(rows, itemgetter(0)):
+        _, days, codes, *rest = zip(*sorted(run, key=by_day))
+        if days[0] < 0:
+            raise NegativeDay(f"{kind} on negative day {days[0]}")
+        if kind == "delivery" and min(rest[0]) < 1:
+            bad = next(filter((1).__gt__, rest[0]))
+            raise ValueError(f"delivery quantity must be >= 1, got {bad}")
+        groups[patient] = DayCodes(days, codes)
+    return groups
 
 
 class RawDatabase:
@@ -117,10 +107,12 @@ class RawDatabase:
     `load_diseases` return, in any order. They are sorted stably by
     patient, then each patient's rows stably by day, so rows of one
     patient on one day keep their input order; duplicates are kept.
-    Neither sort builds a key tuple per row. Negative days and
-    quantities below 1 are rejected, but only days and codes are kept.
-    The loaders have checked their rows already; the check here is for
-    rows handed in directly.
+    Neither sort builds a key tuple per row. The sorted rows are read
+    once, as each patient's columns are built, and that pass rejects the
+    first negative day or quantity below 1 in (patient, day) order,
+    deliveries before diagnoses; only days and codes are kept. The
+    loaders have checked their rows already; the check is for rows
+    handed in directly.
 
     `delivery_groups` and `disease_groups` map each patient, in
     ascending id order, to its `DayCodes`; treat them as read-only.
@@ -135,11 +127,10 @@ class RawDatabase:
         by_patient = itemgetter(0)
         delivery_rows = sorted(deliveries, key=by_patient)
         disease_rows = sorted(diseases, key=by_patient)
-        _check_facts(delivery_rows, disease_rows)
         self.delivery_count = len(delivery_rows)
         self.disease_count = len(disease_rows)
-        self.delivery_groups = _grouped(delivery_rows)
-        self.disease_groups = _grouped(disease_rows)
+        self.delivery_groups = _grouped(delivery_rows, "delivery")
+        self.disease_groups = _grouped(disease_rows, "diagnosis")
 
     def patients(self) -> frozenset[str]:
         return frozenset(self.delivery_groups).union(self.disease_groups)

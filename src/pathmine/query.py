@@ -344,6 +344,7 @@ def parse_query(text: str) -> QueryAst:
 class MiningTask:
     """Executable form of a query, resolved against a knowledge base.
 
+    `schema` names item attributes, each once, as a projection must.
     `contains` and `switches` hold the query's constraints in declaration
     order, each attribute checked against `schema` and each contains
     value coerced to its attribute's domain. The task is discriminative
@@ -366,6 +367,7 @@ class MiningTask:
         if not self.schema:
             raise ValueError("item schema must not be empty")
         # A hand-built task gets the checks compile_query makes.
+        _check_schema(self.schema)
         for constraint in self.contains + self.switches:
             _check_attribute(constraint.attribute, self.schema)
         for constraint in self.contains:
@@ -378,6 +380,15 @@ class MiningTask:
     @property
     def discriminative(self) -> bool:
         return self.negative_window is not None
+
+
+def _check_schema(schema: tuple[str, ...]) -> None:
+    """Each projected attribute must be an item attribute, named once."""
+    for name in schema:
+        if name not in ITEM_ATTRIBUTES:
+            raise UnknownAttribute(f"unknown item attribute {name!r} in projection")
+    if len(set(schema)) != len(schema):
+        raise InvalidQuery(f"projection lists an attribute twice: ({', '.join(schema)})")
 
 
 def _check_attribute(attribute: str, schema: tuple[str, ...]) -> None:
@@ -416,11 +427,7 @@ def expand_class_filter(
 def compile_query(ast: QueryAst, kb: KnowledgeBase, exact_class_match: bool = False) -> MiningTask:
     """Resolve an AST against the KB into a MiningTask."""
     schema = ast.event.projection
-    for name in schema:
-        if name not in ITEM_ATTRIBUTES:
-            raise UnknownAttribute(f"unknown item attribute {name!r} in projection")
-    if len(set(schema)) != len(schema):
-        raise InvalidQuery(f"projection lists an attribute twice: ({', '.join(schema)})")
+    _check_schema(schema)
 
     # One pass in declaration order, so the first faulty clause is reported.
     contains = []

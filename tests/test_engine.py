@@ -176,7 +176,7 @@ class TestCheckConstraints:
             raise AssertionError("the discriminative count was not needed")
 
         db = CaseDatabase((CasePair("p", make_seq([GEN, BRA])),))
-        prep = _Prepared(task, db, MiningOptions())
+        prep = _Prepared(task, db)
         prefix = tuple(map(db.items.index, pattern))
         return _emittable(prefix, support, prep, discr_count or unexpected)
 
@@ -239,7 +239,7 @@ class TestPrefixSwitches:
     def test_counts_match_the_oracle(self, items):
         db = CaseDatabase((CasePair("p", make_seq(self.ITEMS)),))
         task = make_task(switch=[("generic", ">=", 0), ("atc", "<=", 3)])
-        prep = _Prepared(task, db, MiningOptions())
+        prep = _Prepared(task, db)
         pattern = Pattern(tuple(items))
         expected = [count_switches(pattern, 2), count_switches(pattern, 0)]
         assert prep.switches(tuple(map(db.items.index, items))) == expected
@@ -260,9 +260,7 @@ class TestSwitchIntervals:
     @pytest.mark.parametrize("value", range(TOP + 1))
     def test_interval_matches_the_oracle(self, comparator, value):
         constraint = ("generic", comparator, value)
-        ((lo, hi),) = _Prepared(
-            make_task(switch=[constraint]), CaseDatabase(), MiningOptions()
-        ).switch_bounds
+        ((lo, hi),) = _Prepared(make_task(switch=[constraint]), CaseDatabase()).switch_bounds
         counts = range(self.TOP + 3)
         satisfied = [
             _satisfies(self.switching(count), [], [(2, SwitchCount(*constraint))])
@@ -505,7 +503,7 @@ class TestLastOccurrenceIndex:
                 for i, seq in enumerate(sequences)
             )
         )
-        return _Prepared(make_task(), db, MiningOptions())
+        return _Prepared(make_task(), db)
 
     def check(self, prep, seqs, starts, wanted_ids=None):
         tails = prep.tails(seqs, starts)
@@ -561,7 +559,7 @@ class TestLeafTest:
     @staticmethod
     def prepared(sequences):
         pairs = (CasePair(f"p{i}", make_seq(seq)) for i, seq in enumerate(sequences))
-        return _Prepared(make_task(), CaseDatabase(tuple(pairs)), MiningOptions())
+        return _Prepared(make_task(), CaseDatabase(tuple(pairs)))
 
     def random_prepared(self, rng, patients, items):
         alphabet = self.ITEMS[:items]

@@ -530,3 +530,53 @@ class TestGroupedStore:
         with pytest.raises(NegativeDay) as err:
             RawDatabase(load_deliveries(deliveries), load_diseases(diseases))
         assert (err.value.path, err.value.line) == (deliveries, 3)
+
+
+def reference_outcome(deliveries, diseases):
+    """Groups and counts, or the error of the first bad fact.
+
+    Deliveries are scanned before diagnoses, each in one stable
+    (patient, day) sort; a delivery's fourth field is its quantity.
+    """
+    for kind, rows in (("delivery", deliveries), ("diagnosis", diseases)):
+        for row in sorted(rows, key=itemgetter(0, 1)):
+            if row[1] < 0:
+                return NegativeDay, f"{kind} on negative day {row[1]}"
+            if kind == "delivery" and row[3] < 1:
+                return ValueError, f"delivery quantity must be >= 1, got {row[3]}"
+    return reference_groups(deliveries), reference_groups(diseases), len(deliveries), len(diseases)
+
+
+def raw_outcome(deliveries, diseases):
+    try:
+        raw = RawDatabase(deliveries, diseases)
+    except (NegativeDay, ValueError) as exc:
+        return type(exc), str(exc)
+    return (
+        list(raw.delivery_groups.items()),
+        list(raw.disease_groups.items()),
+        raw.delivery_count,
+        raw.disease_count,
+    )
+
+
+# Hand-built rows, some on negative days or with quantities below 1.
+HAND_PATIENTS = st.sampled_from(["p1", "p2", "p3"])
+HAND_DAYS = st.integers(-2, 9)
+HAND_DELIVERIES = st.lists(
+    st.tuples(HAND_PATIENTS, HAND_DAYS, st.sampled_from("ABC"), st.integers(-1, 5)), max_size=10
+)
+HAND_DISEASES = st.lists(st.tuples(HAND_PATIENTS, HAND_DAYS, st.sampled_from("GI")), max_size=10)
+
+
+class TestHandBuiltRows:
+    @settings(derandomize=True, max_examples=400)
+    @given(deliveries=HAND_DELIVERIES, diseases=HAND_DISEASES)
+    # Bad facts whose input order is not their (patient, day) order.
+    @example(deliveries=[("p2", -1, "A", 1), ("p1", 4, "A", 0), ("p1", 2, "B", -1)], diseases=[])
+    @example(deliveries=[("p1", 3, "A", 0), ("p1", 1, "A", 1), ("p1", -2, "B", 0)], diseases=[])
+    @example(
+        deliveries=[("p1", 1, "A", 1)], diseases=[("p3", -1, "G"), ("p2", 0, "I"), ("p2", -2, "G")]
+    )
+    def test_outcome_equals_one_scan_of_the_sorted_rows(self, deliveries, diseases):
+        assert raw_outcome(deliveries, diseases) == reference_outcome(deliveries, diseases)

@@ -1,13 +1,16 @@
 """Core model: items, sequences, patterns, embedding search."""
 
+from itertools import combinations
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pathmine.model import (
     EventSequence,
     Item,
     Pattern,
     find_embeddings,
+    iter_embeddings,
 )
 from pathmine.oracle import supports
 
@@ -130,6 +133,23 @@ def test_embeddings_strictly_increasing_and_in_range(seq_items, pattern_items):
         assert all(a < b for a, b in zip(emb, emb[1:]))
         # Positions must actually witness the pattern.
         assert all(seq.events[pos - 1][1] == item for pos, item in zip(emb, pattern.items))
+
+
+@settings(derandomize=True, max_examples=400)
+@given(st.lists(items_st, max_size=9), st.lists(items_st, min_size=1, max_size=4))
+def test_embeddings_are_the_matching_position_combinations(seq_items, pattern_items):
+    # The definition, not the engine's walk: every increasing choice of
+    # positions whose items are the pattern's, in ascending order.
+    seq = make_seq(seq_items)
+    pattern = Pattern(tuple(pattern_items))
+    items = seq.items()
+    expected = [
+        tuple(k + 1 for k in chosen)
+        for chosen in combinations(range(len(items)), len(pattern))
+        if all(items[k] == item for k, item in zip(chosen, pattern.items))
+    ]
+    assert find_embeddings(pattern, seq) == frozenset(expected)
+    assert list(iter_embeddings(pattern.items, items)) == expected
 
 
 @given(sequences_st)

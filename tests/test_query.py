@@ -286,6 +286,13 @@ class TestCompile:
                 parse_query(MINIMAL.replace("(atc, group, generic)", "(atc, atc)")), KB
             )
 
+    def test_attribute_names_are_case_sensitive(self):
+        # Codes are upper-cased on read; attribute names are kept as written.
+        text = MINIMAL.replace("(atc, group, generic)", "(ATC, group, generic)")
+        with pytest.raises(UnknownAttribute) as err:
+            compile_query(parse_query(text), KB)
+        assert str(err.value) == "unknown item attribute 'ATC' in projection"
+
     def test_generic_constraint_value_coerced(self):
         text = MINIMAL + "constraint contains_value(generic, 2);\n"
         with pytest.raises(InvalidQuery):
@@ -357,6 +364,18 @@ class TestHandBuiltTask:
     def test_task_out_of_range_rejected(self, field, value, message):
         with pytest.raises(ValueError) as err:
             replace(make_task(), **{field: value})
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "schema, error, message",
+        [
+            (("dose",), UnknownAttribute, "unknown item attribute 'dose' in projection"),
+            (("atc", "atc"), InvalidQuery, "projection lists an attribute twice: (atc, atc)"),
+        ],
+    )
+    def test_schema_checked_as_a_projection(self, schema, error, message):
+        with pytest.raises(error) as err:
+            make_task(schema=schema)
         assert str(err.value) == message
 
     def test_compiled_task_passes_the_checks(self):
