@@ -45,7 +45,6 @@ import gc
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
 from functools import cache
 from itertools import islice, starmap
 from json.encoder import encode_basestring_ascii
@@ -62,25 +61,6 @@ from .synth import CohortConfig, PlantSpec, generate_cohort, write_cohort
 USAGE_EXIT = 1
 DATA_EXIT = 2
 INCOMPLETE_EXIT = 3
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """Summary printed to stdout after a mine run."""
-
-    patients_total: int
-    patients_with_index: int
-    deliveries_loaded: int
-    diseases_loaded: int
-    pattern_count: int
-    complete: bool
-    nodes_expanded: int
-    wall_seconds: float
-    #: Wall seconds of load, build, mine and write; they add up to wall_seconds.
-    phases: dict
-    #: The search's counters: support_pruned, switch_pruned, negative_checks.
-    counters: dict
-    config: dict
 
 
 class _Parser(argparse.ArgumentParser):
@@ -295,23 +275,25 @@ def _mine(args: argparse.Namespace) -> int:
     ends["write"] = time.monotonic()
 
     wall_seconds, phases = _phase_seconds(started, ends)
-    report = RunReport(
-        patients_total=patients_total,
-        patients_with_index=len(database),
-        deliveries_loaded=raw.delivery_count,
-        diseases_loaded=raw.disease_count,
-        pattern_count=len(result.records),
-        complete=result.complete,
-        nodes_expanded=result.nodes_expanded,
-        wall_seconds=wall_seconds,
-        phases=phases,
-        counters=result.counters,
-        config={
+    report = {
+        "patients_total": patients_total,
+        "patients_with_index": len(database),
+        "deliveries_loaded": raw.delivery_count,
+        "diseases_loaded": raw.disease_count,
+        "pattern_count": len(result.records),
+        "complete": result.complete,
+        "nodes_expanded": result.nodes_expanded,
+        "wall_seconds": wall_seconds,
+        # Wall seconds of load, build, mine and write; they add up to wall_seconds.
+        "phases": phases,
+        # The search's counters: support_pruned, switch_pruned, negative_checks.
+        "counters": result.counters,
+        "config": {
             **{name: value for name, value in vars(args).items() if name != "command"},
             "min_support": task.min_support,
         },
-    )
-    print(json.dumps(asdict(report), sort_keys=True, indent=2))
+    }
+    print(json.dumps(report, sort_keys=True, indent=2))
     if not result.complete:
         print("warning: resource budget exhausted, results are incomplete", file=sys.stderr)
         return INCOMPLETE_EXIT

@@ -446,38 +446,41 @@ class _Node:
         self.lacking: list[int] | None = None
 
 
+class _Exhausted(Exception):
+    """The node or time budget ran out; `mine` ends the walk where it is."""
+
+
 class _Searcher:
     """The depth-first search, under one node/time budget.
 
     Each search node costs one unit of the budget, and so does each
     `_DEADLINE_STRIDE` embeddings enumerated in all mode, so both budgets
-    bound emission too. Once anything ran out, spend() stays False and
-    the walk stops where it is.
+    bound emission too. The first unit that finds the budget spent raises
+    `_Exhausted` instead, which unwinds the whole walk.
     """
 
     def __init__(self, prep: _Prepared, options: MiningOptions) -> None:
         self.prep = prep
         self.options = options
-        self.max_nodes = options.max_nodes
         self.deadline = (
             None if options.max_seconds is None else time.monotonic() + options.max_seconds
         )
         self.spent = 0
-        self.exhausted = False
         self.found: list[PatternRecord] = []
         self.nodes = 0
         self.counters = dict.fromkeys(_COUNTERS, 0)
 
-    def spend(self) -> bool:
-        """Charge one unit; False once the node or time budget ran out."""
-        if self.exhausted:
-            return False
+    def spend(self) -> None:
+        """Charge one unit, or raise `_Exhausted` if the node or time budget ran out.
+
+        `spent` counts the units charged, never the one refused.
+        """
+        max_nodes = self.options.max_nodes
+        if (max_nodes is not None and self.spent >= max_nodes) or (
+            self.deadline is not None and time.monotonic() > self.deadline
+        ):
+            raise _Exhausted
         self.spent += 1
-        if self.max_nodes is not None and self.spent > self.max_nodes:
-            self.exhausted = True
-        elif self.deadline is not None and time.monotonic() > self.deadline:
-            self.exhausted = True
-        return not self.exhausted
 
     def run(self, origin: _Node) -> None:
         """Search each root's subtree in turn; roots are the origin's children.
@@ -490,17 +493,12 @@ class _Searcher:
             node = next(stack[-1], None)
             if node is None:
                 stack.pop()
-                continue
-            children = self._visit(node)
-            if self.exhausted:
-                return
-            if children is not None:
-                stack.append(children)
+            else:
+                stack.append(self._visit(node))
 
-    def _visit(self, node: _Node) -> Iterator[_Node] | None:
+    def _visit(self, node: _Node) -> Iterator[_Node]:
         """Spend, test and emit one node; return its children to visit."""
-        if not self.spend():
-            return None
+        self.spend()
         self.nodes += 1
         prep = self.prep
         if self.options.prune and len(node.seqs) < prep.min_support:
@@ -508,15 +506,12 @@ class _Searcher:
             # gets here, and only by the support bound: a root's switch
             # counts are 0, which no interval (never below 0) overshoots.
             self.counters["support_pruned"] += 1
-            return None
+            return iter(())
         if _emittable(node.prefix, len(node.seqs), prep, partial(self._lacking, node)):
-            record = self._emit(node)
-            if record is None:
-                return None
-            self.found.append(record)
+            self.found.append(self._emit(node))
         # With no max_len, a prefix as long as its supporters has no child anyway.
         if self.options.max_len is not None and len(node.prefix) >= self.options.max_len:
-            return None
+            return iter(())
         return self.children(node)
 
     def _lacking(self, node: _Node) -> int:
@@ -602,17 +597,18 @@ class _Searcher:
             prep.locate(seqs, starts, tails, wanted)
         return wanted
 
-    def _emit(self, node: _Node) -> PatternRecord | None:
-        """The node's compact record, or None if the budget ran out meanwhile.
+    def _emit(self, node: _Node) -> PatternRecord:
+        """The node's compact record.
 
         The record shares the node's prefix, supporter and witness
         lists. Witness mode keeps each supporter's leftmost embedding,
         read off the node. All mode enumerates the embeddings and charges
         them to the budget as it goes, since their number grows
-        combinatorially, but keeps none of them: the record is kept
-        exactly when its enumeration finished within the budget, and its
-        readers enumerate again. The discriminative supporters are the
-        ones the node's discriminative check found lacking the pattern.
+        combinatorially, but keeps none of them: a budget that runs out
+        meanwhile raises `_Exhausted`, so no record is kept for the
+        node, and the readers of a kept record enumerate again. The
+        discriminative supporters are the ones the node's discriminative
+        check found lacking the pattern.
         """
         prep = self.prep
         witnesses = node.witnesses
@@ -622,9 +618,8 @@ class _Searcher:
                 iter_embeddings(node.prefix, prep.pos_ids[seq_idx]) for seq_idx in node.seqs
             )
             # One unit per full stride, counted across all supporters.
-            while sum(1 for _ in islice(embeddings, _DEADLINE_STRIDE)) == _DEADLINE_STRIDE:
-                if not self.spend():
-                    return None
+            for _ in islice(embeddings, _DEADLINE_STRIDE - 1, None, _DEADLINE_STRIDE):
+                self.spend()
         return PatternRecord(node.prefix, node.seqs, witnesses, node.lacking)
 
 
@@ -646,13 +641,17 @@ def mine(
     prep = _Prepared(task, database)
     searcher = _Searcher(prep, options)
     count = len(prep.pos_ids)
-    searcher.run(_Node((), list(range(count)), [()] * count))
+    complete = True
+    try:
+        searcher.run(_Node((), list(range(count)), [()] * count))
+    except _Exhausted:
+        complete = False
     found = searcher.found
     # Interned ids follow canonical item order, so this is Pattern.sort_key order.
     found.sort(key=lambda record: (len(record.prefix), record.prefix))
     return MiningResult(
         records=tuple(found),
-        complete=not searcher.exhausted,
+        complete=complete,
         nodes_expanded=searcher.nodes,
         counters=searcher.counters,
         items=database.items,

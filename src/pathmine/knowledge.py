@@ -117,9 +117,6 @@ class Taxonomy:
                     frontier.append(parent)
         return frozenset(seen)
 
-    def __len__(self) -> int:
-        return len(self._parents)
-
 
 EMPTY_TAXONOMY = Taxonomy()
 

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import InvalidPlantSpec
-from .ingest import RawDatabase
-from .knowledge import CodeAttributes, DeliveryAttributes, KnowledgeBase, Taxonomy, normalize_code
+from .knowledge import DeliveryAttributes, normalize_code
 
 #: Therapeutic classes cycled through by the noise roster.
 NOISE_CLASSES = ("N03AX09", "N03AX14", "N03AX11", "N03AG01", "N03AF01")
@@ -236,17 +235,6 @@ def generate_cohort(config: CohortConfig) -> Cohort:
         attribute_rows=tuple(rows),
         taxonomy_edges=TAXONOMY_EDGES,
         planted_patients=tuple(planted_patients),
-    )
-
-
-def raw_database(cohort: Cohort) -> RawDatabase:
-    return RawDatabase(cohort.deliveries, cohort.diseases)
-
-
-def knowledge_base(cohort: Cohort) -> KnowledgeBase:
-    return KnowledgeBase(
-        CodeAttributes.from_rows(row[:4] for row in cohort.attribute_rows),
-        Taxonomy.from_edges(cohort.taxonomy_edges),
     )
 
 

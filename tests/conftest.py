@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from pathmine.builder import CaseDatabase, CasePair, IndexEventRule, WindowSpec
+from pathmine.knowledge import CodeAttributes, KnowledgeBase, Taxonomy
 from pathmine.model import EventSequence, Item
 from pathmine.query import ContainsValue, MiningTask, SwitchCount
 
@@ -31,6 +32,14 @@ ALPHABET = (
     Item(("A2", "20", 0)),
     Item(("A2", "21", 1)),
 )
+
+
+def knowledge_base(cohort) -> KnowledgeBase:
+    """A synthetic cohort's knowledge base, built from its rows without writing its files."""
+    return KnowledgeBase(
+        CodeAttributes.from_rows(row[:4] for row in cohort.attribute_rows),
+        Taxonomy.from_edges(cohort.taxonomy_edges),
+    )
 
 
 def make_seq(items, days=None) -> EventSequence:

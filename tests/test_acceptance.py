@@ -18,9 +18,9 @@ from pathmine.knowledge import CodeAttributes, KnowledgeBase, Taxonomy
 from pathmine.model import Item, Pattern
 from pathmine.oracle import count_switches, discriminative_support, oracle_mine, positive_support
 from pathmine.query import compile_query, parse_query
-from pathmine.synth import CohortConfig, PlantSpec, generate_cohort, knowledge_base, raw_database
+from pathmine.synth import CohortConfig, PlantSpec, generate_cohort
 
-from conftest import ALPHABET, STUDY_QUERY, make_seq, make_task, random_instance
+from conftest import ALPHABET, STUDY_QUERY, knowledge_base, make_seq, make_task, random_instance
 
 SEEDS = range(108)
 ORACLE_MAX_LEN = 6
@@ -254,7 +254,7 @@ def test_criterion_performance_envelope(verdict):
     )
 
     started = time.perf_counter()
-    database = build_database(raw_database(cohort), task, kb)
+    database = build_database(RawDatabase(cohort.deliveries, cohort.diseases), task, kb)
     result = mine(task, database)
     elapsed = time.perf_counter() - started
     verdict(

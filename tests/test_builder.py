@@ -20,9 +20,9 @@ from pathmine.ingest import RawDatabase
 from pathmine.knowledge import CodeAttributes, KnowledgeBase, Taxonomy
 from pathmine.model import EventSequence, Item
 from pathmine.query import compile_query, parse_query
-from pathmine.synth import CohortConfig, PlantSpec, generate_cohort, knowledge_base, raw_database
+from pathmine.synth import CohortConfig, PlantSpec, generate_cohort
 
-from conftest import SCHEMA, STUDY_QUERY, make_task
+from conftest import SCHEMA, STUDY_QUERY, knowledge_base, make_task
 
 RULE = IndexEventRule(frozenset({"G40", "G41"}))
 TAX = Taxonomy.from_edges([("G403", "G40"), ("G410", "G41")])
@@ -287,7 +287,7 @@ class TestBuildDatabase:
         kb = knowledge_base(cohort)
         # A negative window and a class filter that drops the comedication.
         task = compile_query(parse_query(STUDY_QUERY), kb)
-        db = build_database(raw_database(cohort), task, kb)
+        db = build_database(RawDatabase(cohort.deliveries, cohort.diseases), task, kb)
         digest = hashlib.sha256()
         for pair in db.pairs:
             for sequence in (pair.positive, pair.negative):

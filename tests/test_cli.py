@@ -13,17 +13,11 @@ from pathmine import cli, ingest
 from pathmine.builder import CaseDatabase, CasePair, build_database
 from pathmine.cli import main, render_patterns, render_records
 from pathmine.engine import MiningOptions, MiningResult, mine
+from pathmine.ingest import RawDatabase
 from pathmine.query import compile_query, parse_query
-from pathmine.synth import (
-    CohortConfig,
-    PlantSpec,
-    generate_cohort,
-    knowledge_base,
-    raw_database,
-    write_cohort,
-)
+from pathmine.synth import CohortConfig, PlantSpec, generate_cohort, write_cohort
 
-from conftest import ALPHABET, STUDY_QUERY, make_seq, make_task
+from conftest import ALPHABET, STUDY_QUERY, knowledge_base, make_seq, make_task
 
 PLANT = "N03AG01,438,1|N03AG01,438,1|N03AX14,1023,0|N03AX14,1023,0@9"
 
@@ -358,7 +352,7 @@ constraint contains_value(generic, 1);
         )
         kb = knowledge_base(cohort)
         task = compile_query(parse_query(self.QUERY), kb)
-        database = build_database(raw_database(cohort), task, kb)
+        database = build_database(RawDatabase(cohort.deliveries, cohort.diseases), task, kb)
         return lambda mode: mine(task, database, MiningOptions(embeddings=mode))
 
     @pytest.mark.parametrize(
@@ -398,7 +392,8 @@ class TestOneOutputFormat:
         query.write_text(TestRenderedOutputPinned.QUERY, encoding="utf-8")
         kb = knowledge_base(cohort)
         task = compile_query(parse_query(TestRenderedOutputPinned.QUERY), kb)
-        return out, query, task, build_database(raw_database(cohort), task, kb)
+        raw = RawDatabase(cohort.deliveries, cohort.diseases)
+        return out, query, task, build_database(raw, task, kb)
 
     @pytest.mark.parametrize("budget", [None, 300])
     @pytest.mark.parametrize("mode", ["witness", "all"])

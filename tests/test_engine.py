@@ -319,6 +319,39 @@ class TestBudgets:
         assert result.complete
 
     @pytest.mark.parametrize(
+        "lengths, max_len, units",
+        [
+            # C(30, 3) = 4,060 embeddings of A^3 in one patient cost 3 units.
+            ((30,), 3, 3),
+            # 2 * C(16, 3) = 1,120 embeddings of A^3 are counted across the
+            # supporters, not per patient: 1 unit.
+            ((16, 16), 3, 1),
+            # The unit falls due at each full 1,024th embedding.
+            ((1023,), 1, 0),
+            ((1024,), 1, 1),
+            ((2047,), 1, 1),
+            ((2048,), 1, 2),
+        ],
+    )
+    def test_all_mode_charges_a_unit_per_full_stride_of_embeddings(self, lengths, max_len, units):
+        # The walk visits A, ..., A^max_len, one unit each, and charges the
+        # embeddings of each as it emits it.
+        db = CaseDatabase(
+            tuple(CasePair(f"p{i}", make_seq([A] * length)) for i, length in enumerate(lengths))
+        )
+        budget = max_len + units
+        options = MiningOptions(embeddings="all", max_len=max_len, max_nodes=budget)
+        result = mine(make_task(), db, options)
+        assert result.complete
+        assert [len(record.prefix) for record in result.records] == list(range(1, max_len + 1))
+        assert result.nodes_expanded == max_len
+        # One unit less cuts the last pattern, whose node or enumeration runs out.
+        options = MiningOptions(embeddings="all", max_len=max_len, max_nodes=budget - 1)
+        result = mine(make_task(), db, options)
+        assert not result.complete
+        assert [len(record.prefix) for record in result.records] == list(range(1, max_len))
+
+    @pytest.mark.parametrize(
         "field, value",
         [
             ("max_nodes", -1),

@@ -3,7 +3,7 @@
 import pytest
 
 from pathmine.builder import CaseDatabase, CasePair
-from pathmine.errors import TooLarge
+from pathmine.errors import MissingNegativeWindow, TooLarge
 from pathmine.model import Item, Pattern
 from pathmine.oracle import _candidate_count, oracle_mine
 
@@ -56,3 +56,9 @@ class TestEnumeration:
 
     def test_empty_database(self):
         assert oracle_mine(make_task(), CaseDatabase(()), max_len=3) == ()
+
+    def test_discriminative_task_requires_negatives(self):
+        # As `mine` refuses it: no patient has a negative sequence to compare.
+        db = CaseDatabase((CasePair("p", make_seq([A])),))
+        with pytest.raises(MissingNegativeWindow, match="no negative sequences"):
+            oracle_mine(make_task(discriminative=True), db, max_len=1)

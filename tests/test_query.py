@@ -320,6 +320,13 @@ class TestCompile:
         with pytest.raises(InvalidQuery, match="generic takes value 0 or 1, got '01'"):
             compile_query(parse_query(MINIMAL + "constraint contains_value(generic, 01);\n"), kb)
 
+    def test_atc_constraint_word_value_compiles_upper_case(self):
+        # A code value is a word token, kept as written until compile_query.
+        ast = parse_query(MINIMAL + "constraint contains_value(atc, n03ag01);\n")
+        assert ast.constraints == (ContainsValue("atc", "n03ag01"),)
+        (contains,) = compile_query(ast, KB).contains
+        assert contains.value == "N03AG01"
+
     def test_bad_window_offsets_rejected_at_compile(self):
         text = MINIMAL.replace("(index-90, index)", "(index-90, index+5)")
         with pytest.raises(InvalidQuery):

@@ -5,20 +5,14 @@ import pytest
 from pathmine.builder import build_database
 from pathmine.engine import mine
 from pathmine.errors import InvalidPlantSpec
+from pathmine.ingest import RawDatabase
 from pathmine.knowledge import DeliveryAttributes
 from pathmine.model import Item, Pattern
 from pathmine.oracle import discriminative_support, positive_support
 from pathmine.query import compile_query, parse_query
-from pathmine.synth import (
-    CohortConfig,
-    PlantSpec,
-    generate_cohort,
-    knowledge_base,
-    raw_database,
-    write_cohort,
-)
+from pathmine.synth import CohortConfig, PlantSpec, generate_cohort, write_cohort
 
-from conftest import STUDY_QUERY
+from conftest import STUDY_QUERY, knowledge_base
 
 STUDY_PLANT = "N03AG01,438,1|N03AG01,438,1|N03AX14,1023,0|N03AX14,1023,0@9"
 STUDY_PATTERN = Pattern(
@@ -144,7 +138,7 @@ class TestPlantExactness:
         cohort = small_cohort()
         kb = knowledge_base(cohort)
         task = compile_query(parse_query(STUDY_QUERY), kb)
-        db = build_database(raw_database(cohort), task, kb)
+        db = build_database(RawDatabase(cohort.deliveries, cohort.diseases), task, kb)
         assert positive_support(STUDY_PATTERN, db) == frozenset(cohort.planted_patients)
         assert discriminative_support(STUDY_PATTERN, db) == frozenset(cohort.planted_patients)
 
@@ -153,7 +147,7 @@ class TestPlantExactness:
         kb = knowledge_base(cohort)
         # Lower the threshold to the plant size for this small cohort.
         task = compile_query(parse_query(STUDY_QUERY.replace("min_support 20", "min_support 9")), kb)
-        db = build_database(raw_database(cohort), task, kb)
+        db = build_database(RawDatabase(cohort.deliveries, cohort.diseases), task, kb)
         result = mine(task, db)
         by_pattern = {pt.pattern: pt for pt in result.patterns}
         assert STUDY_PATTERN in by_pattern
