@@ -80,16 +80,27 @@ def _grouped(rows: list[tuple], kind: str) -> dict[str, DayCodes]:
     """Rows sorted by patient, as one `DayCodes` per patient, stably sorted by day.
 
     `kind` is "delivery" or "diagnosis". Each patient's facts are checked
-    as its columns are built. Its first day is its least, so walking the
-    patients in order raises a `NegativeDay` for the first negative day
-    in (patient, day) order, and for deliveries a `ValueError` for the
-    first quantity below 1, a row's fourth field. Only the day and code
-    columns are kept.
+    as its columns are built. A row with fewer fields than the kind's
+    header raises a `ValueError` naming them; extra fields are ignored.
+    Its first day is its least, so walking the patients in order raises
+    a `NegativeDay` for the first negative day in (patient, day) order,
+    and for deliveries a `ValueError` for the first quantity below 1, a
+    row's fourth field. Only the day and code columns are kept.
     """
+    fields = _DELIVERY_HEADER if kind == "delivery" else _DISEASE_HEADER
     by_day = itemgetter(1)
     groups = {}
     for patient, run in groupby(rows, itemgetter(0)):
-        _, days, codes, *rest = zip(*sorted(run, key=by_day))
+        try:
+            columns = tuple(zip(*sorted(run, key=by_day)))
+        except IndexError:  # a row without a day
+            columns = ()
+        # zip stops at the narrowest row, so a short row drops a column.
+        if len(columns) < len(fields):
+            raise ValueError(
+                f"patient {patient!r} has a {kind} row without all of ({', '.join(fields)})"
+            )
+        _, days, codes, *rest = columns
         if days[0] < 0:
             raise NegativeDay(f"{kind} on negative day {days[0]}")
         if kind == "delivery" and min(rest[0]) < 1:
@@ -108,7 +119,8 @@ class RawDatabase:
     patient, then each patient's rows stably by day, so rows of one
     patient on one day keep their input order; duplicates are kept.
     Neither sort builds a key tuple per row. The sorted rows are read
-    once, as each patient's columns are built, and that pass rejects the
+    once, as each patient's columns are built. That pass rejects the
+    first patient, in id order, with a row shorter than its kind, and the
     first negative day or quantity below 1 in (patient, day) order,
     deliveries before diagnoses; only days and codes are kept. The
     loaders have checked their rows already; the check is for rows

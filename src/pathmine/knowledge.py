@@ -23,7 +23,10 @@ from .errors import CycleError, DuplicateCode, UnknownCode
 
 
 class DeliveryAttributes(NamedTuple):
-    """Reified attribute triple for one delivered product code."""
+    """Reified attribute triple for one delivered product code.
+
+    Its field names are the item attributes a query may project.
+    """
 
     atc: str
     group: str
@@ -73,9 +76,6 @@ class CodeAttributes:
     def therapeutic_classes(self) -> frozenset[str]:
         return frozenset(attrs.atc for attrs in self._table.values())
 
-    def __len__(self) -> int:
-        return len(self._table)
-
 
 @dataclass(frozen=True)
 class Taxonomy:
@@ -118,12 +118,9 @@ class Taxonomy:
         return frozenset(seen)
 
 
-EMPTY_TAXONOMY = Taxonomy()
-
-
 @dataclass(frozen=True)
 class KnowledgeBase:
     """Everything external the pipeline consults: code table plus taxonomy."""
 
     attributes: CodeAttributes
-    taxonomy: Taxonomy = EMPTY_TAXONOMY
+    taxonomy: Taxonomy

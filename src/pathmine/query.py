@@ -45,11 +45,8 @@ from .errors import (
     QuerySyntaxError,
     UnknownAttribute,
 )
-from .knowledge import KnowledgeBase, normalize_code
+from .knowledge import DeliveryAttributes, KnowledgeBase, normalize_code
 from .model import AttributeValue
-
-#: Reifiable delivery attributes, in canonical order.
-ITEM_ATTRIBUTES = ("atc", "group", "generic")
 
 
 # ---------------------------------------------------------------- AST
@@ -385,7 +382,7 @@ class MiningTask:
 def _check_schema(schema: tuple[str, ...]) -> None:
     """Each projected attribute must be an item attribute, named once."""
     for name in schema:
-        if name not in ITEM_ATTRIBUTES:
+        if name not in DeliveryAttributes._fields:
             raise UnknownAttribute(f"unknown item attribute {name!r} in projection")
     if len(set(schema)) != len(schema):
         raise InvalidQuery(f"projection lists an attribute twice: ({', '.join(schema)})")

@@ -181,7 +181,7 @@ class TestLoadKb:
             ),
             self.tax_file(tmp_path),
         )
-        assert len(kb.attributes) == 1
+        assert list(kb.attributes.codes()) == ["C1"]
         assert kb.attributes.attributes("C1") == ("A", "1", 0)
 
     def test_padded_lower_case_codes_load_as_the_clean_file(self, tmp_path):
@@ -282,6 +282,46 @@ class TestRawDatabase:
                     ("p1", -3, "G40"), ("p1", 2, "I10"), ("p1", -7, "G41"), ("p1", -5, "G40")
                 )
             )
+
+    @pytest.mark.parametrize(
+        "deliveries, diseases, message",
+        [
+            # A delivery row without its quantity.
+            (
+                [("p1", 1, "X")],
+                [],
+                "patient 'p1' has a delivery row without all of (patient, day, cip, qty)",
+            ),
+            # One short row among full ones, which zip alone would truncate to.
+            (
+                [("p1", 1, "X", 1), ("p2", 1, "X", 1), ("p2", 2, "X")],
+                [],
+                "patient 'p2' has a delivery row without all of (patient, day, cip, qty)",
+            ),
+            # A diagnosis row without its code.
+            (
+                [],
+                [("p1", 1, "G40"), ("p1", 2)],
+                "patient 'p1' has a diagnosis row without all of (patient, day, icd)",
+            ),
+            # A row without a day, which the day sort cannot key.
+            (
+                [],
+                [("p1", 1, "G40"), ("p1",)],
+                "patient 'p1' has a diagnosis row without all of (patient, day, icd)",
+            ),
+        ],
+        ids=["no-qty", "one-short-row", "no-icd", "no-day"],
+    )
+    def test_a_row_shorter_than_its_kind_is_refused(self, deliveries, diseases, message):
+        with pytest.raises(ValueError) as info:
+            RawDatabase(deliveries, diseases)
+        assert type(info.value) is ValueError and str(info.value) == message
+
+    def test_extra_fields_are_ignored(self):
+        raw = RawDatabase([("p1", 1, "X", 1, "note")], [("p1", 0, "G40", "note")])
+        assert raw.delivery_groups == {"p1": ((1,), ("X",))}
+        assert raw.disease_groups == {"p1": ((0,), ("G40",))}
 
     def test_patients_union(self):
         raw = RawDatabase(
