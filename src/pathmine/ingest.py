@@ -76,6 +76,12 @@ class DayCodes(NamedTuple):
     codes: tuple[str, ...]
 
 
+def _short_row(kind: str) -> str:
+    """What a `kind` row ("delivery" or "diagnosis") shorter than its header lacks."""
+    fields = _DELIVERY_HEADER if kind == "delivery" else _DISEASE_HEADER
+    return f"a {kind} row without all of ({', '.join(fields)})"
+
+
 def _grouped(rows: list[tuple], kind: str) -> dict[str, DayCodes]:
     """Rows sorted by patient, as one `DayCodes` per patient, stably sorted by day.
 
@@ -87,7 +93,7 @@ def _grouped(rows: list[tuple], kind: str) -> dict[str, DayCodes]:
     and for deliveries a `ValueError` for the first quantity below 1, a
     row's fourth field. Only the day and code columns are kept.
     """
-    fields = _DELIVERY_HEADER if kind == "delivery" else _DISEASE_HEADER
+    width = len(_DELIVERY_HEADER if kind == "delivery" else _DISEASE_HEADER)
     by_day = itemgetter(1)
     groups = {}
     for patient, run in groupby(rows, itemgetter(0)):
@@ -96,10 +102,8 @@ def _grouped(rows: list[tuple], kind: str) -> dict[str, DayCodes]:
         except IndexError:  # a row without a day
             columns = ()
         # zip stops at the narrowest row, so a short row drops a column.
-        if len(columns) < len(fields):
-            raise ValueError(
-                f"patient {patient!r} has a {kind} row without all of ({', '.join(fields)})"
-            )
+        if len(columns) < width:
+            raise ValueError(f"patient {patient!r} has {_short_row(kind)}")
         _, days, codes, *rest = columns
         if days[0] < 0:
             raise NegativeDay(f"{kind} on negative day {days[0]}")
@@ -119,8 +123,9 @@ class RawDatabase:
     patient, then each patient's rows stably by day, so rows of one
     patient on one day keep their input order; duplicates are kept.
     Neither sort builds a key tuple per row. The sorted rows are read
-    once, as each patient's columns are built. That pass rejects the
-    first patient, in id order, with a row shorter than its kind, and the
+    once, as each patient's columns are built. A row without even a
+    patient fails the sort; otherwise that pass rejects the first
+    patient, in id order, with a row shorter than its kind, and the
     first negative day or quantity below 1 in (patient, day) order,
     deliveries before diagnoses; only days and codes are kept. The
     loaders have checked their rows already; the check is for rows
@@ -137,8 +142,14 @@ class RawDatabase:
     ) -> None:
         # The key is the interned patient id itself, so no tuple is made per row.
         by_patient = itemgetter(0)
-        delivery_rows = sorted(deliveries, key=by_patient)
-        disease_rows = sorted(diseases, key=by_patient)
+        try:
+            delivery_rows = sorted(deliveries, key=by_patient)
+        except IndexError:  # a row without a patient
+            raise ValueError(_short_row("delivery")) from None
+        try:
+            disease_rows = sorted(diseases, key=by_patient)
+        except IndexError:
+            raise ValueError(_short_row("diagnosis")) from None
         self.delivery_count = len(delivery_rows)
         self.disease_count = len(disease_rows)
         self.delivery_groups = _grouped(delivery_rows, "delivery")

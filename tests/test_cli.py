@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output shape, determinism."""
 
+import csv
 import gc
 import hashlib
 import json
@@ -9,11 +10,13 @@ from collections import Counter
 
 import pytest
 
+import pathmine.engine
 from pathmine import cli, ingest
 from pathmine.builder import CaseDatabase, CasePair, build_database
 from pathmine.cli import main, render_patterns, render_records
 from pathmine.engine import MiningOptions, MiningResult, mine
-from pathmine.ingest import RawDatabase
+from pathmine.ingest import RawDatabase, load_deliveries, load_diseases, load_kb
+from pathmine.oracle import discriminative_support, positive_support
 from pathmine.query import compile_query, parse_query
 from pathmine.synth import CohortConfig, PlantSpec, generate_cohort, write_cohort
 
@@ -43,6 +46,16 @@ def query_file(tmp_path):
     path = tmp_path / "study.pmq"
     path.write_text(STUDY_QUERY.replace("min_support 20", "min_support 9"), encoding="utf-8")
     return path
+
+
+def load(data_dir, query_file):
+    """The README's library sequence: the task and database of four CSV files and a query."""
+    kb = load_kb(data_dir / "kb_attributes.csv", data_dir / "taxonomy.csv")
+    task = compile_query(parse_query(query_file.read_text(encoding="utf-8")), kb)
+    raw = RawDatabase(
+        load_deliveries(data_dir / "deliveries.csv"), load_diseases(data_dir / "diseases.csv")
+    )
+    return task, build_database(raw, task, kb)
 
 
 def mine_args(cohort_dir, query_file, out, extra=()):
@@ -78,12 +91,18 @@ class TestMineCommand:
         assert len(planted[0]["discriminative_support"]) == 9
 
     def test_embeddings_all_flag(self, cohort_dir, query_file, tmp_path):
-        out = tmp_path / "patterns.jsonl"
+        out, witness = tmp_path / "patterns.jsonl", tmp_path / "witness.jsonl"
         assert main(mine_args(cohort_dir, query_file, out, ["--embeddings", "all"])) == 0
-        for rec in map(json.loads, out.read_text(encoding="utf-8").splitlines()):
+        assert main(mine_args(cohort_dir, query_file, witness)) == 0
+        records = list(map(json.loads, out.read_text(encoding="utf-8").splitlines()))
+        for rec in records:
             for embs in rec["embeddings"].values():
                 assert embs == sorted(embs)
                 assert all(list(e) == sorted(e) for e in embs)
+            rec["embeddings"] = {patient: embs[:1] for patient, embs in rec["embeddings"].items()}
+        # Each witness-mode record is the all-mode one cut to each patient's leftmost embedding.
+        assert records
+        assert records == list(map(json.loads, witness.read_text(encoding="utf-8").splitlines()))
 
     def test_deterministic_output_file(self, cohort_dir, query_file, tmp_path, capsys):
         first = tmp_path / "one.jsonl"
@@ -137,10 +156,17 @@ class TestMineCommand:
 
     def test_bad_query_syntax_exits_one(self, cohort_dir, tmp_path, capsys):
         bad = tmp_path / "bad.pmq"
-        bad.write_text("index_event first diagnosis in {G40}\n", encoding="utf-8")
         out = tmp_path / "patterns.jsonl"
-        assert main(mine_args(cohort_dir, bad, out)) == 1
-        assert "error" in capsys.readouterr().err
+        # An integer past Python's 4,300-digit conversion limit is a syntax
+        # error at its token.
+        for text, error in [
+            ("index_event first diagnosis in {G40}\n", "error: "),
+            ("min_support " + "1" * 5000 + ";\n", "error: line 1, column 13: "),
+        ]:
+            bad.write_text(text, encoding="utf-8")
+            assert main(mine_args(cohort_dir, bad, out)) == 1
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line.startswith(error)
 
     def test_unreadable_query_exits_one(self, cohort_dir, tmp_path):
         out = tmp_path / "patterns.jsonl"
@@ -198,50 +224,104 @@ class TestMineCommand:
     def test_node_budget_exits_three_with_partial_output(
         self, cohort_dir, query_file, tmp_path, capsys
     ):
-        out = tmp_path / "partial.jsonl"
-        assert main(mine_args(cohort_dir, query_file, out, ["--max-nodes", "3"])) == 3
-        report = json.loads(capsys.readouterr().out)
+        complete, out = tmp_path / "complete.jsonl", tmp_path / "partial.jsonl"
+        assert main(mine_args(cohort_dir, query_file, complete)) == 0
+        capsys.readouterr()
+        # The full run visits 24 nodes, and the first 8 emit 3 of its 4 patterns.
+        assert main(mine_args(cohort_dir, query_file, out, ["--max-nodes", "8"])) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "warning: resource budget exhausted, results are incomplete\n"
+        report = json.loads(captured.out)
         assert report["complete"] is False
+        assert report["nodes_expanded"] == 8
         assert out.exists()
+        cut = out.read_text(encoding="utf-8").splitlines()
+        assert cut and set(cut) <= set(complete.read_text(encoding="utf-8").splitlines())
 
     @pytest.mark.parametrize(
-        "bad_row, message",
-        [(b"p\xe9,1,X,1\n", "not UTF-8"), (b"p1,1," + b"X" * 200_000 + b",1\n", "field limit")],
+        "name, column, value, message",
+        [
+            ("deliveries.csv", None, b"p\xe9,1,X,1", "not UTF-8: byte 0xe9"),
+            (
+                "deliveries.csv",
+                None,
+                b"p1,1," + b"X" * 200_000 + b",1",
+                "malformed CSV: field larger than field limit",
+            ),
+            # These fail the bulk check, so the file is read again row by row.
+            ("deliveries.csv", 1, b"-2", "day must be >= 0, got -2"),
+            ("deliveries.csv", 3, b"0", "qty must be >= 1, got 0"),
+            # The knowledge base's rows are refused at their leftmost bad cell.
+            ("taxonomy.csv", None, b"G403,", "parent must not be empty"),
+            ("kb_attributes.csv", None, b",N03AG01,438,x,noise", "cip must not be empty"),
+            (
+                "kb_attributes.csv",
+                None,
+                b"C9,N03AG01,438,-1,noise",
+                "generic must be 0 or 1, got -1",
+            ),
+        ],
+        ids=["not-utf8", "field-limit", "day", "qty", "parent", "cip", "generic"],
     )
     def test_unreadable_deliveries_exit_two(
-        self, cohort_dir, query_file, tmp_path, capsys, bad_row, message
+        self, cohort_dir, query_file, tmp_path, capsys, name, column, value, message
     ):
-        bad = tmp_path / "deliveries.csv"
-        bad.write_bytes((cohort_dir / "deliveries.csv").read_bytes() + bad_row)
-        args = mine_args(cohort_dir, query_file, tmp_path / "p.jsonl")
-        args[args.index("--deliveries") + 1] = str(bad)
-        assert main(args) == 2
-        err = capsys.readouterr().err
-        assert message in err and str(bad) in err
+        # With a column, line 3's cell there is replaced; without, the value is
+        # a row appended to the file.
+        bad = tmp_path / "bad"
+        shutil.copytree(cohort_dir, bad)
+        lines = (bad / name).read_bytes().splitlines()
+        if column is None:
+            lines.append(value)
+        else:
+            cells = lines[2].split(b",")
+            cells[column] = value
+            lines[2] = b",".join(cells)
+        (bad / name).write_bytes(b"\n".join(lines) + b"\n")
+        assert main(mine_args(bad, query_file, tmp_path / "p.jsonl")) == 2
+        line = 3 if column is not None else len(lines)
+        (error,) = capsys.readouterr().err.splitlines()
+        assert error.startswith(f"error: {bad / name}:{line}: {message}")
 
-    def test_shuffled_rows_write_identical_bytes(self, cohort_dir, query_file, tmp_path, capsys):
-        shuffled = tmp_path / "shuffled"
-        shuffled.mkdir()
-        rng = random.Random(3)
-        for name in ("deliveries.csv", "diseases.csv"):
-            header, *rows = (cohort_dir / name).read_text(encoding="utf-8").splitlines(True)
-            rng.shuffle(rows)
-            (shuffled / name).write_text(header + "".join(rows), encoding="utf-8")
-        for name in ("kb_attributes.csv", "taxonomy.csv"):
-            shutil.copy(cohort_dir / name, shuffled / name)
-        # Same-patient same-day deliveries exist, so the stable sort matters.
-        days = Counter(
-            tuple(line.split(",")[:2])
-            for line in (cohort_dir / "deliveries.csv").read_text(encoding="utf-8").splitlines()
-        )
-        assert max(days.values()) > 1
+    @pytest.mark.parametrize("shape", ["shuffled", "quoted", "lower"])
+    def test_shuffled_rows_write_identical_bytes(
+        self, cohort_dir, query_file, tmp_path, capsys, shape
+    ):
+        reshaped = tmp_path / shape
+        shutil.copytree(cohort_dir, reshaped)
+        if shape == "shuffled":
+            rng = random.Random(3)
+            for name in ("deliveries.csv", "diseases.csv"):
+                header, *rows = (cohort_dir / name).read_text(encoding="utf-8").splitlines(True)
+                rng.shuffle(rows)
+                (reshaped / name).write_text(header + "".join(rows), encoding="utf-8")
+            # Same-patient same-day deliveries exist, so the stable sort matters.
+            days = Counter(
+                tuple(line.split(",")[:2])
+                for line in (cohort_dir / "deliveries.csv").read_text(encoding="utf-8").splitlines()
+            )
+            assert max(days.values()) > 1
+        elif shape == "quoted":
+            # Quoted cells send both fact files to the row validator.
+            for name in ("deliveries.csv", "diseases.csv"):
+                with open(cohort_dir / name, newline="", encoding="utf-8") as handle:
+                    rows = list(csv.reader(handle))
+                with open(reshaped / name, "w", newline="", encoding="utf-8") as handle:
+                    csv.writer(handle, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(rows)
+            assert (reshaped / "deliveries.csv").read_text(encoding="utf-8").startswith('"patient"')
+        else:
+            # Every text column but patient is a code, read case-insensitively
+            # (headers and patient ids are lower case already).
+            for path in reshaped.glob("*.csv"):
+                path.write_text(path.read_text(encoding="utf-8").lower(), encoding="utf-8")
+            assert ",n03ag01," in (reshaped / "kb_attributes.csv").read_text(encoding="utf-8")
 
         counts = (
             "patients_total", "patients_with_index", "deliveries_loaded", "diseases_loaded",
             "pattern_count", "nodes_expanded", "counters",
         )
         outputs, reports = [], []
-        for data_dir in (cohort_dir, shuffled):
+        for data_dir in (cohort_dir, reshaped):
             out = tmp_path / f"{data_dir.name}.jsonl"
             assert main(mine_args(data_dir, query_file, out)) == 0
             report = json.loads(capsys.readouterr().out)
@@ -390,10 +470,7 @@ class TestOneOutputFormat:
         write_cohort(cohort, out)
         query = out / "study.pmq"
         query.write_text(TestRenderedOutputPinned.QUERY, encoding="utf-8")
-        kb = knowledge_base(cohort)
-        task = compile_query(parse_query(TestRenderedOutputPinned.QUERY), kb)
-        raw = RawDatabase(cohort.deliveries, cohort.diseases)
-        return out, query, task, build_database(raw, task, kb)
+        return out, query, *load(out, query)
 
     @pytest.mark.parametrize("budget", [None, 300])
     @pytest.mark.parametrize("mode", ["witness", "all"])
@@ -410,6 +487,49 @@ class TestOneOutputFormat:
         # The full search visits 394 nodes, so the budget cuts it short.
         assert result.complete is (budget is None)
         assert out.read_text(encoding="utf-8") == render_patterns(result.patterns)
+        # Each record agrees with the oracle's definitions.
+        for pt in result.patterns:
+            assert pt.supported == positive_support(pt.pattern, database)
+            assert pt.discriminative == discriminative_support(pt.pattern, database)
+
+    @pytest.mark.parametrize(
+        "case, cohort, min_support",
+        [
+            # A switch upper bound prunes candidates before they become nodes,
+            # which no benchmark workload does.
+            ("switch", ["--patients", "80", "--mean-events", "8", "--noise-items", "20"], 4),
+            # Long windows send the search's nodes to the bit-sliced leaf test.
+            ("long", ["--patients", "40", "--mean-events", "200", "--noise-items", "200"], 20),
+        ],
+        ids=["switch", "long"],
+    )
+    def test_pruned_run_writes_the_unpruned_bytes(
+        self, tmp_path, capsys, monkeypatch, case, cohort, min_support
+    ):
+        data_dir = tmp_path / case
+        synth = ["synth", "--seed", "5", "--plant", PLANT.replace("@9", "@3"), *cohort]
+        assert main(synth + ["--out-dir", str(data_dir)]) == 0
+        query = tmp_path / "query.pmq"
+        statements = f"min_support {min_support};\n"
+        if case == "switch":
+            statements += "constraint switch_count(generic) <= 0;\n"
+        # The study query's event and positive window, without its other statements.
+        query.write_text(STUDY_QUERY.split("window negative")[0] + statements, encoding="utf-8")
+        tested = []
+        frequent = pathmine.engine._frequent
+        spy = lambda masks, bound: tested.append(bound) or frequent(masks, bound)
+        monkeypatch.setattr(pathmine.engine, "_frequent", spy)
+        out = tmp_path / "p.jsonl"
+        capsys.readouterr()
+        assert main(mine_args(data_dir, query, out, ["--max-len", "2"])) == 0
+        report = json.loads(capsys.readouterr().out)
+        # Each case takes its own pruning path, or it checks nothing new.
+        assert bool(tested) is (case == "long")
+        assert bool(report["counters"]["switch_pruned"]) is (case == "switch")
+        task, database = load(data_dir, query)
+        unpruned = mine(task, database, MiningOptions(embeddings="witness", max_len=2, prune=False))
+        assert unpruned.records
+        assert out.read_text(encoding="utf-8") == render_patterns(unpruned.patterns)
 
     def test_a_patient_with_more_embeddings_than_a_chunk(self):
         # (A, B) has 40 * 40 = 1,600 embeddings in one patient, more than one
@@ -497,12 +617,18 @@ class TestSynthCommand:
         assert (tmp_path / "deliveries.csv").exists()
 
     def test_invalid_plant_spec_exits_one(self, tmp_path, capsys):
-        code = main(
-            ["synth", "--patients", "10", "--plant", "oops",
-             "--seed", "2", "--out-dir", str(tmp_path)]
-        )
-        assert code == 1
-        assert "error" in capsys.readouterr().err
+        # A plant puts its items on distinct days of the 89-day positive window.
+        for plant, message in [
+            ("oops", "error: "),
+            ("|".join(["N03AG01,438,1"] * 90) + "@1", "error: a plant has at most 89 items"),
+        ]:
+            code = main(
+                ["synth", "--patients", "10", "--plant", plant,
+                 "--seed", "2", "--out-dir", str(tmp_path)]
+            )
+            assert code == 1
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line.startswith(message)
 
     def test_plant_larger_than_cohort_exits_one(self, tmp_path):
         code = main(
@@ -512,13 +638,16 @@ class TestSynthCommand:
         assert code == 1
 
     def test_negative_mean_events_exits_one(self, tmp_path, capsys):
-        code = main(
-            ["synth", "--patients", "5", "--seed", "9", "--mean-events", "-1",
-             "--out-dir", str(tmp_path)]
-        )
-        assert code == 1
-        assert "mean_events" in capsys.readouterr().err
-        assert not (tmp_path / "deliveries.csv").exists()
+        # A nan mean never reaches the Poisson draw's floor, so it is refused at once.
+        for mean in ("-1", "nan"):
+            code = main(
+                ["synth", "--patients", "5", "--seed", "9", "--mean-events", mean,
+                 "--out-dir", str(tmp_path)]
+            )
+            assert code == 1
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line.startswith("error: ") and "mean_events" in line
+            assert not (tmp_path / "deliveries.csv").exists()
 
     def test_no_plant_is_fine(self, tmp_path, capsys):
         code = main(["synth", "--patients", "5", "--seed", "9", "--out-dir", str(tmp_path)])

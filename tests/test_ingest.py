@@ -310,8 +310,11 @@ class TestRawDatabase:
                 [("p1", 1, "G40"), ("p1",)],
                 "patient 'p1' has a diagnosis row without all of (patient, day, icd)",
             ),
+            # Rows without a patient, which the patient sort cannot key.
+            ([()], (), "a delivery row without all of (patient, day, cip, qty)"),
+            ((), [()], "a diagnosis row without all of (patient, day, icd)"),
         ],
-        ids=["no-qty", "one-short-row", "no-icd", "no-day"],
+        ids=["no-qty", "one-short-row", "no-icd", "no-day", "empty-delivery", "empty-diagnosis"],
     )
     def test_a_row_shorter_than_its_kind_is_refused(self, deliveries, diseases, message):
         with pytest.raises(ValueError) as info:
