@@ -561,6 +561,10 @@ class _Searcher:
         Under pruning, a node whose tails are long enough is first tested
         as a leaf over their bit masks. If it is one, every distinct
         candidate is counted as pruned and nothing else is looked at.
+        Otherwise every tail item is counted, and only the candidates
+        that clear the support bound and the switch intervals are
+        located; a leaf that the count finds keeps none, so nothing is
+        located.
         """
         prep = self.prep
         seqs = node.seqs
@@ -576,10 +580,6 @@ class _Searcher:
         counts = Counter(chain.from_iterable(tails))
         if bounded:
             min_support = prep.min_support
-            if max(counts.values(), default=0) < min_support:
-                # A leaf: no candidate clears the bound, so none is looked at.
-                self.counters["support_pruned"] += len(counts)
-                return {}
             candidates = [iid for iid, supporters in counts.items() if supporters >= min_support]
             self.counters["support_pruned"] += len(counts) - len(candidates)
             prefix, tops = node.prefix, [hi for _, hi in prep.switch_bounds]

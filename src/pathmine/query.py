@@ -24,16 +24,24 @@ knowledge base into an executable MiningTask. Each clause has one form
 from the parser to the search: the index event is the builder's
 `IndexEventRule`, each window its `WindowSpec` (checked where the
 statement is parsed, so a bad window is reported before any later
-clause), and the AST's `ContainsValue` and `SwitchCount` are the
-constraints. `constraint discriminative` is the negative window, not a
-constraint of its own. What each constraint means is defined in
-`oracle`; how the search uses it is described in `engine`.
+clause), and the AST's `ContainsValue` and `SwitchCount`, kept in one
+tuple in declaration order, are the task's constraints. `constraint
+discriminative` is the negative window, not a constraint of its own.
+
+`MiningTask.__post_init__` is the one check of a task's rules, so a
+task built by hand is held to the rules a compiled one is. It reports
+the first fault in this order: the projection, then each constraint as
+declared. `compile_query` checks nothing itself: it puts contains
+values in canonical form, builds the task, and only then widens the
+class filter, so an empty class filter is reported last. What each
+constraint means is defined in `oracle`; how the search uses it is
+described in `engine`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Union
 
 from .builder import IndexEventRule, WindowSpec
@@ -341,12 +349,15 @@ def parse_query(text: str) -> QueryAst:
 class MiningTask:
     """Executable form of a query, resolved against a knowledge base.
 
-    `schema` names item attributes, each once, as a projection must.
-    `contains` and `switches` hold the query's constraints in declaration
-    order, each attribute checked against `schema` and each contains
-    value coerced to its attribute's domain. The task is discriminative
-    exactly when it has a negative window; that filter's threshold, like
-    the support threshold, is `min_support`.
+    The task is the one statement of a query's rules, and `__post_init__`
+    checks them, whether `compile_query` built the task or a caller did:
+    `min_support`, then `schema` (item attributes, each named once, as a
+    projection must), then each of `constraints` in declaration order
+    (its attribute in `schema`, a contains value in its attribute's
+    canonical form). `contains` and `switches` are views of
+    `constraints` by kind. The task is discriminative exactly when it
+    has a negative window; that filter's threshold, like the support
+    threshold, is `min_support`.
     """
 
     index_rule: IndexEventRule
@@ -355,51 +366,43 @@ class MiningTask:
     positive_window: WindowSpec
     negative_window: WindowSpec | None
     min_support: int
-    contains: tuple[ContainsValue, ...] = ()
-    switches: tuple[SwitchCount, ...] = ()
+    constraints: tuple[Constraint, ...] = ()
 
     def __post_init__(self) -> None:
         if self.min_support < 1:
             raise ValueError("min_support must be >= 1")
         if not self.schema:
             raise ValueError("item schema must not be empty")
-        # A hand-built task gets the checks compile_query makes.
-        _check_schema(self.schema)
-        for constraint in self.contains + self.switches:
-            _check_attribute(constraint.attribute, self.schema)
-        for constraint in self.contains:
-            value = _coerce_value(constraint.attribute, constraint.value)
-            if type(value) is not type(constraint.value) or value != constraint.value:
-                raise InvalidQuery(
-                    f"{constraint.attribute} value {constraint.value!r} must be given as {value!r}"
-                )
+        for name in self.schema:
+            if name not in DeliveryAttributes._fields:
+                raise UnknownAttribute(f"unknown item attribute {name!r} in projection")
+        if len(set(self.schema)) != len(self.schema):
+            raise InvalidQuery(f"projection lists an attribute twice: ({', '.join(self.schema)})")
+        for constraint in self.constraints:
+            attribute = constraint.attribute
+            if attribute not in self.schema:
+                raise UnknownAttribute(f"attribute {attribute!r} is not in the item schema")
+            if isinstance(constraint, SwitchCount):
+                continue
+            # Attribute domains: generic is 0/1, the other two are code strings.
+            value = constraint.value
+            if attribute == "generic":
+                if not isinstance(value, int) or value not in (0, 1):
+                    raise InvalidQuery(f"generic takes value 0 or 1, got {value!r}")
+            elif value != (canonical := normalize_code(str(value))):
+                raise InvalidQuery(f"{attribute} value {value!r} must be given as {canonical!r}")
+
+    @property
+    def contains(self) -> tuple[ContainsValue, ...]:
+        return tuple(c for c in self.constraints if isinstance(c, ContainsValue))
+
+    @property
+    def switches(self) -> tuple[SwitchCount, ...]:
+        return tuple(c for c in self.constraints if isinstance(c, SwitchCount))
 
     @property
     def discriminative(self) -> bool:
         return self.negative_window is not None
-
-
-def _check_schema(schema: tuple[str, ...]) -> None:
-    """Each projected attribute must be an item attribute, named once."""
-    for name in schema:
-        if name not in DeliveryAttributes._fields:
-            raise UnknownAttribute(f"unknown item attribute {name!r} in projection")
-    if len(set(schema)) != len(schema):
-        raise InvalidQuery(f"projection lists an attribute twice: ({', '.join(schema)})")
-
-
-def _check_attribute(attribute: str, schema: tuple[str, ...]) -> None:
-    if attribute not in schema:
-        raise UnknownAttribute(f"attribute {attribute!r} is not in the item schema")
-
-
-def _coerce_value(attribute: str, value: Union[str, int]) -> AttributeValue:
-    # Attribute domains: generic is 0/1, the other two are code strings.
-    if attribute == "generic":
-        if not isinstance(value, int) or value not in (0, 1):
-            raise InvalidQuery(f"generic takes value 0 or 1, got {value!r}")
-        return value
-    return normalize_code(str(value))
 
 
 def expand_class_filter(
@@ -407,10 +410,11 @@ def expand_class_filter(
 ) -> frozenset[str]:
     """All KB therapeutic classes matching the filter, listed codes included.
 
-    A class matches when one of its taxonomy ancestors is listed; with
-    exact=True only the listed codes themselves match.
+    The codes must be normalised, as the parser's are. A class matches
+    when one of its taxonomy ancestors is listed; with exact=True only
+    the listed codes themselves match.
     """
-    listed = frozenset(map(normalize_code, codes))
+    listed = frozenset(codes)
     known = kb.attributes.therapeutic_classes()
     if exact:
         matching = listed & known
@@ -422,27 +426,26 @@ def expand_class_filter(
 
 
 def compile_query(ast: QueryAst, kb: KnowledgeBase, exact_class_match: bool = False) -> MiningTask:
-    """Resolve an AST against the KB into a MiningTask."""
-    schema = ast.event.projection
-    _check_schema(schema)
+    """Resolve an AST against the KB into a MiningTask, which checks itself.
 
-    # One pass in declaration order, so the first faulty clause is reported.
-    contains = []
-    switches = []
-    for clause in ast.constraints:
-        _check_attribute(clause.attribute, schema)
-        if isinstance(clause, ContainsValue):
-            value = _coerce_value(clause.attribute, clause.value)
-            contains.append(ContainsValue(clause.attribute, value))
-        else:
-            switches.append(clause)
-    return MiningTask(
+    Contains values are put in canonical form (a code is normalised, a
+    generic flag kept as written) and the task is built before the class
+    filter is widened, so a projection or constraint fault is reported
+    before an empty class filter.
+    """
+    constraints = tuple(
+        ContainsValue(c.attribute, normalize_code(str(c.value)))
+        if isinstance(c, ContainsValue) and c.attribute != "generic"
+        else c
+        for c in ast.constraints
+    )
+    task = MiningTask(
         index_rule=ast.index_event,
-        schema=schema,
-        class_filter=expand_class_filter(ast.event.codes, kb, exact_class_match),
+        schema=ast.event.projection,
+        class_filter=frozenset(),
         positive_window=ast.positive_window,
         negative_window=ast.negative_window,
         min_support=ast.min_support,
-        contains=tuple(contains),
-        switches=tuple(switches),
+        constraints=constraints,
     )
+    return replace(task, class_filter=expand_class_filter(ast.event.codes, kb, exact_class_match))

@@ -69,8 +69,8 @@ def make_task(
         positive_window=WindowSpec(-90, 0),
         negative_window=WindowSpec(-180, -90) if discriminative else None,
         min_support=f_min,
-        contains=tuple(ContainsValue(attribute, value) for attribute, value in contains),
-        switches=tuple(SwitchCount(*bound) for bound in switch),
+        constraints=tuple(ContainsValue(attribute, value) for attribute, value in contains)
+        + tuple(SwitchCount(*bound) for bound in switch),
     )
 
 

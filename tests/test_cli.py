@@ -1,14 +1,22 @@
 """Command-line interface: exit codes, output shape, determinism."""
 
+import contextlib
 import csv
 import gc
 import hashlib
+import io
 import json
+import os
 import random
+import re
 import shutil
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pathmine.engine
 from pathmine import cli, ingest
@@ -653,6 +661,122 @@ class TestSynthCommand:
         code = main(["synth", "--patients", "5", "--seed", "9", "--out-dir", str(tmp_path)])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["planted_patients"] == 0
+
+
+class TestHashSeed:
+    """The output is a function of the inputs, not of the interpreter's hash seed.
+
+    pytest's own hash seed changes from session to session, so an order
+    that leaks from a set or dict would show only as a flaky test; here
+    two seeds are fixed and compared.
+    """
+
+    @pytest.mark.parametrize("mode", ["witness", "all"])
+    def test_bytes_and_report_do_not_depend_on_the_hash_seed(
+        self, cohort_dir, query_file, tmp_path, mode
+    ):
+        out = tmp_path / "patterns.jsonl"
+        args = mine_args(cohort_dir, query_file, out, ["--embeddings", mode])
+        src = str(Path(cli.__file__).parents[1])
+        runs = []
+        for seed in ("0", "1"):
+            env = {
+                **os.environ,
+                "PYTHONHASHSEED": seed,
+                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            }
+            proc = subprocess.run(
+                [sys.executable, "-m", "pathmine", *args], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 0, proc.stderr
+            report = json.loads(proc.stdout)
+            del report["wall_seconds"], report["phases"]
+            runs.append((out.read_bytes(), report))
+        assert runs[0][1]["pattern_count"] > 0
+        assert runs[0] == runs[1]
+
+
+#: The query's tokens, with the whitespace and comments between them.
+QUERY_TOKEN = re.compile(r"\s+|#[^\n]*|==|<=|>=|[0-9]+|[A-Za-z_][A-Za-z0-9_]*|.", re.DOTALL)
+
+#: What a byte mutation of a CSV file may insert.
+INSERTED_BYTES = [b",", b'"', b"\n", b"\r", b"\0", b"\xff", b"-", *(b"%d" % d for d in range(10))]
+
+CSV_NAMES = ("deliveries.csv", "diseases.csv", "kb_attributes.csv", "taxonomy.csv")
+
+
+class TestErrorContract:
+    """Whatever the input, `mine` exits 0-3 and reports an error on one line."""
+
+    @pytest.fixture(scope="class")
+    def tiny(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("tiny")
+        code = main(
+            [
+                "synth",
+                "--patients", "8",
+                "--plant", "N03AG01,438,1|N03AX14,1023,0@3",
+                "--seed", "11",
+                "--out-dir", str(out / "clean"),
+            ]
+        )
+        assert code == 0
+        files = {name: (out / "clean" / name).read_bytes() for name in CSV_NAMES}
+        query = STUDY_QUERY.replace("min_support 20", "min_support 2")
+        return out, files, QUERY_TOKEN.findall(query)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_any_mutated_input_keeps_the_exit_contract(self, tiny, data):
+        # One input is mutated per example: the query byte by byte would
+        # mostly stop at the tokenizer, and a broken query hides the CSVs.
+        root, files, tokens = tiny
+        files, tokens = dict(files), list(tokens)
+        target = data.draw(st.sampled_from(("query",) + CSV_NAMES), label="target")
+        if target == "query":
+            words = [i for i, token in enumerate(tokens) if not token.isspace()]
+            pool = sorted(set(tokens) | {"0", "dose", "99999"})
+            edits = st.tuples(
+                st.sampled_from(words), st.sampled_from(["delete", "duplicate", *pool])
+            )
+            for i, edit in data.draw(st.lists(edits, min_size=1, max_size=2), label="edits"):
+                if edit == "delete":
+                    tokens[i] = ""
+                elif edit == "duplicate":
+                    tokens[i] += " " + tokens[i]
+                else:
+                    tokens[i] = edit
+        else:
+            edits = st.tuples(
+                st.integers(0, 10**4),
+                st.sampled_from(["delete", "duplicate", "truncate", *INSERTED_BYTES]),
+            )
+            blob = files[target]
+            for at, edit in data.draw(st.lists(edits, min_size=1, max_size=3), label="edits"):
+                at %= len(blob) + 1
+                if edit == "delete":
+                    blob = blob[:at] + blob[at + 1 :]
+                elif edit == "duplicate":
+                    blob = blob[: at + 1] + blob[at:]
+                elif edit == "truncate":
+                    blob = blob[:at]
+                else:
+                    blob = blob[:at] + edit + blob[at:]
+            files[target] = blob
+        budget = data.draw(st.sampled_from(["30", "500"]), label="max nodes")
+
+        for name, blob in files.items():
+            (root / name).write_bytes(blob)
+        query = root / "query.pmq"
+        query.write_text("".join(tokens), encoding="utf-8")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(mine_args(root, query, root / "out.jsonl", ["--max-nodes", budget]))
+        assert code in (0, 1, 2, 3)
+        if code in (1, 2):
+            message = stderr.getvalue()
+            assert message.startswith("error: ") and message.endswith("\n")
+            assert len(message.splitlines()) == 1, message
 
 
 def test_module_entry_point():

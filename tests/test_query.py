@@ -385,6 +385,34 @@ class TestHandBuiltTask:
             make_task(schema=schema)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "constraints, error, message",
+        [
+            (
+                (SwitchCount("atc", "<=", 1), ContainsValue("generic", 2)),
+                UnknownAttribute,
+                "attribute 'atc' is not in the item schema",
+            ),
+            (
+                (ContainsValue("generic", 2), SwitchCount("atc", "<=", 1)),
+                InvalidQuery,
+                "generic takes value 0 or 1, got 2",
+            ),
+        ],
+    )
+    def test_constraint_errors_keep_declaration_order(self, constraints, error, message):
+        # The order test_constraint_errors_keep_declaration_order pins for compile_query.
+        task = make_task(schema=("group", "generic"))
+        with pytest.raises(error) as err:
+            replace(task, constraints=constraints)
+        assert str(err.value) == message
+
+    def test_projection_reported_before_an_empty_class_filter(self):
+        text = MINIMAL.replace("(atc, group, generic)", "(atc, dose)")
+        with pytest.raises(UnknownAttribute) as err:
+            compile_query(parse_query(text.replace("{N03AG01}", "{B01AC06}")), KB)
+        assert str(err.value) == "unknown item attribute 'dose' in projection"
+
     def test_compiled_task_passes_the_checks(self):
         task = compile_query(parse_query(STUDY_QUERY), KB)
         assert make_task(contains=[(c.attribute, c.value) for c in task.contains]).contains == (
