@@ -2,8 +2,9 @@
 
 Two subcommands:
 
-* ``mine`` runs the whole pipeline: load CSVs, parse and compile the
-  query, build the case database, mine, write one JSON object per
+* ``mine`` runs the whole pipeline: parse the query before it opens
+  any other file, load CSVs, widen the query's class filter against the
+  knowledge base, build the case database, mine, write one JSON object per
   pattern to the output file (JSON Lines), and print a run report as
   JSON on stdout. It loads the facts with the library's own sequence,
   `RawDatabase(load_deliveries(...), load_diseases(...))`. Each line
@@ -259,10 +260,10 @@ def _mine(args: argparse.Namespace) -> int:
     except UnicodeDecodeError:
         print(f"error: cannot read query: {undecodable(args.query)}", file=sys.stderr)
         return USAGE_EXIT
-    ast = parse_query(query_text)
+    task = parse_query(query_text)
 
     kb = load_kb(args.kb, args.taxonomy)
-    task = compile_query(ast, kb, exact_class_match=args.class_filter_exact)
+    task = compile_query(task, kb, exact_class_match=args.class_filter_exact)
     raw = RawDatabase(load_deliveries(args.deliveries), load_diseases(args.diseases))
     patients_total = len(raw.patients())
     ends["load"] = time.monotonic()

@@ -12,7 +12,6 @@ All types here are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from operator import itemgetter
 from typing import Iterator, Mapping, Sequence, Union
 
@@ -133,19 +132,12 @@ class PatternTuple:
     discriminative: frozenset[str] | None = None
 
 
-def find_embeddings(
-    pattern: Pattern, sequence: EventSequence, limit: int | None = None
-) -> frozenset[Embedding]:
+def find_embeddings(pattern: Pattern, sequence: EventSequence) -> frozenset[Embedding]:
     """Every strictly increasing 1-based position list witnessing `pattern`.
 
-    The empty pattern has exactly one witness, the empty embedding. With
-    `limit`, enumeration stops after that many embeddings; witnesses are
-    produced in leftmost-lexicographic order, so `limit=1` yields the
-    leftmost one.
+    The empty pattern has exactly one witness, the empty embedding.
     """
-    if limit is not None and limit < 1:
-        raise ValueError("limit must be at least 1")
-    return frozenset(islice(iter_embeddings(pattern.items, sequence.items()), limit))
+    return frozenset(iter_embeddings(pattern.items, sequence.items()))
 
 
 def iter_embeddings(wanted: Sequence, haystack: Sequence) -> Iterator[Embedding]:

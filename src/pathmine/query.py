@@ -19,23 +19,27 @@ conversion: a value, a window bound, a switch bound or `min_support`
 longer than Python converts to an int (4,300 digits by default) is a
 `QuerySyntaxError` at its token, as any other syntax error is.
 
-`parse_query` builds the AST and `compile_query` resolves it against a
-knowledge base into an executable MiningTask. Each clause has one form
-from the parser to the search: the index event is the builder's
-`IndexEventRule`, each window its `WindowSpec` (checked where the
-statement is parsed, so a bad window is reported before any later
-clause), and the AST's `ContainsValue` and `SwitchCount`, kept in one
-tuple in declaration order, are the task's constraints. `constraint
-discriminative` is the negative window, not a constraint of its own.
+`parse_query` builds the executable `MiningTask` itself, and
+`compile_query` only widens its class filter against a knowledge base.
+Each clause has one form from the parser to the search: the index event
+is the builder's `IndexEventRule`, each window its `WindowSpec` (checked
+where the statement is parsed, so a bad window is reported before any
+later clause), the event clause's codes are the class filter and its
+projection the item schema, and each `ContainsValue` and `SwitchCount`,
+kept in one tuple in declaration order, is a task constraint. Codes,
+contains values included, are upper-cased on read; a generic flag is
+kept as written. `constraint discriminative` is the negative window,
+not a constraint of its own.
 
-`MiningTask.__post_init__` is the one check of a task's rules, so a
-task built by hand is held to the rules a compiled one is. It reports
-the first fault in this order: the projection, then each constraint as
-declared. `compile_query` checks nothing itself: it puts contains
-values in canonical form, builds the task, and only then widens the
-class filter, so an empty class filter is reported last. What each
-constraint means is defined in `oracle`; how the search uses it is
-described in `engine`.
+`parse_query` reports the first fault in this order: syntax and clause
+faults as the text is read, a missing clause, `min_support`, the
+negative window without `constraint discriminative` or the reverse, and
+then, from `MiningTask.__post_init__`, the projection and each
+constraint as declared. That check is the one check of a task's rules,
+so a task built by hand is held to the rules a parsed one is. No fault
+needs the knowledge base except an empty class filter, which
+`compile_query` reports. What each constraint means is defined in
+`oracle`; how the search uses it is described in `engine`.
 """
 
 from __future__ import annotations
@@ -57,13 +61,7 @@ from .knowledge import DeliveryAttributes, KnowledgeBase, normalize_code
 from .model import AttributeValue
 
 
-# ---------------------------------------------------------------- AST
-
-
-@dataclass(frozen=True)
-class EventClause:
-    codes: tuple[str, ...]
-    projection: tuple[str, ...]
+# --------------------------------------------------------------- task
 
 
 @dataclass(frozen=True)
@@ -89,24 +87,69 @@ Constraint = Union[ContainsValue, SwitchCount]
 
 
 @dataclass(frozen=True)
-class QueryAst:
-    index_event: IndexEventRule
-    event: EventClause
+class MiningTask:
+    """Executable form of a query.
+
+    `parse_query` builds it with `class_filter` the listed codes, so it
+    admits exactly those classes; `compile_query` widens the filter to
+    the classes below them in a knowledge base. The task is the one
+    statement of a query's rules, and `__post_init__` checks them,
+    whether the parser built the task or a caller did: `min_support` (an
+    `int`, at least 1), then `schema` (item attributes, each named once,
+    as a projection must), then each of `constraints` in declaration
+    order (its attribute in `schema`, a contains value in its
+    attribute's canonical form). `contains` and `switches` are views of
+    `constraints` by kind. The task is discriminative exactly when it
+    has a negative window; that filter's threshold, like the support
+    threshold, is `min_support`.
+    """
+
+    index_rule: IndexEventRule
+    schema: tuple[str, ...]
+    class_filter: frozenset[str]
     positive_window: WindowSpec
     negative_window: WindowSpec | None
     min_support: int
-    discriminative: bool = False
     constraints: tuple[Constraint, ...] = ()
 
     def __post_init__(self) -> None:
+        # type(), not isinstance(): a bool is an int, but no count.
+        if type(self.min_support) is not int:
+            raise ValueError(f"min_support must be an integer, got {self.min_support!r}")
         if self.min_support < 1:
-            raise InvalidQuery(f"min_support must be >= 1, got {self.min_support}")
-        if self.discriminative and self.negative_window is None:
-            raise MissingClause("constraint discriminative requires a negative window")
-        if self.negative_window is not None and not self.discriminative:
-            raise InvalidQuery(
-                "a negative window is only meaningful with constraint discriminative"
-            )
+            raise ValueError("min_support must be >= 1")
+        if not self.schema:
+            raise ValueError("item schema must not be empty")
+        for name in self.schema:
+            if name not in DeliveryAttributes._fields:
+                raise UnknownAttribute(f"unknown item attribute {name!r} in projection")
+        if len(set(self.schema)) != len(self.schema):
+            raise InvalidQuery(f"projection lists an attribute twice: ({', '.join(self.schema)})")
+        for constraint in self.constraints:
+            attribute = constraint.attribute
+            if attribute not in self.schema:
+                raise UnknownAttribute(f"attribute {attribute!r} is not in the item schema")
+            if isinstance(constraint, SwitchCount):
+                continue
+            # Attribute domains: generic is 0/1, the other two are code strings.
+            value = constraint.value
+            if attribute == "generic":
+                if not isinstance(value, int) or value not in (0, 1):
+                    raise InvalidQuery(f"generic takes value 0 or 1, got {value!r}")
+            elif value != (canonical := normalize_code(str(value))):
+                raise InvalidQuery(f"{attribute} value {value!r} must be given as {canonical!r}")
+
+    @property
+    def contains(self) -> tuple[ContainsValue, ...]:
+        return tuple(c for c in self.constraints if isinstance(c, ContainsValue))
+
+    @property
+    def switches(self) -> tuple[SwitchCount, ...]:
+        return tuple(c for c in self.constraints if isinstance(c, SwitchCount))
+
+    @property
+    def discriminative(self) -> bool:
+        return self.negative_window is not None
 
 
 # ---------------------------------------------------------- tokenizer
@@ -265,6 +308,9 @@ def _parse_constraint(cur: _Cursor, head: str) -> Constraint:
         cur.expect_punct(",")
         value = _parse_value(cur)
         cur.expect_punct(")")
+        # A generic flag is kept as written, to be checked as 0 or 1; a code is upper-cased.
+        if attribute != "generic":
+            value = normalize_code(str(value))
         return ContainsValue(attribute, value)
     cur.expect_punct(")")
     token = cur.next()
@@ -273,8 +319,11 @@ def _parse_constraint(cur: _Cursor, head: str) -> Constraint:
     return SwitchCount(attribute, token.text, cur.expect_int())
 
 
-def parse_query(text: str) -> QueryAst:
-    """Parse query text into an AST; raises on syntax or clause errors.
+def parse_query(text: str) -> MiningTask:
+    """Parse query text into a task that admits exactly the listed classes.
+
+    Raises on any fault that needs no knowledge base, in the order the
+    module docstring gives.
 
     One leading UTF-8 byte-order mark is dropped, as the CSV readers
     drop it, so a query file read as plain UTF-8 parses as written.
@@ -294,10 +343,9 @@ def parse_query(text: str) -> QueryAst:
         elif head.text == "event":
             for word in ("delivery", "where", "atc", "in"):
                 cur.expect_word(word)
-            codes = _parse_list(cur, "{", "}", cur.expect_code)
+            codes = frozenset(_parse_list(cur, "{", "}", cur.expect_code))
             cur.expect_word("as")
-            clause = "event clause"
-            value = EventClause(codes, _parse_list(cur, "(", ")", cur.expect_ident))
+            clause, value = "event clause", (codes, _parse_list(cur, "(", ")", cur.expect_ident))
         elif head.text == "window":
             clause = f"{cur.expect_word('positive', 'negative').text} window clause"
             cur.expect_punct("(")
@@ -331,13 +379,23 @@ def parse_query(text: str) -> QueryAst:
     for clause, required in _ONCE.items():
         if required and clause not in found:
             raise MissingClause(f"missing {clause}")
-    return QueryAst(
-        index_event=found["index_event clause"],
-        event=found["event clause"],
+    min_support = found["min_support clause"]
+    negative_window = found.get("negative window clause")
+    discriminative = "discriminative constraint" in found
+    if min_support < 1:
+        raise InvalidQuery(f"min_support must be >= 1, got {min_support}")
+    if discriminative and negative_window is None:
+        raise MissingClause("constraint discriminative requires a negative window")
+    if negative_window is not None and not discriminative:
+        raise InvalidQuery("a negative window is only meaningful with constraint discriminative")
+    class_filter, schema = found["event clause"]
+    return MiningTask(
+        index_rule=found["index_event clause"],
+        schema=schema,
+        class_filter=class_filter,
         positive_window=found["positive window clause"],
-        negative_window=found.get("negative window clause"),
-        min_support=found["min_support clause"],
-        discriminative=found.get("discriminative constraint", False),
+        negative_window=negative_window,
+        min_support=min_support,
         constraints=tuple(constraints),
     )
 
@@ -345,68 +403,8 @@ def parse_query(text: str) -> QueryAst:
 # ------------------------------------------------------------ compile
 
 
-@dataclass(frozen=True)
-class MiningTask:
-    """Executable form of a query, resolved against a knowledge base.
-
-    The task is the one statement of a query's rules, and `__post_init__`
-    checks them, whether `compile_query` built the task or a caller did:
-    `min_support`, then `schema` (item attributes, each named once, as a
-    projection must), then each of `constraints` in declaration order
-    (its attribute in `schema`, a contains value in its attribute's
-    canonical form). `contains` and `switches` are views of
-    `constraints` by kind. The task is discriminative exactly when it
-    has a negative window; that filter's threshold, like the support
-    threshold, is `min_support`.
-    """
-
-    index_rule: IndexEventRule
-    schema: tuple[str, ...]
-    class_filter: frozenset[str]
-    positive_window: WindowSpec
-    negative_window: WindowSpec | None
-    min_support: int
-    constraints: tuple[Constraint, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.min_support < 1:
-            raise ValueError("min_support must be >= 1")
-        if not self.schema:
-            raise ValueError("item schema must not be empty")
-        for name in self.schema:
-            if name not in DeliveryAttributes._fields:
-                raise UnknownAttribute(f"unknown item attribute {name!r} in projection")
-        if len(set(self.schema)) != len(self.schema):
-            raise InvalidQuery(f"projection lists an attribute twice: ({', '.join(self.schema)})")
-        for constraint in self.constraints:
-            attribute = constraint.attribute
-            if attribute not in self.schema:
-                raise UnknownAttribute(f"attribute {attribute!r} is not in the item schema")
-            if isinstance(constraint, SwitchCount):
-                continue
-            # Attribute domains: generic is 0/1, the other two are code strings.
-            value = constraint.value
-            if attribute == "generic":
-                if not isinstance(value, int) or value not in (0, 1):
-                    raise InvalidQuery(f"generic takes value 0 or 1, got {value!r}")
-            elif value != (canonical := normalize_code(str(value))):
-                raise InvalidQuery(f"{attribute} value {value!r} must be given as {canonical!r}")
-
-    @property
-    def contains(self) -> tuple[ContainsValue, ...]:
-        return tuple(c for c in self.constraints if isinstance(c, ContainsValue))
-
-    @property
-    def switches(self) -> tuple[SwitchCount, ...]:
-        return tuple(c for c in self.constraints if isinstance(c, SwitchCount))
-
-    @property
-    def discriminative(self) -> bool:
-        return self.negative_window is not None
-
-
 def expand_class_filter(
-    codes: tuple[str, ...], kb: KnowledgeBase, exact: bool = False
+    listed: frozenset[str], kb: KnowledgeBase, exact: bool = False
 ) -> frozenset[str]:
     """All KB therapeutic classes matching the filter, listed codes included.
 
@@ -414,7 +412,6 @@ def expand_class_filter(
     when one of its taxonomy ancestors is listed; with exact=True only
     the listed codes themselves match.
     """
-    listed = frozenset(codes)
     known = kb.attributes.therapeutic_classes()
     if exact:
         matching = listed & known
@@ -425,27 +422,10 @@ def expand_class_filter(
     return listed | matching
 
 
-def compile_query(ast: QueryAst, kb: KnowledgeBase, exact_class_match: bool = False) -> MiningTask:
-    """Resolve an AST against the KB into a MiningTask, which checks itself.
+def compile_query(task: MiningTask, kb: KnowledgeBase, exact_class_match: bool = False) -> MiningTask:
+    """The parsed task with its class filter widened against the KB.
 
-    Contains values are put in canonical form (a code is normalised, a
-    generic flag kept as written) and the task is built before the class
-    filter is widened, so a projection or constraint fault is reported
-    before an empty class filter.
+    An empty class filter is the one query fault that needs the KB, so
+    it is reported after every fault `parse_query` reports.
     """
-    constraints = tuple(
-        ContainsValue(c.attribute, normalize_code(str(c.value)))
-        if isinstance(c, ContainsValue) and c.attribute != "generic"
-        else c
-        for c in ast.constraints
-    )
-    task = MiningTask(
-        index_rule=ast.index_event,
-        schema=ast.event.projection,
-        class_filter=frozenset(),
-        positive_window=ast.positive_window,
-        negative_window=ast.negative_window,
-        min_support=ast.min_support,
-        constraints=constraints,
-    )
-    return replace(task, class_filter=expand_class_filter(ast.event.codes, kb, exact_class_match))
+    return replace(task, class_filter=expand_class_filter(task.class_filter, kb, exact_class_match))

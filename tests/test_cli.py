@@ -195,6 +195,20 @@ class TestMineCommand:
         args[args.index("--deliveries") + 1] = str(tmp_path / "absent.csv")
         assert main(args) == 2
 
+    def test_query_fault_reported_before_a_missing_kb(self, cohort_dir, tmp_path, capsys):
+        # Only the class filter needs the knowledge base, so a projection
+        # fault exits 1 before the missing KB file could exit 2.
+        query = tmp_path / "dose.pmq"
+        query.write_text(STUDY_QUERY.replace("(atc, group, generic)", "(atc, dose)"), "utf-8")
+        out = tmp_path / "p.jsonl"
+        args = mine_args(cohort_dir, query, out)
+        args[args.index("--kb") + 1] = str(tmp_path / "absent.csv")
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown item attribute 'dose' in projection\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_taxonomy_cycle_exits_two(self, cohort_dir, query_file, tmp_path):
         cyclic = tmp_path / "taxonomy.csv"
         cyclic.write_text("child,parent\na,b\nb,a\n", encoding="utf-8")

@@ -88,14 +88,6 @@ class TestFindEmbeddings:
         assert find_embeddings(Pattern(), seq) == {()}
         assert find_embeddings(Pattern(), make_seq([])) == {()}
 
-    def test_limit_one_returns_leftmost(self):
-        seq = make_seq([A, A, B, B])
-        assert find_embeddings(Pattern((A, B)), seq, limit=1) == {(1, 3)}
-
-    def test_limit_must_be_positive(self):
-        with pytest.raises(ValueError):
-            find_embeddings(Pattern((A,)), make_seq([A]), limit=0)
-
     def test_same_day_events_matched_by_position(self):
         # Two events on one day are distinct positions after canonical sort.
         seq = EventSequence(((7, A), (7, B)))
@@ -107,8 +99,7 @@ class TestFindEmbeddings:
         items = [Item(("X", str(i), i % 2)) for i in range(5000)]
         seq = make_seq(items)
         only = {tuple(range(1, 5001))}
-        assert find_embeddings(Pattern(tuple(items)), seq, limit=1) == only
-        assert find_embeddings(Pattern(tuple(items)), seq, limit=None) == only
+        assert find_embeddings(Pattern(tuple(items)), seq) == only
 
 
 items_st = st.sampled_from([A, B, C])
@@ -155,11 +146,3 @@ def test_embeddings_are_the_matching_position_combinations(seq_items, pattern_it
 @given(sequences_st)
 def test_every_sequence_supports_the_empty_pattern(seq_items):
     assert supports(Pattern(), make_seq(seq_items))
-
-
-@given(sequences_st, patterns_st, st.integers(min_value=1, max_value=4))
-def test_limit_keeps_the_leftmost_embeddings(seq_items, pattern_items, limit):
-    seq = make_seq(seq_items)
-    pattern = Pattern(tuple(pattern_items))
-    every = sorted(find_embeddings(pattern, seq))
-    assert find_embeddings(pattern, seq, limit=limit) == frozenset(every[:limit])

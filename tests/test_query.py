@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from pathmine.builder import IndexEventRule, WindowSpec
+from pathmine.builder import IndexEventRule, WindowSpec, build_database
 from pathmine.errors import (
     DuplicateClause,
     EmptyClassFilter,
@@ -13,10 +13,12 @@ from pathmine.errors import (
     QuerySyntaxError,
     UnknownAttribute,
 )
+from pathmine.ingest import RawDatabase
 from pathmine.knowledge import CodeAttributes, KnowledgeBase, Taxonomy
 from pathmine.query import ContainsValue, SwitchCount, compile_query, parse_query
+from pathmine.synth import CohortConfig, PlantSpec, generate_cohort
 
-from conftest import STUDY_QUERY, make_task
+from conftest import STUDY_QUERY, knowledge_base, make_task
 
 KB = KnowledgeBase(
     CodeAttributes.from_rows(
@@ -50,15 +52,15 @@ min_support 1;
 
 class TestParse:
     def test_study_query_parses(self):
-        ast = parse_query(STUDY_QUERY)
-        assert ast.min_support == 20
-        assert ast.index_event == IndexEventRule(frozenset({"G40", "G41"}))
-        assert ast.event.codes == ("N03AX09", "N03AX14", "N03AX11", "N03AG01", "N03AF01")
-        assert ast.event.projection == ("atc", "group", "generic")
-        assert ast.positive_window == WindowSpec(-90, 0)
-        assert ast.negative_window == WindowSpec(-180, -90)
-        assert ast.discriminative is True
-        assert ast.constraints == (
+        task = parse_query(STUDY_QUERY)
+        assert task.min_support == 20
+        assert task.index_rule == IndexEventRule(frozenset({"G40", "G41"}))
+        assert task.class_filter == {"N03AX09", "N03AX14", "N03AX11", "N03AG01", "N03AF01"}
+        assert task.schema == ("atc", "group", "generic")
+        assert task.positive_window == WindowSpec(-90, 0)
+        assert task.negative_window == WindowSpec(-180, -90)
+        assert task.discriminative is True
+        assert task.constraints == (
             ContainsValue("generic", 1),
             ContainsValue("generic", 0),
             SwitchCount("generic", "==", 1),
@@ -74,12 +76,12 @@ class TestParse:
             parse_query("\ufeff\ufeff" + STUDY_QUERY)
 
     def test_statement_may_span_lines(self):
-        ast = parse_query(MINIMAL.replace("as (atc, group, generic);", "\n  as (atc,\n group, generic);"))
-        assert ast.event.projection == ("atc", "group", "generic")
+        task = parse_query(MINIMAL.replace("as (atc, group, generic);", "\n  as (atc,\n group, generic);"))
+        assert task.schema == ("atc", "group", "generic")
 
     def test_codes_uppercased(self):
-        ast = parse_query(MINIMAL.replace("{N03AG01}", "{n03ag01}"))
-        assert ast.event.codes == ("N03AG01",)
+        task = parse_query(MINIMAL.replace("{N03AG01}", "{n03ag01}"))
+        assert task.class_filter == {"N03AG01"}
 
     def test_syntax_error_carries_line_and_column(self):
         with pytest.raises(QuerySyntaxError) as err:
@@ -189,6 +191,27 @@ class TestParse:
             with pytest.raises(InvalidQuery) as err:
                 parse_query(bad.replace("(index-90, index)", "(index-90, index+5)"))
             assert str(err.value) == "window offsets must satisfy lower < upper <= 0, got (-90, 5)"
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            (
+                MINIMAL.replace("(atc, group, generic)", "(atc, dose)"),
+                UnknownAttribute,
+                "unknown item attribute 'dose' in projection",
+            ),
+            (
+                MINIMAL + "constraint contains_value(generic, 2);\n",
+                InvalidQuery,
+                "generic takes value 0 or 1, got 2",
+            ),
+        ],
+        ids=["projection", "constraint"],
+    )
+    def test_parse_reports_what_needs_no_kb(self, text, error, message):
+        with pytest.raises(error) as err:
+            parse_query(text)
+        assert str(err.value) == message
 
 
 class TestCompile:
@@ -321,10 +344,10 @@ class TestCompile:
             compile_query(parse_query(MINIMAL + "constraint contains_value(generic, 01);\n"), kb)
 
     def test_atc_constraint_word_value_compiles_upper_case(self):
-        # A code value is a word token, kept as written until compile_query.
-        ast = parse_query(MINIMAL + "constraint contains_value(atc, n03ag01);\n")
-        assert ast.constraints == (ContainsValue("atc", "n03ag01"),)
-        (contains,) = compile_query(ast, KB).contains
+        # A code value is a word token, upper-cased on read as every code is.
+        task = parse_query(MINIMAL + "constraint contains_value(atc, n03ag01);\n")
+        assert task.constraints == (ContainsValue("atc", "N03AG01"),)
+        (contains,) = compile_query(task, KB).contains
         assert contains.value == "N03AG01"
 
     def test_bad_window_offsets_rejected_at_compile(self):
@@ -338,8 +361,40 @@ class TestCompile:
         assert first == second
 
 
+class TestParsedTask:
+    """A parsed task admits exactly its listed classes; compile_query widens them."""
+
+    @pytest.fixture(scope="class")
+    def cohort(self):
+        plant = PlantSpec.parse("N03AG01,438,1|N03AX14,1023,0@10")
+        return generate_cohort(CohortConfig(patients=80, seed=7, plant=plant, mean_events=8.0))
+
+    def databases(self, cohort, text, **options):
+        kb = knowledge_base(cohort)
+        raw = RawDatabase(cohort.deliveries, cohort.diseases)
+        parsed = parse_query(text)
+        return (
+            build_database(raw, parsed, kb),
+            build_database(raw, compile_query(parsed, kb, **options), kb),
+        )
+
+    def test_listed_classes_build_the_exactly_matched_database(self, cohort):
+        parsed, compiled = self.databases(cohort, STUDY_QUERY, exact_class_match=True)
+        assert parsed.items
+        assert parsed.items == compiled.items
+        assert parsed.positives == compiled.positives
+        assert parsed.negatives == compiled.negatives
+
+    def test_a_listed_ancestor_needs_compile_query(self, cohort):
+        text = STUDY_QUERY.replace("{N03AX09, N03AX14, N03AX11, N03AG01, N03AF01}", "{N03AX}")
+        parsed, compiled = self.databases(cohort, text)
+        assert parsed.items == ()
+        assert compiled.items
+        assert {item.values[0] for item in compiled.items} <= {"N03AX09", "N03AX14", "N03AX11"}
+
+
 class TestHandBuiltTask:
-    """A task built without compile_query gets the same constraint checks."""
+    """A task built without parse_query gets the same checks."""
 
     def test_constraint_attribute_outside_the_schema(self):
         with pytest.raises(UnknownAttribute, match="'dose' is not in the item schema"):
@@ -366,6 +421,8 @@ class TestHandBuiltTask:
         [
             ("min_support", 0, "min_support must be >= 1"),
             ("schema", (), "item schema must not be empty"),
+            ("min_support", 150.0, "min_support must be an integer, got 150.0"),
+            ("min_support", True, "min_support must be an integer, got True"),
         ],
     )
     def test_task_out_of_range_rejected(self, field, value, message):
