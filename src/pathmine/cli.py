@@ -43,16 +43,22 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import json
 import sys
 import time
 from functools import cache
 from itertools import islice, starmap
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
+
+try:
+    import resource
+except ImportError:  # Windows has no resource module.
+    resource = None
 
 from .builder import build_database
-from .engine import MiningOptions, MiningResult, mine
+from .engine import Columns, MiningOptions, MiningResult, mine
 from .errors import InvalidPlantSpec, PathmineError, QueryError
 from .ingest import RawDatabase, load_deliveries, load_diseases, load_kb, undecodable
 from .model import Embedding, PatternTuple
@@ -85,7 +91,7 @@ def _line(
     items: list[str],
     patients: list[str],
     discriminative: list[str] | None,
-    witnesses: Sequence[Embedding] | None,
+    witnesses: Columns | None,
     embeddings: Iterable[Iterable[Embedding]],
 ) -> Iterator[str]:
     """One pattern's JSON Lines record in pieces, ending in a newline.
@@ -95,7 +101,9 @@ def _line(
     `patients` and `discriminative` are JSON texts, the patients in
     ascending order. Each patient's embeddings are its one witness, or
     else its iterable in `embeddings`, ascending either way, so no key
-    or list needs sorting. An iterable is drawn from as the line is
+    or list needs sorting. Witnesses come as position columns, one list
+    per item holding each patient's position of it, and are formatted
+    straight from them. An iterable is drawn from as the line is
     written, at most `_CHUNK` embeddings at a time.
     """
     discr = "null" if discriminative is None else "[" + ",".join(discriminative) + "]"
@@ -104,7 +112,7 @@ def _line(
     slots = ",".join(("{}",) * len(items))
     if witnesses is not None:
         entry = "{}:[[" + slots + "]]"
-        yield head + ",".join(map(entry.format, patients, *zip(*witnesses)))
+        yield head + ",".join(map(entry.format, patients, *witnesses))
     else:
         yield head
         position = ("[" + slots + "]").format
@@ -150,9 +158,10 @@ def render_patterns(patterns: Iterable[PatternTuple]) -> str:
         patients = sorted(pt.supported)
         found = [sorted(pt.embeddings[patient]) for patient in patients]
         witnesses = None
-        # One embedding per patient, as in witness mode, takes the faster path.
+        # One embedding per patient, as in witness mode, takes the faster
+        # path, as position columns.
         if all(len(embeddings) == 1 for embeddings in found):
-            witnesses = [embeddings[0] for embeddings in found]
+            witnesses = tuple(zip(*(embeddings[0] for embeddings in found)))
         discr = pt.discriminative
         pieces.extend(
             _line(
@@ -229,6 +238,17 @@ def _phase_seconds(started: float, ends: dict[str, float]) -> tuple[float, dict[
     return before, phases
 
 
+def _peak_rss_mb() -> float | None:
+    """The process's peak resident set so far, in MB, or None if unknown.
+
+    `ru_maxrss` counts KiB on Linux and bytes on macOS.
+    """
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return round(peak / (1 << 20 if sys.platform == "darwin" else 1 << 10), 3)
+
+
 def run_mine(args: argparse.Namespace) -> int:
     """The mine command, run with the cyclic garbage collector off."""
     was_enabled = gc.isenabled()
@@ -251,14 +271,18 @@ def _mine(args: argparse.Namespace) -> int:
         max_seconds=args.max_seconds,
     )
     try:
-        # parse_query drops a leading byte-order mark, as the CSV readers do.
-        with open(args.query, encoding="utf-8") as handle:
-            query_text = handle.read()
+        # The query is opened once: a pipe could not be read a second time.
+        with open(args.query, "rb") as handle:
+            query_bytes = handle.read()
     except OSError as exc:
         print(f"error: cannot read query: {exc}", file=sys.stderr)
         return USAGE_EXIT
+    try:
+        # parse_query drops a leading byte-order mark, as the CSV readers do.
+        query_text = query_bytes.decode("utf-8")
     except UnicodeDecodeError:
-        print(f"error: cannot read query: {undecodable(args.query)}", file=sys.stderr)
+        error = undecodable(args.query, io.BytesIO(query_bytes))
+        print(f"error: cannot read query: {error}", file=sys.stderr)
         return USAGE_EXIT
     task = parse_query(query_text)
 
@@ -266,27 +290,36 @@ def _mine(args: argparse.Namespace) -> int:
     task = compile_query(task, kb, exact_class_match=args.class_filter_exact)
     raw = RawDatabase(load_deliveries(args.deliveries), load_diseases(args.diseases))
     patients_total = len(raw.patients())
+    peaks = {"load": _peak_rss_mb()}
     ends["load"] = time.monotonic()
     database = build_database(raw, task, kb, unknown_code=args.unknown_code)
+    deliveries_loaded, diseases_loaded = raw.delivery_count, raw.disease_count
+    # The facts are in the database now, so the search can reuse their memory.
+    del raw
+    peaks["build"] = _peak_rss_mb()
     ends["build"] = time.monotonic()
     result = mine(task, database, options)
+    peaks["mine"] = _peak_rss_mb()
     ends["mine"] = time.monotonic()
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.writelines(render_records(result))
+    peaks["write"] = _peak_rss_mb()
     ends["write"] = time.monotonic()
 
     wall_seconds, phases = _phase_seconds(started, ends)
     report = {
         "patients_total": patients_total,
         "patients_with_index": len(database),
-        "deliveries_loaded": raw.delivery_count,
-        "diseases_loaded": raw.disease_count,
+        "deliveries_loaded": deliveries_loaded,
+        "diseases_loaded": diseases_loaded,
         "pattern_count": len(result.records),
         "complete": result.complete,
         "nodes_expanded": result.nodes_expanded,
         "wall_seconds": wall_seconds,
         # Wall seconds of load, build, mine and write; they add up to wall_seconds.
         "phases": phases,
+        # The process's peak resident set, in MB, after each phase.
+        "peak_rss_mb": peaks,
         # The search's counters: support_pruned, switch_pruned, negative_checks.
         "counters": result.counters,
         "config": {

@@ -22,9 +22,12 @@ frontier, so the cost of the many infrequent candidates stops at the
 count. The roots are located from each sequence's first positions.
 
 The chain of tails along the search path is itself the leftmost
-embedding (PrefixSpan's pseudo-projection), so each node carries it and
-witness mode reads every supporter's witness off the search path
-instead of searching for it again. The discriminative check is the
+embedding (PrefixSpan's pseudo-projection), so each node carries it,
+as position columns: one list per prefix item, whose entry k is the
+k-th supporter's 1-based position of that item. The last column is the
+frontier list the candidates are read after, and witness mode keeps a
+node's columns as they are, so no supporter's witness is searched for
+again or built as a tuple of its own. The discriminative check is the
 case-crossover comparison as `oracle.supports` states it: the prefix
 is matched greedily leftmost in each supporter's own negative sequence,
 in time linear in that sequence whatever the prefix's length, and the
@@ -64,11 +67,14 @@ the full search; under a node budget that prefix is the same every run.
 
 Each emitted pattern is kept as one compact `PatternRecord` of ids and
 database indices that shares the node's lists; no item, patient id or
-set is looked up or built per pattern. All mode still enumerates and
-charges every embedding during the search but keeps none, so the
-search's memory does not grow with the number of embeddings; readers
-enumerate them again, one supporter at a time. `MiningResult.patterns`
-turns the records into `PatternTuple`s on first access.
+set is looked up or built per pattern. Its witnesses are the node's
+columns, one reference per supporter and pattern item, and readers
+transpose them into embeddings only when they ask. All mode still
+enumerates and charges every embedding during the search but keeps
+none, so the search's memory does not grow with the number of
+embeddings; readers enumerate them again, one supporter at a time.
+`MiningResult.patterns` turns the records into `PatternTuple`s on first
+access.
 """
 
 from __future__ import annotations
@@ -105,6 +111,13 @@ _COUNTERS = ("support_pruned", "switch_pruned", "negative_checks")
 #: no leaf. So short tails, such as 20-event windows' (about 10 items),
 #: are only counted and never build masks.
 _MASK_MEAN_TAIL = 32
+
+#: Position columns: entry k of column j is the k-th supporter's 1-based
+#: position of the pattern's item j.
+Columns = tuple[Sequence[int], ...]
+
+#: Each candidate's supporter indices and 1-based positions, in supporter order.
+Located = dict[int, tuple[list[int], list[int]]]
 
 
 @dataclass(frozen=True)
@@ -144,16 +157,18 @@ class PatternRecord(NamedTuple):
     """One emitted pattern, as item ids and database indices.
 
     `seqs` are the supporters' indices in the database, ascending, which
-    is ascending patient order. `witnesses` holds each supporter's
-    leftmost embedding in witness mode and is None in all mode, where
-    the embeddings are enumerated again on demand. `discriminative`
+    is ascending patient order. In witness mode `witnesses` holds the
+    supporters' leftmost embeddings as position columns, one list per
+    prefix item: entry k of column j is supporter k's 1-based position
+    of item j. It is None in all mode, where the embeddings are
+    enumerated again on demand. `discriminative`
     lists the supporters whose negative sequence lacks the pattern, or
     is None when the task is not discriminative.
     """
 
     prefix: tuple[int, ...]
     seqs: list[int]
-    witnesses: list[Embedding] | None
+    witnesses: Columns | None
     discriminative: list[int] | None
 
 
@@ -189,10 +204,12 @@ class MiningResult:
     def embeddings(self, record: PatternRecord) -> Iterator[Iterable[Embedding]]:
         """Each supporter's embeddings of the record, in ascending order.
 
-        All mode enumerates them lazily, one supporter at a time.
+        Witness mode transposes the record's columns into one leftmost
+        embedding per supporter as it is drawn from. All mode enumerates
+        them lazily, one supporter at a time.
         """
         if record.witnesses is not None:
-            return zip(record.witnesses)
+            return zip(zip(*record.witnesses))
         return (iter_embeddings(record.prefix, self.sequences[s]) for s in record.seqs)
 
     @cached_property
@@ -316,7 +333,9 @@ class _Prepared:
     masks of item ids, from each sequence's suffix masks, built on the
     sequence's first request: entry j is the OR of `1 << iid` over the
     last j items of `order`, so a tail's length selects its mask. `firsts` locates every item of
-    every sequence from position 0, for the roots.
+    every sequence from position 0, for the roots. Both give each
+    located item two parallel lists, supporter indices and 1-based
+    positions, which become a child's supporters and its last column.
 
     It also holds what the search reads of the task at every node: the
     support threshold, whether the task is discriminative, and each
@@ -391,15 +410,17 @@ class _Prepared:
             suffix[s] = list(accumulate(bits, or_, initial=0))
         return [suffix[s][len(tail)] for s, tail in zip(seqs, tails)]
 
-    def firsts(self, seqs: Sequence[int]) -> dict[int, list[tuple[int, int]]]:
-        """Each item's (supporter index, first position), in supporter order."""
+    def firsts(self, seqs: Sequence[int]) -> Located:
+        """Each item's supporter indices and 1-based first positions."""
         pos_ids = self.pos_ids
-        found: dict[int, list[tuple[int, int]]] = defaultdict(list)
+        found: Located = defaultdict(lambda: ([], []))
         for k, seq_idx in enumerate(seqs):
             seq = pos_ids[seq_idx]
             # Read backwards, each item's last write is its first position.
-            for iid, pos in dict(zip(reversed(seq), range(len(seq) - 1, -1, -1))).items():
-                found[iid].append((k, pos))
+            for iid, pos in dict(zip(reversed(seq), range(len(seq), 0, -1))).items():
+                indices, positions = found[iid]
+                indices.append(k)
+                positions.append(pos)
         return found
 
     def locate(
@@ -407,42 +428,47 @@ class _Prepared:
         seqs: Sequence[int],
         starts: Sequence[int],
         tails: Sequence[tuple[int, ...]],
-        wanted: dict[int, list[tuple[int, int]]],
+        wanted: Located,
     ) -> None:
         """Find where each supporter first holds each wanted item in its tail.
 
-        Appends (supporter index, first position at or after the
-        supporter's start) to wanted[iid], walking the supporters in
-        order, so each list is in supporter order.
+        Appends the supporter index, and the 1-based first position at
+        or after the supporter's 0-based start, to wanted[iid]'s two
+        lists, walking the supporters in order, so both are in
+        supporter order.
         """
         pos_ids = self.pos_ids
         for k, (seq_idx, start, tail) in enumerate(zip(seqs, starts, tails)):
             events = pos_ids[seq_idx]
             # The tail holds every item present from start on, so index never raises.
             for iid in wanted.keys() & tail:
-                wanted[iid].append((k, events.index(iid, start)))
+                indices, positions = wanted[iid]
+                indices.append(k)
+                positions.append(events.index(iid, start) + 1)
 
 
 class _Node:
     """One pattern on the search path: its prefix, supporters and their frontiers.
 
     The node holds no constraint state; every constraint is read off
-    `prefix`, the pattern's item ids. Entry k of the lists describes the
-    k-th supporting positive sequence: its index in the database and its
-    1-based leftmost embedding, whose last position is the frontier that
-    extensions search after. A child's embedding is its parent's plus one
-    position, so the witness costs one tuple per supporter and is never
-    searched for again. `lacking` lists the supporters whose negative
-    sequence lacks the prefix once the discriminative check has run, and
-    is None before.
+    `prefix`, the pattern's item ids. Entry k of `seqs` and of each of
+    the `columns` describes the k-th supporting positive sequence: its
+    index in the database, and the 1-based positions of its leftmost
+    embedding, one column per prefix item. The last column holds the
+    frontiers that extensions search after. A child's columns are its
+    parent's, taken at the child's supporters, plus the positions it
+    was located at, so the witness costs one reference per supporter
+    and item and is never searched for again. `lacking` lists the
+    supporters whose negative sequence lacks the prefix once the
+    discriminative check has run, and is None before.
     """
 
-    __slots__ = ("prefix", "seqs", "witnesses", "lacking")
+    __slots__ = ("prefix", "seqs", "columns", "lacking")
 
-    def __init__(self, prefix: tuple[int, ...], seqs: list[int], witnesses: list[Embedding]) -> None:
+    def __init__(self, prefix: tuple[int, ...], seqs: list[int], columns: Columns) -> None:
         self.prefix = prefix
         self.seqs = seqs
-        self.witnesses = witnesses
+        self.columns = columns
         self.lacking: list[int] | None = None
 
 
@@ -545,17 +571,17 @@ class _Searcher:
             wanted = self._extensions(node)
             if not wanted:
                 return iter(())
-        witnesses = node.witnesses
+        columns = node.columns
         return (
             _Node(
                 node.prefix + (iid,),
-                [seqs[k] for k, _ in occs],
-                [witnesses[k] + (pos + 1,) for k, pos in occs],
+                list(map(seqs.__getitem__, indices)),
+                (*[list(map(column.__getitem__, indices)) for column in columns], positions),
             )
-            for iid, occs in sorted(wanted.items())
+            for iid, (indices, positions) in sorted(wanted.items())
         )
 
-    def _extensions(self, node: _Node) -> dict[int, list[tuple[int, int]]]:
+    def _extensions(self, node: _Node) -> Located:
         """A non-root node's kept candidates, each with its occurrences.
 
         Under pruning, a node whose tails are long enough is first tested
@@ -569,7 +595,7 @@ class _Searcher:
         prep = self.prep
         seqs = node.seqs
         # A 1-based frontier is the 0-based position right after it.
-        starts = [witness[-1] for witness in node.witnesses]
+        starts = node.columns[-1]
         tails = prep.tails(seqs, starts)
         bounded = self.options.prune
         if bounded and sum(map(len, tails)) >= _MASK_MEAN_TAIL * len(seqs):
@@ -592,7 +618,7 @@ class _Searcher:
             candidates = kept
         else:
             candidates = list(counts)
-        wanted: dict[int, list[tuple[int, int]]] = {iid: [] for iid in candidates}
+        wanted: Located = {iid: ([], []) for iid in candidates}
         if wanted:
             prep.locate(seqs, starts, tails, wanted)
         return wanted
@@ -600,18 +626,18 @@ class _Searcher:
     def _emit(self, node: _Node) -> PatternRecord:
         """The node's compact record.
 
-        The record shares the node's prefix, supporter and witness
-        lists. Witness mode keeps each supporter's leftmost embedding,
-        read off the node. All mode enumerates the embeddings and charges
-        them to the budget as it goes, since their number grows
-        combinatorially, but keeps none of them: a budget that runs out
+        The record shares the node's prefix, supporter list and
+        position columns. Witness mode keeps the columns, which hold
+        each supporter's leftmost embedding. All mode enumerates the
+        embeddings and charges them to the budget as it goes, since
+        their number grows combinatorially, but keeps none of them: a budget that runs out
         meanwhile raises `_Exhausted`, so no record is kept for the
         node, and the readers of a kept record enumerate again. The
         discriminative supporters are the ones the node's discriminative
         check found lacking the pattern.
         """
         prep = self.prep
-        witnesses = node.witnesses
+        witnesses = node.columns
         if self.options.embeddings != EMBEDDINGS_WITNESS:
             witnesses = None
             embeddings = chain.from_iterable(
@@ -643,7 +669,7 @@ def mine(
     count = len(prep.pos_ids)
     complete = True
     try:
-        searcher.run(_Node((), list(range(count)), [()] * count))
+        searcher.run(_Node((), list(range(count)), ()))
     except _Exhausted:
         complete = False
     found = searcher.found

@@ -159,20 +159,19 @@ class RawDatabase:
         return frozenset(self.delivery_groups).union(self.disease_groups)
 
 
-def undecodable(path: str) -> ParseError:
-    """The error for the first line of `path` that is not UTF-8."""
-    with open(path, "rb") as handle:
-        # No UTF-8 sequence contains a newline byte, so lines decode alone.
-        for line, data in enumerate(handle, 1):
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return ParseError(
-                    f"not UTF-8: byte 0x{data[exc.start]:02x} at column {exc.start + 1} "
-                    f"({exc.reason})",
-                    path=path,
-                    line=line,
-                )
+def undecodable(path: str, lines: Iterable[bytes]) -> ParseError:
+    """The error for the first of `path`'s lines, read as bytes, that is not UTF-8."""
+    # No UTF-8 sequence contains a newline byte, so lines decode alone.
+    for line, data in enumerate(lines, 1):
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return ParseError(
+                f"not UTF-8: byte 0x{data[exc.start]:02x} at column {exc.start + 1} "
+                f"({exc.reason})",
+                path=path,
+                line=line,
+            )
     return ParseError("not UTF-8", path=path)
 
 
@@ -276,7 +275,8 @@ def _checked_rows(path: str, header: tuple[str, ...], exact: bool = True) -> lis
                     # The rule's own message, placed at this file and line.
                     raise type(exc)(str(exc), path=path, line=reader.line_num) from None
     except UnicodeDecodeError:
-        raise undecodable(path) from None
+        with open(path, "rb") as handle:
+            raise undecodable(path, handle) from None
     except csv.Error as exc:
         line = reader.line_num if reader is not None else None
         raise ParseError(f"malformed CSV: {exc}", path=path, line=line) from None

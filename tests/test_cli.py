@@ -12,6 +12,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -188,6 +189,35 @@ class TestMineCommand:
         err = capsys.readouterr().err
         assert f"{query}:2: not UTF-8: byte 0xe9" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_undecodable_query_through_a_pipe_names_its_line(self, cohort_dir, tmp_path, capsys):
+        # The query is read once, so a pipe reports the same line and byte as a file.
+        data = b"min_support 5;\n# caf\xe9\n"
+        query = tmp_path / "latin1.pmq"
+        query.write_bytes(data)
+        out = tmp_path / "patterns.jsonl"
+        assert main(mine_args(cohort_dir, query, out)) == 1
+        from_file = capsys.readouterr().err
+        read, write = os.pipe()
+
+        def feed():
+            with open(write, "wb") as pipe:
+                pipe.write(data)
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            piped = f"/dev/fd/{read}"
+            assert main(mine_args(cohort_dir, piped, out)) == 1
+        finally:
+            os.close(read)
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        from_pipe = capsys.readouterr().err
+        assert f"{query}:2: not UTF-8: byte 0xe9 at column 6" in from_file
+        assert from_pipe == from_file.replace(str(query), piped)
         assert not out.exists()
 
     def test_missing_data_file_exits_two(self, cohort_dir, query_file, tmp_path):
@@ -395,6 +425,17 @@ class TestMineCommand:
         assert set(phases) == {"load", "build", "mine", "write"}
         assert all(seconds >= 0 for seconds in phases.values())
         assert sum(phases.values()) == pytest.approx(report["wall_seconds"], rel=0.05)
+
+    def test_report_peak_rss_after_each_phase(self, cohort_dir, query_file, tmp_path, capsys):
+        assert main(mine_args(cohort_dir, query_file, tmp_path / "p.jsonl")) == 0
+        peaks = json.loads(capsys.readouterr().out)["peak_rss_mb"]
+        assert set(peaks) == {"load", "build", "mine", "write"}
+        in_order = [peaks[phase] for phase in ("load", "build", "mine", "write")]
+        if sys.platform.startswith("linux"):
+            assert all(type(mb) is float and mb > 0 for mb in in_order)
+            assert in_order == sorted(in_order)
+        else:
+            assert all(mb is None or type(mb) is float for mb in in_order)
 
     def test_report_config_holds_every_option_and_min_support(
         self, cohort_dir, query_file, tmp_path, capsys
@@ -704,7 +745,8 @@ class TestHashSeed:
             )
             assert proc.returncode == 0, proc.stderr
             report = json.loads(proc.stdout)
-            del report["wall_seconds"], report["phases"]
+            # Times and memory are measurements, not outputs.
+            del report["wall_seconds"], report["phases"], report["peak_rss_mb"]
             runs.append((out.read_bytes(), report))
         assert runs[0][1]["pattern_count"] > 0
         assert runs[0] == runs[1]

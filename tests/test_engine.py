@@ -13,9 +13,10 @@ from hypothesis import given, settings, strategies as st
 import pathmine.engine
 import pathmine.model
 
-from pathmine.builder import CaseDatabase, CasePair
+from pathmine.builder import CaseDatabase, CasePair, build_database
 from pathmine.engine import MiningOptions, _Prepared, _emittable, _frequent, mine
 from pathmine.errors import MissingNegativeWindow
+from pathmine.ingest import RawDatabase
 from pathmine.model import Item, Pattern
 from pathmine.oracle import (
     _satisfies,
@@ -24,9 +25,10 @@ from pathmine.oracle import (
     oracle_mine,
     positive_support,
 )
-from pathmine.query import SwitchCount
+from pathmine.query import SwitchCount, compile_query, parse_query
+from pathmine.synth import CohortConfig, PlantSpec, generate_cohort
 
-from conftest import ALPHABET, make_seq, make_task, random_instance
+from conftest import ALPHABET, STUDY_QUERY, knowledge_base, make_seq, make_task, random_instance
 
 A, B = Item(("A1", "10", 0)), Item(("A1", "11", 1))
 GEN = Item(("N03AG01", "438", 1))
@@ -518,6 +520,78 @@ class TestLongSequences:
         assert calls == []
 
 
+def leftmost(pattern, sequence):
+    """The leftmost embedding, by the greedy scan `oracle.supports` makes."""
+    positions = []
+    rest = enumerate(sequence.items(), 1)
+    for target in pattern.items:
+        positions.append(next(pos for pos, item in rest if item == target))
+    return tuple(positions)
+
+
+class TestWitnessColumns:
+    """Witness mode keeps position columns: one reference per supporter and item."""
+
+    #: The witnesses' bytes per supporter-position entry measure about 17
+    #: here, one list slot and the columns' headers, against about 35 for a
+    #: tuple per supporter.
+    MAX_BYTES_PER_ENTRY = 26
+
+    @pytest.fixture(scope="class")
+    def cohort(self):
+        cohort = generate_cohort(
+            CohortConfig(
+                patients=600,
+                seed=8,
+                plant=PlantSpec.parse(
+                    "N03AG01,438,1|N03AG01,438,1|N03AX14,1023,0|N03AX14,1023,0@12"
+                ),
+                mean_events=20.0,
+                noise_items=200,
+            )
+        )
+        kb = knowledge_base(cohort)
+        task = compile_query(parse_query(STUDY_QUERY.replace("min_support 20", "min_support 8")), kb)
+        return task, build_database(RawDatabase(cohort.deliveries, cohort.diseases), task, kb)
+
+    def test_columns_hold_the_leftmost_embeddings(self, cohort):
+        task, database = cohort
+        result = mine(task, database, MiningOptions(embeddings="witness"))
+        assert len(result.records) > 100
+        pairs = database.pairs
+        for record in result.records:
+            columns = record.witnesses
+            assert len(columns) == len(record.prefix)
+            assert all(
+                type(column) is list
+                and len(column) == len(record.seqs)
+                and all(type(pos) is int for pos in column)
+                for column in columns
+            )
+            pattern = Pattern(tuple(map(result.items.__getitem__, record.prefix)))
+            assert list(result.embeddings(record)) == [
+                (leftmost(pattern, pairs[s].positive),) for s in record.seqs
+            ]
+
+    def test_witnesses_cost_one_reference_per_supporter_and_item(self, cohort):
+        # What a result keeps is what dropping it frees; all mode's result
+        # is the same but for the witnesses.
+        task, database = cohort
+        kept = {}
+        tracemalloc.start()
+        try:
+            for mode in ("witness", "all"):
+                result = mine(task, database, MiningOptions(embeddings=mode))
+                entries = sum(len(record.seqs) * len(record.prefix) for record in result.records)
+                held = tracemalloc.get_traced_memory()[0]
+                del result
+                kept[mode] = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert entries > 2000
+        assert kept["witness"] - kept["all"] <= self.MAX_BYTES_PER_ENTRY * entries
+
+
 class TestLastOccurrenceIndex:
     """The index against a brute-force first position at or after a start."""
 
@@ -547,12 +621,15 @@ class TestLastOccurrenceIndex:
             for iid in first:
                 expected_counts[iid] = expected_counts.get(iid, 0) + 1
         assert dict(counts) == expected_counts
-        wanted = {iid: [] for iid in (counts if wanted_ids is None else wanted_ids)}
+        wanted = {iid: ([], []) for iid in (counts if wanted_ids is None else wanted_ids)}
         prep.locate(seqs, starts, tails, wanted)
-        assert wanted == {
-            iid: [(k, first[iid]) for k, first in enumerate(firsts) if iid in first]
-            for iid in wanted
-        }
+        assert wanted == {iid: self.located(firsts, iid) for iid in wanted}
+
+    @staticmethod
+    def located(firsts, iid):
+        """The supporter indices holding iid, and their 1-based first positions of it."""
+        found = [(k, first[iid] + 1) for k, first in enumerate(firsts) if iid in first]
+        return [k for k, _ in found], [pos for _, pos in found]
 
     def test_every_start_of_random_sequences(self):
         rng = random.Random(20170)
@@ -649,8 +726,7 @@ class TestLeafTest:
         seqs = sorted(rng.sample(range(30), 20))
         firsts = [TestLastOccurrenceIndex.first_positions(prep.pos_ids[s], 0) for s in seqs]
         assert prep.firsts(seqs) == {
-            iid: [(k, first[iid]) for k, first in enumerate(firsts) if iid in first]
-            for iid in set().union(*firsts)
+            iid: TestLastOccurrenceIndex.located(firsts, iid) for iid in set().union(*firsts)
         }
 
 
