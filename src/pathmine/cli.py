@@ -20,8 +20,9 @@ still written). Diagnostics go to stderr only.
 ``mine`` runs with Python's cyclic garbage collector disabled and
 restores its previous state when the command returns, so library
 callers and in-process ``main()`` calls see no change. The bulk phases
-allocate hundreds of thousands of container objects (parsed rows, fact
-columns, the windows' key and id tuples, index lists), and each
+allocate hundreds of thousands of container objects (fact columns and
+each patient's day and code tuples, the windows' key and id tuples,
+index lists), and each
 automatic collection would traverse all of them again, yet none of them
 is part of a reference cycle: facts, items and tuples of ints are
 immutable trees, and everything they reference is freed by reference

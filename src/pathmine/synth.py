@@ -136,8 +136,9 @@ class CohortConfig:
 class Cohort:
     """Everything generated: facts, KB rows, and the planted ground truth.
 
-    The facts are the rows the loaders return, (patient, day, cip, qty)
-    and (patient, day, icd) tuples, sorted by (patient, day). Each KB
+    The facts are the rows of the fact files, (patient, day, cip, qty)
+    and (patient, day, icd) tuples, sorted by (patient, day), which
+    `RawDatabase` also takes as they are. Each KB
     row is (cip, atc, group, generic, label), the columns of the
     attributes file.
     """

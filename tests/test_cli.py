@@ -300,7 +300,7 @@ class TestMineCommand:
                 b"p1,1," + b"X" * 200_000 + b",1",
                 "malformed CSV: field larger than field limit",
             ),
-            # These fail the bulk check, so the file is read again row by row.
+            # These fail the bulk check, so the row validator reads on from their block.
             ("deliveries.csv", 1, b"-2", "day must be >= 0, got -2"),
             ("deliveries.csv", 3, b"0", "qty must be >= 1, got 0"),
             # The knowledge base's rows are refused at their leftmost bad cell.
@@ -459,6 +459,103 @@ class TestMineCommand:
         assert all(type(value) is int and value >= 0 for value in counters.values())
         # The study query is discriminative and emits patterns, so negatives were checked.
         assert counters["negative_checks"] > 0
+
+
+def quoted(data):
+    """Every cell of a CSV file's lines in double quotes."""
+    return b"".join(
+        b",".join(b'"' + cell + b'"' for cell in line.rstrip(b"\r\n").split(b",")) + b"\r\n"
+        for line in data.splitlines(keepends=True)
+    )
+
+
+def with_cell(data, line, column, value):
+    """The file with cell `column` of 1-based line `line` replaced by `value`."""
+    lines = data.splitlines(keepends=True)
+    cells = lines[line - 1].split(b",")
+    end = cells[-1][len(cells[-1].rstrip(b"\r\n")):]
+    cells[column] = value + (end if column == len(cells) - 1 else b"")
+    lines[line - 1] = b",".join(cells)
+    return b"".join(lines)
+
+
+#: Reshapings of a synth deliveries.csv, whose lines end in CRLF.
+FACT_SHAPES = {
+    "quoted": quoted,
+    "qty-0-on-line-30": lambda data: with_cell(data, 30, 3, b"0"),
+    "not-utf8-on-line-2": lambda data: with_cell(data, 2, 0, b"p\xe9"),
+    "crlf": lambda data: data,
+    "lf": lambda data: data.replace(b"\r\n", b"\n"),
+    "bom": lambda data: b"\xef\xbb\xbf" + data,
+    "over-long-line": lambda data: data + b"x" * 600_000 + b"\r\n",
+}
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+class TestFactFilesThroughAPipe:
+    """A fact file is read once, so a pipe mines or fails as the regular file does."""
+
+    @pytest.fixture(scope="class")
+    def cohort(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("pipe-cohort")
+        args = ["--patients", "200", "--plant", PLANT, "--seed", "3", "--out-dir", str(out)]
+        assert main(["synth", *args]) == 0
+        return out
+
+    def run(self, cohort, query_file, deliveries, out, capsys):
+        args = mine_args(cohort, query_file, out)
+        args[args.index("--deliveries") + 1] = deliveries
+        code = main(args)
+        err = capsys.readouterr().err
+        written = out.read_bytes() if out.exists() else None
+        return code, err, written
+
+    @pytest.mark.parametrize("shape", FACT_SHAPES)
+    def test_a_pipe_gives_the_bytes_exit_and_errors_of_the_file(
+        self, cohort, query_file, tmp_path, capsys, shape
+    ):
+        data = FACT_SHAPES[shape]((cohort / "deliveries.csv").read_bytes())
+        path = tmp_path / "deliveries.csv"
+        path.write_bytes(data)
+        from_file = self.run(cohort, query_file, str(path), tmp_path / "file.jsonl", capsys)
+        read, write = os.pipe()
+
+        def feed():
+            # The reader may stop at an error and close its end first.
+            with contextlib.suppress(BrokenPipeError), open(write, "wb") as pipe:
+                pipe.write(data)
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            piped = f"/dev/fd/{read}"
+            from_pipe = self.run(cohort, query_file, piped, tmp_path / "pipe.jsonl", capsys)
+        finally:
+            os.close(read)
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        code, err, written = from_file
+        assert from_pipe == (code, err.replace(str(path), piped), written)
+        lines = data.count(b"\n")
+        expected = {
+            "quoted": (0, ""),
+            "qty-0-on-line-30": (2, f"error: {path}:30: qty must be >= 1, got 0\n"),
+            "not-utf8-on-line-2": (
+                2,
+                f"error: {path}:2: not UTF-8: byte 0xe9 at column 2 (invalid continuation byte)\n",
+            ),
+            "over-long-line": (
+                2,
+                f"error: {path}:{lines}: malformed CSV: field larger than field "
+                "limit (131072)\n",
+            ),
+        }.get(shape, (0, ""))
+        assert (code, err) == expected
+        if code == 0:
+            plain = self.run(
+                cohort, query_file, str(cohort / "deliveries.csv"), tmp_path / "plain.jsonl", capsys
+            )
+            assert written == plain[2] and written
 
 
 class TestRenderedOutputPinned:

@@ -1,8 +1,11 @@
 """CSV loaders: field mapping, validation, round trips."""
 
 import csv
+import gc
 import io
+import tracemalloc
 from functools import partial
+from itertools import repeat
 from operator import itemgetter
 from unittest import mock
 
@@ -10,9 +13,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pathmine import ingest
+from pathmine.cli import main
 from pathmine.errors import CycleError, DuplicateCode, NegativeDay, ParseError
-from pathmine.ingest import RawDatabase, load_deliveries, load_diseases, load_kb
+from pathmine.ingest import FactColumns, RawDatabase, load_deliveries, load_diseases, load_kb
 from pathmine.knowledge import CodeAttributes
+from pathmine.synth import CohortConfig, PlantSpec, generate_cohort, write_cohort
+
+from conftest import STUDY_QUERY
 
 
 def write(path, text):
@@ -23,9 +30,9 @@ def write(path, text):
 class TestLoadDeliveries:
     def test_row_maps_to_fact(self, tmp_path):
         path = write(tmp_path / "d.csv", "patient,day,cip,qty\np1,37,3400935955838,1\n")
-        rows = load_deliveries(path)
-        assert rows == [("p1", 37, "3400935955838", 1)]
-        assert type(rows[0]) is tuple
+        facts = load_deliveries(path)
+        assert facts == FactColumns(["p1"], [37], ["3400935955838"])
+        assert len(facts) == 1 and type(facts.patients) is list
 
     def test_negative_day(self, tmp_path):
         path = write(tmp_path / "d.csv", "patient,day,cip,qty\np1,-3,X,1\n")
@@ -35,7 +42,7 @@ class TestLoadDeliveries:
 
     def test_header_only_gives_empty(self, tmp_path):
         path = write(tmp_path / "d.csv", "patient,day,cip,qty\n")
-        assert load_deliveries(path) == []
+        assert load_deliveries(path) == FactColumns()
 
     def test_missing_header(self, tmp_path):
         with pytest.raises(ParseError):
@@ -69,7 +76,7 @@ class TestLoadDeliveries:
             "patient,day,cip,qty\np2,5,X,1\np1,9,X,1\np1,2,Y,1\np1,2,X,1\n",
         )
         facts = load_deliveries(path)
-        assert [row[:2] for row in facts] == [("p2", 5), ("p1", 9), ("p1", 2), ("p1", 2)]
+        assert list(zip(facts.patients, facts.days)) == [("p2", 5), ("p1", 9), ("p1", 2), ("p1", 2)]
         raw = RawDatabase(facts, ())
         assert list(raw.delivery_groups) == ["p1", "p2"]
         assert raw.delivery_groups == {"p1": ((2, 2, 9), ("Y", "X", "X")), "p2": ((5,), ("X",))}
@@ -88,9 +95,9 @@ class TestLoadDeliveries:
     def test_row_validator_shares_equal_cells(self, tmp_path):
         # Quoted cells send the file to the row validator.
         path = write(tmp_path / "d.csv", 'patient,day,cip,qty\n"p1","5","x1","1"\np1,5,x1,2\n')
-        rows = load_deliveries(path)
-        assert rows == [("p1", 5, "X1", 1), ("p1", 5, "X1", 2)]
-        assert rows[0][0] is rows[1][0] and rows[0][2] is rows[1][2]
+        facts = load_deliveries(path)
+        assert facts == FactColumns(["p1", "p1"], [5, 5], ["X1", "X1"])
+        assert facts.patients[0] is facts.patients[1] and facts.codes[0] is facts.codes[1]
 
 
 class TestIntegerCells:
@@ -132,13 +139,13 @@ class TestLoadDiseases:
 
     def test_row_maps_to_fact(self, tmp_path):
         path = write(tmp_path / "i.csv", "patient,day,icd\np1,120,G403\n")
-        rows = load_diseases(path)
-        assert rows == [("p1", 120, "G403")]
-        assert type(rows[0]) is tuple
+        facts = load_diseases(path)
+        assert facts == FactColumns(["p1"], [120], ["G403"])
+        assert len(facts) == 1 and type(facts.patients) is list
 
     def test_codes_uppercased(self, tmp_path):
         path = write(tmp_path / "i.csv", "patient,day,icd\np1,120,g403\n")
-        assert load_diseases(path)[0][2] == "G403"
+        assert load_diseases(path).codes == ["G403"]
 
     def test_duplicate_rows_are_distinct_facts(self, tmp_path):
         path = write(tmp_path / "i.csv", "patient,day,icd\np1,120,G403\np1,120,G403\n")
@@ -345,7 +352,8 @@ def test_round_trip_preserves_fact_multisets(tmp_path):
     with open(back, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(("patient", "day", "cip", "qty"))
-        writer.writerows(first)
+        # Quantities are checked but not kept, so each row is written with 1.
+        writer.writerows(zip(first.patients, first.days, first.codes, repeat(1)))
     assert load_deliveries(str(back)) == first
 
 
@@ -433,15 +441,31 @@ def fact_file_text(draw, header, columns):
     return bom + "".join(map(str.__add__, lines, ends))
 
 
+def columns_of(rows):
+    """The patient, day and code columns of fact rows."""
+    return FactColumns(*([row[k] for row in rows] for k in range(3)))
+
+
+def validated_columns(header):
+    """A loader that reads a whole fact file with the row validator alone."""
+
+    def load(path):
+        with ingest._opened(path) as handle:
+            return columns_of(list(ingest._checked_rows(path, handle, header)))
+
+    return load
+
+
 class TestBulkAgreesWithRowValidator:
     """The bulk loaders return what the row validator returns, or raise the same error."""
 
     @staticmethod
     def outcome(load, path):
         try:
-            return tuple(load(path))
+            facts = load(path)
         except ParseError as exc:
             return type(exc), exc.line, str(exc)
+        return facts.patients, facts.days, facts.codes
 
     def check(self, tmp_path_factory, text, block, bulk, by_row):
         path = tmp_path_factory.mktemp("agree") / "facts.csv"
@@ -459,7 +483,7 @@ class TestBulkAgreesWithRowValidator:
     def test_deliveries(self, tmp_path_factory, text, block):
         self.check(
             tmp_path_factory, text, block, load_deliveries,
-            partial(ingest._checked_rows, header=("patient", "day", "cip", "qty")),
+            validated_columns(("patient", "day", "cip", "qty")),
         )
 
     @settings(derandomize=True, deadline=None, max_examples=200)
@@ -473,7 +497,7 @@ class TestBulkAgreesWithRowValidator:
     def test_diseases(self, tmp_path_factory, text, block):
         self.check(
             tmp_path_factory, text, block, load_diseases,
-            partial(ingest._checked_rows, header=("patient", "day", "icd")),
+            validated_columns(("patient", "day", "icd")),
         )
 
 
@@ -494,12 +518,14 @@ class TestBulkPath:
             (bom + end.join(["patient, day ,icd", "p1,1000,g40", "p2, 3,i10 "])).encode("utf-8")
         )
         with mock.patch.object(ingest, "_checked_rows", side_effect=AssertionError("slow path")):
-            rows = load_deliveries(str(deliveries))
-            assert rows == [("p1", 1000, "X1", 1), ("p1", 1000, "X1", 2), ("p2", 7, "C2", 1)]
-            assert load_diseases(str(diseases)) == [("p1", 1000, "G40"), ("p2", 3, "I10")]
+            facts = load_deliveries(str(deliveries))
+            assert facts == FactColumns(["p1", "p1", "p2"], [1000, 1000, 7], ["X1", "X1", "C2"])
+            assert load_diseases(str(diseases)) == FactColumns(
+                ["p1", "p2"], [1000, 3], ["G40", "I10"]
+            )
         # Equal texts share one object: the day's int as well as the strings.
-        assert rows[0][1] is rows[1][1]
-        assert rows[0][0] is rows[1][0] and rows[0][2] is rows[1][2]
+        assert facts.days[0] is facts.days[1]
+        assert facts.patients[0] is facts.patients[1] and facts.codes[0] is facts.codes[1]
 
     def test_a_line_longer_than_any_valid_row_is_refused_before_its_end(self):
         # Under a field limit of 5, a diseases row fills at most 3 * (5 + 1) characters.
@@ -515,13 +541,16 @@ class TestBulkPath:
                 served.append(super().readline(size))
                 return served[-1]
 
+        facts = FactColumns()
         with mock.patch.object(ingest, "_BLOCK_CHARS", 4), mock.patch.object(
             ingest.csv, "field_size_limit", return_value=5
-        ), mock.patch.object(ingest, "open", lambda *_, **__: Handle(text), create=True):
-            assert ingest._bulk_rows("facts.csv", ("patient", "day", "icd")) is None
+        ):
+            untaken = ingest._bulk_read(Handle(text), ("patient", "day", "icd"), facts, {})
         # A block is completed to its line's end, and the long line is read
-        # only up to the bound.
+        # only up to the bound; the row validator takes it from line 3.
         assert served[1:] == ["p1,1", ",G40\n", "xxxx", "x" * 18]
+        assert untaken == (2, "x" * 22)
+        assert facts == FactColumns(["p1"], [1], ["G40"])
 
 
 def reference_groups(rows):
@@ -573,6 +602,100 @@ class TestGroupedStore:
         with pytest.raises(NegativeDay) as err:
             RawDatabase(load_deliveries(deliveries), load_diseases(diseases))
         assert (err.value.path, err.value.line) == (deliveries, 3)
+
+
+@pytest.fixture(scope="module")
+def small_study(tmp_path_factory):
+    """A 40-patient cohort with a plant of 6, its query, and the CLI's bytes on its files."""
+    plant = PlantSpec.parse("N03AG01,438,1|N03AG01,438,1|N03AX14,1023,0@6")
+    cohort = generate_cohort(CohortConfig(patients=40, seed=4, plant=plant))
+    directory = tmp_path_factory.mktemp("in-file-order")
+    paths = write_cohort(cohort, str(directory))
+    query = directory / "study.pmq"
+    query.write_text(STUDY_QUERY.replace("min_support 20", "min_support 6"), encoding="utf-8")
+    out = directory / "patterns.jsonl"
+    assert main(mine_args(paths, paths["deliveries"], paths["diseases"], query, out)) == 0
+    assert out.read_bytes()
+    return cohort, paths, query, out.read_bytes()
+
+
+def mine_args(paths, deliveries, diseases, query, out):
+    return [
+        "mine", "--query", str(query), "--deliveries", str(deliveries),
+        "--diseases", str(diseases), "--kb", paths["kb"], "--taxonomy", paths["taxonomy"],
+        "--out", str(out),
+    ]
+
+
+class TestRowOrder:
+    """Fact files in any row order group as one stable sort and mine to the same bytes.
+
+    No benchmark cohort is out of patient order, so this is what runs the
+    sort branch of the grouping on loaded files.
+    """
+
+    def check(self, small_study, tmp_path_factory, deliveries, diseases, block):
+        _, paths, query, expected = small_study
+        directory = tmp_path_factory.mktemp("reordered")
+        files = {
+            "deliveries": (ingest._DELIVERY_HEADER, deliveries),
+            "diseases": (ingest._DISEASE_HEADER, diseases),
+        }
+        for name, (header, rows) in files.items():
+            with open(directory / f"{name}.csv", "w", newline="", encoding="utf-8") as handle:
+                writer = csv.writer(handle)
+                writer.writerow(header)
+                writer.writerows(rows)
+        # A small block makes patient runs straddle blocks.
+        with mock.patch.object(ingest, "_BLOCK_CHARS", block):
+            raw = RawDatabase(
+                load_deliveries(str(directory / "deliveries.csv")),
+                load_diseases(str(directory / "diseases.csv")),
+            )
+            assert list(raw.delivery_groups.items()) == reference_groups(deliveries)
+            assert list(raw.disease_groups.items()) == reference_groups(diseases)
+            out = directory / "patterns.jsonl"
+            args = mine_args(
+                paths, directory / "deliveries.csv", directory / "diseases.csv", query, out
+            )
+            assert main(args) == 0
+        assert out.read_bytes() == expected
+
+    @settings(derandomize=True, deadline=None, max_examples=8)
+    @given(data=st.data(), block=st.sampled_from([ingest._BLOCK_CHARS, 64]))
+    def test_shuffled(self, small_study, tmp_path_factory, data, block):
+        cohort = small_study[0]
+        deliveries = data.draw(st.permutations(cohort.deliveries))
+        diseases = data.draw(st.permutations(cohort.diseases))
+        self.check(small_study, tmp_path_factory, deliveries, diseases, block)
+
+    @pytest.mark.parametrize("block", [ingest._BLOCK_CHARS, 64])
+    @pytest.mark.parametrize("order", ["by-day", "reversed", "runs-reversed"])
+    def test_sorted_by_day_or_reversed(self, small_study, tmp_path_factory, order, block):
+        # "runs-reversed" keeps patients ascending with each one's days
+        # descending, so runs are sliced off and then sorted by day.
+        cohort = small_study[0]
+        reorder = {
+            "by-day": partial(sorted, key=itemgetter(1)),
+            "reversed": lambda rows: rows[::-1],
+            "runs-reversed": lambda rows: sorted(rows[::-1], key=itemgetter(0)),
+        }[order]
+        deliveries, diseases = reorder(cohort.deliveries), reorder(cohort.diseases)
+        self.check(small_study, tmp_path_factory, deliveries, diseases, block)
+
+
+def test_loaded_facts_cost_at_most_110_bytes_per_delivery_row(tmp_path):
+    # Row tuples cost 164 bytes per row here; columns and the groups about 85.
+    paths = write_cohort(generate_cohort(CohortConfig(patients=2000, seed=8)), str(tmp_path))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        raw = RawDatabase(load_deliveries(paths["deliveries"]), load_diseases(paths["diseases"]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert raw.delivery_count > 20_000
+    assert peak / raw.delivery_count <= 110
 
 
 def reference_outcome(deliveries, diseases):

@@ -156,12 +156,15 @@ class TestPlantExactness:
 
 class TestWriteCohort:
     def test_files_written_and_loadable(self, tmp_path):
-        from pathmine.ingest import load_deliveries, load_diseases, load_kb
+        from pathmine.ingest import FactColumns, load_deliveries, load_diseases, load_kb
+
+        def columns(rows):
+            return FactColumns(*([row[k] for row in rows] for k in range(3)))
 
         cohort = small_cohort(patients=12)
         paths = write_cohort(cohort, str(tmp_path))
-        assert load_deliveries(paths["deliveries"]) == list(cohort.deliveries)
-        assert load_diseases(paths["diseases"]) == list(cohort.diseases)
+        assert load_deliveries(paths["deliveries"]) == columns(cohort.deliveries)
+        assert load_diseases(paths["diseases"]) == columns(cohort.diseases)
         kb = load_kb(paths["kb"], paths["taxonomy"])
         assert kb.attributes.therapeutic_classes() >= {"N03AG01", "N03AX14"}
 
