@@ -11,12 +11,13 @@ Reification goes through the task's code table (`CodeTable`), built from
 the knowledge base before any delivery is read: each code that passes
 the class filter maps to the id of its item, one item per distinct
 projected attribute tuple, with ids in ascending `Item.sort_key` order.
-Each window then becomes one sorted tuple of keys `day * K + id` (K
-items), which sort as (day, id) pairs do, in one C-level sort; a key's
-id is `key % K` and its day `key // K`. No object is made per event:
-`CaseDatabase` holds these tuples, the engine reads their ids through
-`CaseDatabase.ids`, and `CaseDatabase.pairs` holds `EventSequence`
-views of them, built on demand.
+Each window then becomes two parallel tuples: its item ids, ordered by
+(day, id), and its days, the slice of the loaded day column that the
+kept deliveries occupy. The days need no sort, since the spans come in
+day order and each span's days ascend; only same-day ids are reordered.
+No object is made per event: `CaseDatabase` holds these tuples, the
+engine mines its id tuples as they are, and `CaseDatabase.pairs` holds
+`EventSequence` views of them, built on demand.
 """
 
 from __future__ import annotations
@@ -102,11 +103,11 @@ class CaseDatabase:
 
     `items` is the item table in ascending `Item.sort_key` order, and an
     item's id is its position in it. Entry k of `positives` is the k-th
-    patient's positive sequence as sorted keys `day * K + id`, K being
-    `len(items)`: keys sort as (day, id) pairs do, `key % K` is the id
-    and `key // K` the day. `negatives` holds the negative sequences the
-    same way, or is None when there is no negative window. Either every
-    pair carries a negative sequence or none does; a pair whose negative
+    patient's positive sequence as a tuple of item ids in (day, id)
+    order, and entry k of `positive_days` its days, one per id.
+    `negatives` and `negative_days` hold the negative sequences the same
+    way, or are None when there is no negative window. Either every pair
+    carries a negative sequence or none does; a pair whose negative
     window contained no events holds an empty sequence, which is
     different from having no negative window.
 
@@ -130,39 +131,29 @@ class CaseDatabase:
         sequences = [pair.positive for pair in ordered] + negatives
         items = sorted({item for seq in sequences for _, item in seq}, key=Item.sort_key)
         id_of = {item: iid for iid, item in enumerate(items)}
-        # Events are sorted by (day, sort key), so the keys come out sorted.
-        scale = len(items)
-        keys = tuple(tuple(day * scale + id_of[item] for day, item in seq) for seq in sequences)
+        # Events are sorted by (day, sort key), so the ids come out in (day, id) order.
+        ids = tuple(tuple(id_of[item] for _, item in seq) for seq in sequences)
+        days = tuple(tuple(day for day, _ in seq) for seq in sequences)
         count = len(patients)
-        self._patients, self.items, self.positives = patients, tuple(items), keys[:count]
-        self.negatives = keys[count:] if True in shapes else None
+        windows = ids[:count], days[:count], ids[count:], days[count:]
+        self._hold(patients, tuple(items), *windows[: 4 if True in shapes else 2])
 
-    @classmethod
-    def _interned(cls, patients, items, positives, negatives) -> "CaseDatabase":
-        """A database over sequences already interned."""
-        database = cls.__new__(cls)
-        database._patients, database.items = patients, items
-        database.positives, database.negatives = positives, negatives
-        return database
+    def _hold(self, patients, items, positives, positive_days, negatives=None, negative_days=None):
+        """Take over sequences already interned, the negative window's only if it exists."""
+        self._patients, self.items = patients, items
+        self.positives, self.positive_days = positives, positive_days
+        self.negatives, self.negative_days = negatives, negative_days
 
     @cached_property
     def pairs(self) -> tuple[CasePair, ...]:
-        items, scale = self.items, repeat(len(self.items))
+        def view(ids: tuple[int, ...], days: tuple[int, ...]) -> EventSequence:
+            return EventSequence(tuple(zip(days, map(self.items.__getitem__, ids))))
 
-        def views(sequences: tuple) -> list[EventSequence]:
-            return [
-                EventSequence(tuple((day, items[iid]) for day, iid in map(divmod, keys, scale)))
-                for keys in sequences
-            ]
-
-        positives = views(self.positives)
-        negatives = repeat(None) if self.negatives is None else views(self.negatives)
+        positives = map(view, self.positives, self.positive_days)
+        negatives = repeat(None)
+        if self.negatives is not None:
+            negatives = map(view, self.negatives, self.negative_days)
         return tuple(map(CasePair, self._patients, positives, negatives))
-
-    def ids(self, sequences: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
-        """`positives` or `negatives` as item ids, each sequence in order."""
-        scale = repeat(len(self.items))
-        return [tuple(map(mod, keys, scale)) for keys in sequences]
 
     @property
     def has_negatives(self) -> bool:
@@ -267,26 +258,35 @@ def _spans(positive: WindowSpec, negative: WindowSpec | None) -> list[tuple[int,
 def _sequences(
     deliveries: DayCodes, index_day: int, spans: list[tuple[int, int, int]], table: CodeTable
 ) -> list[tuple[int, ...]]:
-    """One patient's positive keys, then negative keys, each sorted.
+    """One patient's positive ids and days, then negative ids and days.
 
-    A key is `day * K + id`, K being `len(table.items)`, so the keys
-    sort as (day, id) pairs do, in one C-level sort. The spans are
-    mapped in day order, so under the abort policy the unknown code
-    raised is the earliest one inside a window.
+    A window's days are the loaded days of its kept deliveries, in
+    loaded order: the spans are mapped in day order and each span's days
+    ascend, so the days are already sorted. Its ids are put in (day, id)
+    order by one C-level sort of integer keys, each day scaled by the
+    item count plus the id, and read back as the keys' remainders by
+    that count. Under the abort policy the unknown code raised is the
+    earliest one inside a window.
     """
     days, codes = deliveries.days, deliveries.codes
-    keys: tuple[list[int], list[int]] = ([], [])
+    windows = ([], []), ([], [])
     scale = repeat(len(table.items))
     for start, stop, polarity in spans:
         lo = bisect_left(days, index_day + start)
         hi = bisect_left(days, index_day + stop, lo)
         ids = list(map(table.__getitem__, codes[lo:hi]))
-        offsets = map(mul, days[lo:hi], scale)
+        span_days = days[lo:hi]
         if None in ids:
             kept = list(map(is_not, ids, repeat(None)))
-            offsets, ids = compress(offsets, kept), compress(ids, kept)
-        keys[polarity].extend(map(add, offsets, ids))
-    return [tuple(sorted(polarity_keys)) for polarity_keys in keys]
+            span_days, ids = tuple(compress(span_days, kept)), compress(ids, kept)
+        keys, window_days = windows[polarity]
+        keys += map(add, map(mul, span_days, scale), ids)
+        window_days += span_days
+    return [
+        column
+        for keys, window_days in windows
+        for column in (tuple(map(mod, sorted(keys), scale)), tuple(window_days))
+    ]
 
 
 def build_database(
@@ -313,7 +313,7 @@ def build_database(
         columns = deliveries.get(patient, _NO_DELIVERIES)
         rows.append((patient, *_sequences(columns, index_day, spans, table)))
     # Disease groups come in ascending patient order, so the rows do too.
-    patients, positives, negatives = zip(*rows) if rows else ((),) * 3
-    if task.negative_window is None:
-        negatives = None
-    return CaseDatabase._interned(patients, table.items, positives, negatives)
+    patients, *windows = zip(*rows) if rows else ((),) * 5
+    database = CaseDatabase.__new__(CaseDatabase)
+    database._hold(patients, table.items, *windows[: 2 if task.negative_window is None else 4])
+    return database

@@ -318,7 +318,7 @@ def _emittable(
 
 
 class _Prepared:
-    """The database's sequences as item ids, with a last-occurrence index.
+    """The database's own id tuples, mined as they are, with a last-occurrence index.
 
     The database's ids follow canonical item order, so ascending id
     order is ascending output order and no per-candidate key
@@ -358,10 +358,7 @@ class _Prepared:
     )
 
     def __init__(self, task: MiningTask, database: CaseDatabase) -> None:
-        self.pos_ids = database.ids(database.positives)
-        self.neg_ids = None
-        if database.negatives is not None:
-            self.neg_ids = database.ids(database.negatives)
+        self.pos_ids, self.neg_ids = database.positives, database.negatives
         self.order = []
         self.lasts = []
         for seq in self.pos_ids:

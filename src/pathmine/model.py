@@ -70,10 +70,10 @@ class EventSequence:
 
     This is the item form of a sequence, for hand-built databases, the
     reference oracle and callers that want items. The builder and the
-    engine never make one: `CaseDatabase` keeps each sequence as sorted
-    integer keys of day and item id, and its `pairs` builds these views
-    on demand. The sequence does not know whose it is or which window:
-    a `CasePair` names both by the slot that holds it.
+    engine never make one: `CaseDatabase` keeps each sequence as a tuple
+    of item ids and a parallel tuple of days, and its `pairs` builds
+    these views on demand. The sequence does not know whose it is or
+    which window: a `CasePair` names both by the slot that holds it.
     """
 
     events: tuple[tuple[int, Item], ...] = ()

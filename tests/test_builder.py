@@ -1,7 +1,9 @@
 """Case-crossover construction: index events, windows, database assembly."""
 
+import gc
 import hashlib
 import json
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -15,6 +17,7 @@ from pathmine.builder import (
     build_database,
     find_index_event,
 )
+from pathmine.engine import MiningOptions, mine
 from pathmine.errors import UnknownCode
 from pathmine.ingest import RawDatabase
 from pathmine.knowledge import CodeAttributes, KnowledgeBase, Taxonomy
@@ -309,8 +312,8 @@ class TestBuildDatabase:
         )
         assert db.items == (Item(("A", "1", 1)), Item(("B", "1", 0)))
         assert db.patients() == ("p1", "p2")
-        # Keys day * 2 + id, two items.
-        assert db.positives == ((5 * 2 + 0, 5 * 2 + 1), (3 * 2 + 1,))
+        assert db.positives == ((0, 1), (1,))
+        assert db.positive_days == ((5, 5), (3,))
         assert [day for day, _ in db.pairs[0].positive] == [5, 5]
         assert db.negatives is None and not db.has_negatives
 
@@ -371,3 +374,68 @@ class TestSharedItems:
         monkeypatch.setattr(CodeAttributes, "attributes", counting)
         build_database(self.RAW, self.TASK, self.KB)
         assert sorted(looked_up) == ["BRA", "GE2", "GEN"]
+
+
+class TestConstructionPathsAgree:
+    """`CaseDatabase(db.pairs)` interns a built database's views back to the same database."""
+
+    NO_NEGATIVE = STUDY_QUERY.replace("window negative (index-180, index-90);\n", "").replace(
+        "constraint discriminative;\n", ""
+    )
+
+    @staticmethod
+    def assert_same(built, rebuilt):
+        assert rebuilt.items == built.items
+        assert rebuilt.patients() == built.patients()
+        assert rebuilt.positives == built.positives
+        assert rebuilt.positive_days == built.positive_days
+        assert rebuilt.negatives == built.negatives
+        assert rebuilt.negative_days == built.negative_days
+
+    @pytest.mark.parametrize("seed", [3, 42])
+    @pytest.mark.parametrize("negative", [True, False])
+    def test_seeded_cohort(self, seed, negative):
+        cohort = generate_cohort(CohortConfig(patients=200, seed=seed))
+        kb = knowledge_base(cohort)
+        task = compile_query(parse_query(STUDY_QUERY if negative else self.NO_NEGATIVE), kb)
+        built = build_database(RawDatabase(cohort.deliveries, cohort.diseases), task, kb)
+        assert (built.negatives is not None) is negative
+        self.assert_same(built, CaseDatabase(built.pairs))
+
+    def test_unknown_codes_skipped_inside_windows(self):
+        cohort = generate_cohort(CohortConfig(patients=200, seed=5))
+        kb = knowledge_base(cohort)
+        task = compile_query(parse_query(STUDY_QUERY), kb)
+        # An unknown code beside every third delivery, on its day.
+        unknown = [(patient, day, "UNKNOWN", 1) for patient, day, _, _ in cohort.deliveries[::3]]
+        raw = RawDatabase(cohort.deliveries + tuple(unknown), cohort.diseases)
+        with pytest.raises(UnknownCode):
+            build_database(raw, task, kb)
+        built = build_database(raw, task, kb, unknown_code="skip")
+        clean = build_database(RawDatabase(cohort.deliveries, cohort.diseases), task, kb)
+        self.assert_same(clean, built)
+        self.assert_same(built, CaseDatabase(built.pairs))
+
+
+def test_built_database_costs_at_most_42_bytes_per_event():
+    # Parallel id and day tuples share their ints with the code table and
+    # the loaded days: about 36 bytes per event here. A fresh int per
+    # event would add 32 more.
+    cohort = generate_cohort(CohortConfig(patients=300, seed=2017))
+    kb = knowledge_base(cohort)
+    task = compile_query(parse_query(STUDY_QUERY), kb)
+    raw = RawDatabase(cohort.deliveries, cohort.diseases)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        db = build_database(raw, task, kb)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    events = sum(map(len, db.positives)) + sum(map(len, db.negatives))
+    assert events > 3000
+    assert held / events <= 42
+    # The search mines the database's own id tuples, not a copy.
+    assert mine(task, db, MiningOptions(embeddings="witness")).sequences is db.positives
